@@ -1,9 +1,4 @@
-"""Elementwise atoms: evaluation rules, DCP metadata, cone graphs.
-
-Every graph implementation documents its auxiliary construction; the lift
-callbacks reproduce exactly that construction numerically so tests can
-check feasibility of the lowered constraints without a solve.
-"""
+"""Elementwise atoms: evaluation rules, DCP metadata, cone graphs."""
 from __future__ import annotations
 
 import numpy as np
@@ -28,7 +23,7 @@ def _ones_form(n):
 
 def _abs_graph(ctx, forms, params):
     (x,) = forms
-    t = ctx.aux(x.size, lambda: np.abs(ctx.value_of(x)))
+    t = ctx.aux(x.size)
     ctx.nonneg(t - x)
     ctx.nonneg(t + x)
     return t
@@ -63,7 +58,7 @@ def _entr_eval(v, p):
 def _entr_graph(ctx, forms, params):
     # hypograph: t <= -x log x  <=>  (t, x, 1) in the exponential cone
     (x,) = forms
-    t = ctx.aux(x.size, lambda: _entr_eval([ctx.value_of(x)], None))
+    t = ctx.aux(x.size)
     ctx.exp_batch(t, x, _ones_form(x.size))
     return t
 
@@ -88,7 +83,7 @@ def entr(x):
 
 def _exp_graph(ctx, forms, params):
     (x,) = forms
-    t = ctx.aux(x.size, lambda: np.exp(ctx.value_of(x)))
+    t = ctx.aux(x.size)
     ctx.exp_batch(x, _ones_form(x.size), t)
     return t
 
@@ -122,17 +117,9 @@ def _huber_graph(ctx, forms, params):
     (x,) = forms
     M = params["M"]
     n = x.size
-
-    def q_val():
-        return np.clip(ctx.value_of(x), -M, M)
-
-    def n_val():
-        xv = ctx.value_of(x)
-        return np.abs(xv) - np.abs(np.clip(xv, -M, M))
-
-    q = ctx.aux(n, q_val)
-    nn = ctx.aux(n, n_val)
-    w = ctx.aux(n, lambda: q_val() ** 2)
+    q = ctx.aux(n)
+    nn = ctx.aux(n)
+    w = ctx.aux(n)
     ctx.nonneg(nn)
     ctx.nonneg(q + nn - x)
     ctx.nonneg(q + nn + x)
@@ -163,7 +150,7 @@ def huber(x, M=1.0):
 def _inv_pos_graph(ctx, forms, params):
     # t x >= 1, t, x >= 0 as the cone ||(x - t, 2)|| <= x + t
     (x,) = forms
-    t = ctx.aux(x.size, lambda: 1.0 / ctx.value_of(x))
+    t = ctx.aux(x.size)
     ctx.soc_batch([x + t, x - t, LinForm.constant(np.full(x.size, 2.0))])
     return t
 
@@ -188,7 +175,7 @@ def inv_pos(x):
 
 def _log_graph(ctx, forms, params):
     (x,) = forms
-    t = ctx.aux(x.size, lambda: np.log(ctx.value_of(x)))
+    t = ctx.aux(x.size)
     ctx.exp_batch(t, _ones_form(x.size), x)
     return t
 
@@ -215,13 +202,9 @@ def _logistic_graph(ctx, forms, params):
     # t >= log(1 + e^x)  <=>  e^(x - t) + e^(-t) <= 1
     (x,) = forms
     n = x.size
-
-    def t_val():
-        return np.logaddexp(0.0, ctx.value_of(x))
-
-    t = ctx.aux(n, t_val)
-    u = ctx.aux(n, lambda: np.exp(ctx.value_of(x) - t_val()))
-    v = ctx.aux(n, lambda: np.exp(-t_val()))
+    t = ctx.aux(n)
+    u = ctx.aux(n)
+    v = ctx.aux(n)
     ctx.exp_batch(x - t, _ones_form(n), u)
     ctx.exp_batch(-1.0 * t, _ones_form(n), v)
     ctx.nonneg(_ones_form(n) - u - v)
@@ -268,11 +251,7 @@ def _min_elem_sign(signs, params):
 def _max_elem_graph(ctx, forms, params):
     n = max(f.size for f in forms)
     forms = [f.broadcast_to(n) for f in forms]
-
-    def t_val():
-        return np.max([ctx.value_of(f) for f in forms], axis=0)
-
-    t = ctx.aux(n, t_val)
+    t = ctx.aux(n)
     for f in forms:
         ctx.nonneg(t - f)
     return t
@@ -281,11 +260,7 @@ def _max_elem_graph(ctx, forms, params):
 def _min_elem_graph(ctx, forms, params):
     n = max(f.size for f in forms)
     forms = [f.broadcast_to(n) for f in forms]
-
-    def t_val():
-        return np.min([ctx.value_of(f) for f in forms], axis=0)
-
-    t = ctx.aux(n, t_val)
+    t = ctx.aux(n)
     for f in forms:
         ctx.nonneg(f - t)
     return t
@@ -332,7 +307,7 @@ def min_elemwise(*args):
 
 def _pos_graph(ctx, forms, params):
     (x,) = forms
-    t = ctx.aux(x.size, lambda: np.maximum(ctx.value_of(x), 0.0))
+    t = ctx.aux(x.size)
     ctx.nonneg(t - x)
     ctx.nonneg(t)
     return t
@@ -340,7 +315,7 @@ def _pos_graph(ctx, forms, params):
 
 def _neg_graph(ctx, forms, params):
     (x,) = forms
-    t = ctx.aux(x.size, lambda: np.maximum(-ctx.value_of(x), 0.0))
+    t = ctx.aux(x.size)
     ctx.nonneg(t + x)
     ctx.nonneg(t)
     return t
@@ -381,8 +356,8 @@ def _sqrt_graph(ctx, forms, params):
     # hypograph: t <= s with s^2 <= x, via ||(x - 1, 2 s)|| <= x + 1
     (x,) = forms
     n = x.size
-    s = ctx.aux(n, lambda: np.sqrt(ctx.value_of(x)))
-    t = ctx.aux(n, lambda: np.sqrt(ctx.value_of(x)))
+    s = ctx.aux(n)
+    t = ctx.aux(n)
     one = _ones_form(n)
     ctx.soc_batch([x + one, x - one, 2.0 * s])
     ctx.nonneg(s - t)
@@ -410,7 +385,7 @@ def sqrt(x):
 def _square_graph(ctx, forms, params):
     (x,) = forms
     n = x.size
-    t = ctx.aux(n, lambda: ctx.value_of(x) ** 2)
+    t = ctx.aux(n)
     one = _ones_form(n)
     ctx.soc_batch([one + t, one - t, 2.0 * x])
     return t

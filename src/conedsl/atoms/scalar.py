@@ -44,8 +44,7 @@ def _lambda_max_graph(ctx, forms, params):
     # epigraph: t I - sym(X) >= 0 in the semidefinite order
     (x,) = forms
     n = int(round(np.sqrt(x.size)))
-    t = ctx.aux(1, lambda: np.linalg.eigvalsh(
-        _symmetrize(ctx.value_of(x).reshape(n, n, order="F")))[-1:])
+    t = ctx.aux(1)
     ctx.psd(t.left_mul(_diag_embed(n)) - x, n)
     return t
 
@@ -54,8 +53,7 @@ def _lambda_min_graph(ctx, forms, params):
     # hypograph: sym(X) - t I >= 0
     (x,) = forms
     n = int(round(np.sqrt(x.size)))
-    t = ctx.aux(1, lambda: np.linalg.eigvalsh(
-        _symmetrize(ctx.value_of(x).reshape(n, n, order="F")))[:1])
+    t = ctx.aux(1)
     ctx.psd(x - t.left_mul(_diag_embed(n)), n)
     return t
 
@@ -107,27 +105,12 @@ def _log_det_eval(v, p):
 def _log_det_graph(ctx, forms, params):
     # hypograph via the block [[diag(z), Z^T], [Z, sym(X)]] >= 0 with Z lower
     # triangular, z = diag(Z): then prod(z) <= det(X), so sum(log z) <= log det.
-    # The lift takes X = L L^T and sets Z = L diag(L), z = diag(L)^2.
     (x,) = forms
     n = int(round(np.sqrt(x.size)))
     strict = n * (n - 1) // 2
-
-    def chol():
-        Xv = _symmetrize(ctx.value_of(x).reshape(n, n, order="F"))
-        return np.linalg.cholesky(Xv)
-
-    def z_val():
-        L = chol()
-        return np.diag(L) ** 2
-
-    def zlow_val():
-        Zfull = chol()
-        Zfull = Zfull @ np.diag(np.diag(Zfull))
-        return np.concatenate([Zfull[j + 1 :, j] for j in range(n)])
-
-    z = ctx.aux(n, z_val)
-    zlow = ctx.aux(strict, zlow_val) if strict else None
-    u = ctx.aux(n, lambda: np.log(z_val()))
+    z = ctx.aux(n)
+    zlow = ctx.aux(strict) if strict else None
+    u = ctx.aux(n)
 
     # assemble vec of the 2n x 2n symmetric block matrix G
     m = 2 * n
@@ -194,12 +177,8 @@ def _lse_graph(ctx, forms, params):
     # t >= log sum exp(x)  <=>  sum_i e^(x_i - t) <= 1
     (x,) = forms
     n = x.size
-
-    def t_val():
-        return np.array([_lse_eval([ctx.value_of(x)], None)])
-
-    t = ctx.aux(1, t_val)
-    u = ctx.aux(n, lambda: np.exp(ctx.value_of(x) - t_val()[0]))
+    t = ctx.aux(1)
+    u = ctx.aux(n)
     ctx.exp_batch(x - t.broadcast_to(n), _ones(n), u)
     ctx.nonneg(LinForm.constant([1.0]) - u.left_mul(sp.csr_matrix(np.ones((1, n)))))
     return t
@@ -224,14 +203,14 @@ def log_sum_exp(x):
 
 def _max_entries_graph(ctx, forms, params):
     (x,) = forms
-    t = ctx.aux(1, lambda: np.array([np.max(ctx.value_of(x))]))
+    t = ctx.aux(1)
     ctx.nonneg(t.broadcast_to(x.size) - x)
     return t
 
 
 def _min_entries_graph(ctx, forms, params):
     (x,) = forms
-    t = ctx.aux(1, lambda: np.array([np.min(ctx.value_of(x))]))
+    t = ctx.aux(1)
     ctx.nonneg(x - t.broadcast_to(x.size))
     return t
 
@@ -282,15 +261,15 @@ def _norm_graph(ctx, forms, params):
     kind = params["p"]
     n = x.size
     if kind == 1:
-        w = ctx.aux(n, lambda: np.abs(ctx.value_of(x)))
+        w = ctx.aux(n)
         ctx.nonneg(w - x)
         ctx.nonneg(w + x)
         return w.left_mul(sp.csr_matrix(np.ones((1, n))))
     if kind == 2:
-        t = ctx.aux(1, lambda: np.array([np.linalg.norm(ctx.value_of(x))]))
+        t = ctx.aux(1)
         ctx.soc([t, x])
         return t
-    t = ctx.aux(1, lambda: np.array([np.max(np.abs(ctx.value_of(x)))]))
+    t = ctx.aux(1)
     tb = t.broadcast_to(n)
     ctx.nonneg(tb - x)
     ctx.nonneg(tb + x)
@@ -381,11 +360,7 @@ def _quad_form_graph(ctx, forms, params):
     R = params["R"]  # symmetric square root of P (or of -P when nsd)
     n = R.shape[0]
     Rx = xf.left_mul(sp.csr_matrix(R))
-
-    def t_val():
-        return np.array([float(np.sum((R @ ctx.value_of(xf)) ** 2))])
-
-    t = ctx.aux(1, t_val)
+    t = ctx.aux(1)
     one = LinForm.constant([1.0])
     ctx.soc([one + t, one - t, 2.0 * Rx])
     return t if mode == "psd" else -1.0 * t
@@ -440,12 +415,7 @@ def _qol_shape(shapes, params):
 def _qol_graph(ctx, forms, params):
     # ||(y - t, 2 vec(X))|| <= y + t encodes sum(X^2) <= t y with t, y >= 0
     xf, yf = forms
-
-    def t_val():
-        return np.array([float(np.sum(ctx.value_of(xf) ** 2)
-                               / ctx.value_of(yf)[0])])
-
-    t = ctx.aux(1, t_val)
+    t = ctx.aux(1)
     ctx.soc([yf + t, yf - t, 2.0 * xf])
     return t
 
@@ -471,11 +441,7 @@ def quad_over_lin(x, y):
 
 def _sum_squares_graph(ctx, forms, params):
     (x,) = forms
-
-    def t_val():
-        return np.array([float(np.sum(ctx.value_of(x) ** 2))])
-
-    t = ctx.aux(1, t_val)
+    t = ctx.aux(1)
     one = LinForm.constant([1.0])
     ctx.soc([one + t, one - t, 2.0 * x])
     return t

@@ -25,9 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .errors import SchemaError, ShapeError
-from .expr import (AtomExpr, ConstantExpr, Curvature, Expression, Variable,
-                   _var_counter)
+from .errors import InputError, SchemaError, ShapeError
+from .expr import AtomExpr, ConstantExpr, Curvature, Expression, Variable
 from .lin import LinForm, interleave_perm, svec_map
 
 
@@ -86,6 +85,11 @@ class ConeProgram:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float).ravel()
         self.b = np.asarray(self.b, dtype=float).ravel()
+        for name, vec in (("c", self.c), ("b", self.b), ("A.vals", self.A.vals)):
+            bad = np.flatnonzero(~np.isfinite(vec))
+            if bad.size:
+                raise InputError(f"{name}[{bad[0]}] is {vec[bad[0]]}; cone "
+                                 f"program data must be finite")
         if self.A.ncols != self.c.size or self.A.nrows != self.b.size:
             raise ShapeError("A dimensions disagree with c / b")
         self.cones.validate(self.A.nrows)
@@ -129,7 +133,6 @@ class VariableMap:
     m: int
     vars: list
     constrs: list
-    lift_point: np.ndarray | None = None
 
     def var_by_vid(self, vid):
         for r in self.vars:
@@ -151,39 +154,41 @@ class VariableMap:
 
 
 class GraphContext:
-    """Row collector handed to atom graph implementations.
+    """Column allocator and row collector handed to atom graph implementations.
 
-    In lift mode (used by tests) every auxiliary variable's documented
-    construction is evaluated numerically as it is created, which extends a
-    user-variable assignment to a full feasible point of the lowering.
+    Each variable gets its columns the first time the lowering meets it:
+    user variables through `variable`, auxiliaries through `aux`.
     """
 
-    def __init__(self, lift_env=None):
-        self.aux_records = []  # (vid, size)
+    def __init__(self):
+        self.ncols = 0
+        self.col_is_aux = []     # one flag per column handed out
+        self.var_cols = {}       # vid -> first column of a user variable
+        self.user_vars = []      # Variables in first-encounter order
         self.zero_forms = []
         self.nonneg_forms = []
-        self.soc_forms = []      # one form per cone block
+        self.soc_forms = []      # forms whose rows are whole cone blocks
+        self.soc_sizes = []      # the block sizes, in row order
         self.psd_forms = []      # (svec form, side)
         self.exp_forms = []      # interleaved (x1,y1,z1,x2,...) forms
         self.zero_rows = 0
         self.nonneg_rows = 0
-        self.lifting = lift_env is not None
-        self.lift_env = lift_env if lift_env is not None else {}
 
-    def aux(self, size: int, value_fn=None) -> LinForm:
-        vid = next(_var_counter)
-        self.aux_records.append((vid, size))
-        if self.lifting:
-            if value_fn is None:
-                raise ValueError("aux created without a lift construction")
-            val = np.asarray(value_fn(), dtype=float).ravel()
-            if val.size != size:
-                raise ShapeError("lift value has wrong length")
-            self.lift_env[vid] = val
-        return LinForm.for_var(vid, size)
+    def _columns(self, size: int, aux: bool) -> int:
+        start = self.ncols
+        self.ncols += size
+        self.col_is_aux.extend([aux] * size)
+        return start
 
-    def value_of(self, form: LinForm) -> np.ndarray:
-        return form.eval(self.lift_env)
+    def aux(self, size: int) -> LinForm:
+        return LinForm.columns(self._columns(size, True), size)
+
+    def variable(self, v: Variable) -> LinForm:
+        start = self.var_cols.get(v.vid)
+        if start is None:
+            start = self.var_cols[v.vid] = self._columns(v.size, False)
+            self.user_vars.append(v)
+        return LinForm.columns(start, v.size)
 
     def zero(self, form: LinForm):
         self.zero_forms.append(form)
@@ -195,20 +200,19 @@ class GraphContext:
 
     def soc(self, forms):
         """One second-order block; forms concatenate to (t, x) with t first."""
-        self.soc_forms.append(LinForm.concat(forms))
+        block = LinForm.concat(forms)
+        self.soc_forms.append(block)
+        self.soc_sizes.append(block.size)
 
     def soc_batch(self, forms):
         """len(forms) parallel streams of length n -> n blocks of that size."""
         streams = len(forms)
         n = forms[0].size
         stacked = LinForm.concat(forms)
-        if n == 1:
-            self.soc_forms.append(stacked)
-            return
-        interleaved = stacked.select(interleave_perm(streams, n))
-        for i in range(n):
-            self.soc_forms.append(interleaved.select(
-                np.arange(i * streams, (i + 1) * streams)))
+        if n > 1:
+            stacked = stacked.select(interleave_perm(streams, n))
+        self.soc_forms.append(stacked)
+        self.soc_sizes.extend([streams] * n)
 
     def exp_batch(self, xf: LinForm, yf: LinForm, zf: LinForm):
         n = xf.size
@@ -225,18 +229,13 @@ class Lowerer:
     def __init__(self, ctx: GraphContext):
         self.ctx = ctx
         self.memo = {}
-        self.user_vars = []   # Variables in first-encounter order
-        self._seen = set()
 
     def lower(self, e: Expression) -> LinForm:
         key = id(e)
         if key in self.memo:
             return self.memo[key]
         if isinstance(e, Variable):
-            if e.vid not in self._seen:
-                self._seen.add(e.vid)
-                self.user_vars.append(e)
-            form = LinForm.for_var(e.vid, e.size)
+            form = self.ctx.variable(e)
         elif isinstance(e, ConstantExpr):
             form = LinForm.constant(e.values.ravel(order="F"))
         elif isinstance(e, AtomExpr):
@@ -251,23 +250,9 @@ class Lowerer:
         return form
 
 
-def canonicalize(problem, lift_values=None):
-    """Lower an accepted problem to (ConeProgram, VariableMap).
-
-    lift_values, when given, maps user Variables (or vids) to numeric
-    values; auxiliary values are then derived alongside lowering and the
-    full point is stored on the returned map as `.lift_point`.
-    """
-    lift_env = None
-    if lift_values is not None:
-        lift_env = {}
-        for k, v in lift_values.items():
-            vid = k.vid if isinstance(k, Variable) else int(k)
-            arr = np.asarray(v, dtype=float)
-            if arr.ndim <= 1:
-                arr = arr.reshape(-1, 1)
-            lift_env[vid] = arr.ravel(order="F")
-    ctx = GraphContext(lift_env)
+def canonicalize(problem):
+    """Lower an accepted problem to (ConeProgram, VariableMap)."""
+    ctx = GraphContext()
     low = Lowerer(ctx)
 
     obj = problem.objective
@@ -294,11 +279,11 @@ def canonicalize(problem, lift_values=None):
             ctx.psd(body_form, shape[0])
 
     # symmetry and cone membership for psd-symmetric variables
-    for v in low.user_vars:
+    for v in ctx.user_vars:
         if v.attr != "psd-symmetric":
             continue
         n = v.shape.rows
-        form = LinForm.for_var(v.vid, v.size)
+        form = ctx.variable(v)
         sym_rows, sym_cols, sym_vals = [], [], []
         r = 0
         for j in range(n):
@@ -313,57 +298,37 @@ def canonicalize(problem, lift_values=None):
             ctx.zero(form.left_mul(sym_map))
         ctx.psd(form, n)
 
-    # column layout: user variables first, then auxiliaries
+    # column layout: user variables first, then auxiliaries, each in the
+    # order their columns were handed out
     var_records = []
-    offsets = {}
     col = 0
     names_seen = set()
-    for i, v in enumerate(low.user_vars):
+    for i, v in enumerate(ctx.user_vars):
         key = v.name if (v.name and v.name not in names_seen) else f"v{i}"
         names_seen.add(key)
         var_records.append(VarRecord(key=key, vid=v.vid, offset=col,
                                      rows=v.shape.rows, cols=v.shape.cols,
                                      psd=(v.attr == "psd-symmetric")))
-        offsets[v.vid] = col
         col += v.size
-    aux_offsets = {}
-    for vid, size in ctx.aux_records:
-        offsets[vid] = col
-        aux_offsets[vid] = (col, size)
-        col += size
-    n = col
+    n = ctx.ncols
+    is_aux = np.array(ctx.col_is_aux, dtype=bool)
+    perm = np.concatenate([np.flatnonzero(~is_aux), np.flatnonzero(is_aux)])
 
     zero_rows = ctx.zero_rows
     nonneg_rows = ctx.nonneg_rows
-    soc_sizes = [f.size for f in ctx.soc_forms]
+    soc_sizes = ctx.soc_sizes
     psd_sides = [s for _, s in ctx.psd_forms]
     ep = sum(f.size for f in ctx.exp_forms) // 3
     cones = ConeSpec(zero=zero_rows, nonneg=nonneg_rows, soc=soc_sizes,
                      psd=psd_sides, ep=ep)
 
-    all_forms = (ctx.zero_forms + ctx.nonneg_forms + ctx.soc_forms
-                 + [f for f, _ in ctx.psd_forms] + ctx.exp_forms)
-    m = sum(f.size for f in all_forms)
-
-    sizes = {rec.vid: rec.size for rec in var_records}
-    sizes.update({vid: size for vid, (_, size) in aux_offsets.items()})
-
-    # assemble A (= -coefficients) and b (= constants) column block by block
-    if all_forms:
-        G = LinForm.concat(all_forms)
-        b = G.const.copy()
-        blocks = [(-G.terms[vid] if vid in G.terms
-                   else sp.csr_matrix((m, sizes[vid])))
-                  for vid in sorted(offsets, key=offsets.get)]
-        A = linalg.from_scipy(sp.hstack(blocks, format="csc") if blocks
-                              else sp.csc_matrix((m, 0)))
-    else:
-        b = np.zeros(0)
-        A = linalg.from_scipy(sp.csc_matrix((0, n)))
-
-    c = np.zeros(n)
-    for vid, mat in obj_form.terms.items():
-        c[offsets[vid]: offsets[vid] + mat.shape[1]] = mat.toarray().ravel()
+    # A = -coefficients, b = constants
+    G = LinForm.concat(ctx.zero_forms + ctx.nonneg_forms + ctx.soc_forms
+                       + [f for f, _ in ctx.psd_forms] + ctx.exp_forms)
+    m = G.size
+    A = linalg.from_scipy(-G.widened(n)[:, perm])
+    b = G.const
+    c = obj_form.widened(n).toarray().ravel()[perm]
     offset = float(obj_form.const[0])
 
     # global row positions for user constraints
@@ -380,13 +345,6 @@ def canonicalize(problem, lift_values=None):
             length=length, cone=bucket, rows_shape=shape))
 
     vmap = VariableMap(n=n, m=m, vars=var_records, constrs=constr_records)
-    if ctx.lifting:
-        z = np.zeros(n)
-        for vid, off in offsets.items():
-            if vid not in ctx.lift_env:
-                raise KeyError("missing lift value for a variable")
-            z[off: off + sizes[vid]] = ctx.lift_env[vid]
-        vmap.lift_point = z
     cp = ConeProgram(c=c, A=A, b=b, cones=cones,
                      offset=offset, flipped=flipped)
     return cp, vmap

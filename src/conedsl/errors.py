@@ -38,4 +38,5 @@ class SchemaError(ConeDSLError):
 
 
 class InputError(ConeDSLError):
-    """Raised for malformed user input (CLI parameters, file contents)."""
+    """Raised for malformed user input (CLI parameters, file contents,
+    non-finite constant data)."""

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DCPError, ShapeError, UnsupportedAtomError
+from .errors import DCPError, InputError, ShapeError, UnsupportedAtomError
 
 
 class Shape(NamedTuple):
@@ -328,6 +328,11 @@ class ConstantExpr(Expression):
             arr = arr.reshape(-1, 1)
         elif arr.ndim != 2:
             raise ShapeError("constants must be at most 2-dimensional")
+        bad = np.argwhere(~np.isfinite(arr))
+        if bad.size:
+            i, j = bad[0]
+            raise InputError(f"constant has non-finite entry {arr[i, j]} "
+                             f"at index ({i}, {j})")
         super().__init__(make_shape(*arr.shape))
         self.values = arr
 

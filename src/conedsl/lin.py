@@ -1,9 +1,13 @@
-"""Affine forms over flattened variables, plus vec-ordering helpers.
+"""Affine forms over the lowering's columns, plus vec-ordering helpers.
 
-A LinForm represents an affine map z = sum_j C_j @ x_j + d where each x_j
-is the column-major flattening of one variable. Atom graph implementations
-compose these forms; the canonicalizer stacks them into the cone program
-data. All matrix flattenings are column-major throughout the package.
+A LinForm represents an affine map z = C @ x + d, where x stacks the
+column-major flattenings of every variable in the order the lowering
+handed out their columns. C is one CSR matrix as wide as the columns
+handed out when the form was built; forms built earlier are narrower and
+are widened with zero columns when forms combine. Atom graph
+implementations compose these forms; the canonicalizer stacks them into
+the cone program data. All matrix flattenings are column-major throughout
+the package.
 """
 from __future__ import annotations
 
@@ -16,31 +20,43 @@ _SQRT2 = np.sqrt(2.0)
 
 
 class LinForm:
-    __slots__ = ("size", "terms", "const")
+    __slots__ = ("size", "coef", "const")
 
-    def __init__(self, size: int, terms=None, const=None):
-        self.size = int(size)
-        self.terms = terms if terms is not None else {}
-        self.const = (np.zeros(self.size) if const is None
-                      else np.asarray(const, dtype=float).ravel())
-        if self.const.size != self.size:
+    def __init__(self, coef, const):
+        self.coef = coef
+        self.const = np.asarray(const, dtype=float).ravel()
+        self.size = self.const.size
+        if coef.shape[0] != self.size:
             raise ShapeError("constant length does not match form size")
 
     @staticmethod
     def constant(vec) -> "LinForm":
         vec = np.asarray(vec, dtype=float).ravel()
-        return LinForm(vec.size, {}, vec)
+        return LinForm(sp.csr_matrix((vec.size, 0)), vec)
 
     @staticmethod
-    def for_var(vid: int, n: int) -> "LinForm":
-        return LinForm(n, {vid: sp.eye(n, format="csr")})
+    def columns(start: int, n: int) -> "LinForm":
+        """The identity on columns start..start+n-1: one variable's value."""
+        coef = sp.csr_matrix((np.ones(n), np.arange(start, start + n),
+                              np.arange(n + 1)), shape=(n, start + n))
+        return LinForm(coef, np.zeros(n))
+
+    @property
+    def width(self) -> int:
+        return self.coef.shape[1]
+
+    def widened(self, width: int):
+        """The coefficient matrix padded with zero columns to width."""
+        c = self.coef
+        if c.shape[1] == width:
+            return c
+        return sp.csr_matrix((c.data, c.indices, c.indptr),
+                             shape=(c.shape[0], width))
 
     def __add__(self, other: "LinForm") -> "LinForm":
         a, b = _broadcast_pair(self, other)
-        terms = dict(a.terms)
-        for vid, mat in b.terms.items():
-            terms[vid] = (terms[vid] + mat).tocsr() if vid in terms else mat
-        return LinForm(a.size, terms, a.const + b.const)
+        width = max(a.width, b.width)
+        return LinForm(a.widened(width) + b.widened(width), a.const + b.const)
 
     def __sub__(self, other: "LinForm") -> "LinForm":
         return self + (-other)
@@ -50,8 +66,7 @@ class LinForm:
 
     def __mul__(self, s: float) -> "LinForm":
         s = float(s)
-        return LinForm(self.size, {v: (m * s).tocsr() for v, m in self.terms.items()},
-                       self.const * s)
+        return LinForm(self.coef * s, self.const * s)
 
     __rmul__ = __mul__
 
@@ -60,21 +75,17 @@ class LinForm:
         M = sp.csr_matrix(M)
         if M.shape[1] != self.size:
             raise ShapeError("left_mul: inner dimensions disagree")
-        terms = {v: (M @ m).tocsr() for v, m in self.terms.items()}
-        return LinForm(M.shape[0], terms, M @ self.const)
+        return LinForm(M @ self.coef, M @ self.const)
 
     def select(self, rows) -> "LinForm":
         rows = np.asarray(rows, dtype=np.int64)
-        terms = {v: m[rows].tocsr() for v, m in self.terms.items()}
-        return LinForm(rows.size, terms, self.const[rows])
+        return LinForm(self.coef[rows], self.const[rows])
 
     def scale_rows(self, d) -> "LinForm":
         d = np.asarray(d, dtype=float).ravel()
         if d.size != self.size:
             raise ShapeError("scale_rows: length mismatch")
-        D = sp.diags(d)
-        terms = {v: (D @ m).tocsr() for v, m in self.terms.items()}
-        return LinForm(self.size, terms, self.const * d)
+        return LinForm(sp.diags(d) @ self.coef, self.const * d)
 
     def broadcast_to(self, k: int) -> "LinForm":
         if self.size == k:
@@ -87,24 +98,11 @@ class LinForm:
     @staticmethod
     def concat(forms) -> "LinForm":
         forms = list(forms)
-        size = sum(f.size for f in forms)
-        vids = {}
-        for f in forms:
-            for v, m in f.terms.items():
-                vids.setdefault(v, m.shape[1])
-        terms = {}
-        for v, ncols in vids.items():
-            blocks = [f.terms.get(v, sp.csr_matrix((f.size, ncols))) for f in forms]
-            terms[v] = sp.vstack(blocks, format="csr")
-        const = np.concatenate([f.const for f in forms]) if forms else np.zeros(0)
-        return LinForm(size, terms, const)
-
-    def eval(self, values: dict) -> np.ndarray:
-        """Numeric value given flat per-variable values keyed by vid."""
-        out = self.const.copy()
-        for v, m in self.terms.items():
-            out += m @ values[v]
-        return out
+        if not forms:
+            return LinForm.constant(np.zeros(0))
+        width = max(f.width for f in forms)
+        return LinForm(sp.vstack([f.widened(width) for f in forms], format="csr"),
+                       np.concatenate([f.const for f in forms]))
 
 
 def _broadcast_pair(a: LinForm, b: LinForm):

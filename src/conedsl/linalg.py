@@ -8,19 +8,12 @@ package relies on (duplicate handling, residual bounds, eigenvalue order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import FactorizationError, NumericError, ShapeError
-
-
-class Triplet(NamedTuple):
-    row: int
-    col: int
-    val: float
 
 
 class SparseMatrix:
@@ -30,7 +23,7 @@ class SparseMatrix:
     value is exactly zero.
     """
 
-    __slots__ = ("nrows", "ncols", "colptr", "rowidx", "vals", "_scipy", "_qdf")
+    __slots__ = ("nrows", "ncols", "colptr", "rowidx", "vals", "_scipy")
 
     def __init__(self, nrows, ncols, colptr, rowidx, vals):
         self.nrows = int(nrows)
@@ -43,7 +36,6 @@ class SparseMatrix:
         if self.colptr[0] != 0 or self.colptr[-1] != self.vals.size:
             raise ShapeError("colptr must start at 0 and end at nnz")
         self._scipy = None
-        self._qdf = None
 
     @property
     def nnz(self) -> int:
@@ -63,13 +55,6 @@ class SparseMatrix:
     def to_dense(self) -> np.ndarray:
         return self.to_scipy().toarray()
 
-    def transpose(self) -> "SparseMatrix":
-        return from_scipy(self.to_scipy().T.tocsc())
-
-    @property
-    def T(self) -> "SparseMatrix":
-        return self.transpose()
-
 
 def from_scipy(mat) -> SparseMatrix:
     """Normalize any scipy sparse matrix into the canonical CSC layout."""
@@ -82,50 +67,6 @@ def from_scipy(mat) -> SparseMatrix:
 
 def from_dense(arr) -> SparseMatrix:
     return from_scipy(sp.csc_matrix(np.atleast_2d(np.asarray(arr, dtype=float))))
-
-
-def assemble(triplets: Iterable, nrows: int, ncols: int) -> SparseMatrix:
-    """Build a SparseMatrix from (row, col, val) entries.
-
-    Duplicate coordinates are summed; entries that are exactly zero after
-    summing are dropped. Out-of-range indices raise ShapeError.
-    """
-    rows, cols, vals = [], [], []
-    for t in triplets:
-        r, c, v = t
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-    return assemble_arrays(rows, cols, vals, nrows, ncols)
-
-
-def assemble_arrays(rows, cols, vals, nrows: int, ncols: int) -> SparseMatrix:
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.float64)
-    if not (rows.shape == cols.shape == vals.shape):
-        raise ShapeError("triplet arrays must have equal length")
-    if rows.size:
-        if rows.min() < 0 or rows.max() >= nrows:
-            raise ShapeError("row index out of range")
-        if cols.min() < 0 or cols.max() >= ncols:
-            raise ShapeError("column index out of range")
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols))
-    return from_scipy(coo)
-
-
-def matvec(A: SparseMatrix, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != A.ncols:
-        raise ShapeError(f"matvec: expected length {A.ncols}, got {x.size}")
-    return A.to_scipy() @ x
-
-
-def rmatvec(A: SparseMatrix, y) -> np.ndarray:
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != A.nrows:
-        raise ShapeError(f"rmatvec: expected length {A.nrows}, got {y.size}")
-    return A.to_scipy().T @ y
 
 
 _RESID_RTOL = 1e-9
@@ -167,13 +108,6 @@ class QuasidefSolver:
         if np.linalg.norm(rhs - A @ z) > bound:
             raise NumericError("iterative refinement failed to reach residual tolerance")
         return z
-
-
-def solve_quasidef(M: SparseMatrix, rhs) -> np.ndarray:
-    """Solve M z = rhs, caching the factorization on the matrix object."""
-    if M._qdf is None:
-        M._qdf = QuasidefSolver(M)
-    return M._qdf.solve(rhs)
 
 
 @dataclass

@@ -39,7 +39,6 @@ class SolverSettings:
     alpha: float = 1.5
     scaling: bool = True
     check_interval: int = 25
-    deterministic: bool = True
     accel_memory: int = 10
 
     def __post_init__(self):

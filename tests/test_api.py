@@ -167,3 +167,14 @@ def test_unconstrained_minimum():
                    eps_abs=1e-9, eps_rel=1e-9)
     assert res.status == "optimal"
     assert np.isclose(res.value, 1.0, atol=1e-6)
+
+
+def test_nonfinite_constant_rejected_at_modelling_boundary():
+    # the bad entry is named where the model is built, not by the solver
+    A = np.ones((3, 2))
+    A[1, 0] = np.nan
+    x = cd.Variable(2, name="x")
+    with pytest.raises(InputError, match=r"nan at index \(1, 0\)"):
+        cd.solve(cd.Problem(cd.Minimize(cd.sum_squares(A @ x - 1))))
+    with pytest.raises(InputError, match=r"inf at index \(0, 1\)"):
+        cd.Constant([[1.0, np.inf]])

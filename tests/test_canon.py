@@ -1,12 +1,15 @@
 import json
+import re
+import time
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import conedsl as cd
-from conedsl import canon
-from conedsl.errors import SchemaError
+from conedsl import canon, linalg
+from conedsl.errors import InputError, SchemaError
+from conedsl.examples import ExampleConfig, build_example
 from conedsl.rng import SplitMix64
 
 
@@ -237,10 +240,25 @@ def test_recover_reads_solution_vector():
     assert np.allclose(vx, 1.0, atol=1e-6)
 
 
-def test_lift_values_warm_reference():
-    # canonicalize at a point: lift_values fixes nonlinear subexpression
-    # values so a feasibility audit can be run on the lifted program
-    x = cd.Variable(2, name="x")
-    prob = cd.Problem(cd.Minimize(cd.sum_squares(x)), [x >= 1])
-    cp, vmap = canon.canonicalize(prob)
-    assert vmap.lift_point is None or isinstance(vmap.lift_point, dict)
+
+@pytest.mark.parametrize("field", ["c", "b", "A.vals"])
+def test_cone_program_rejects_nonfinite_data(field):
+    prob, _ = small_lp()
+    cp, _ = canon.canonicalize(prob)
+    data = {"c": cp.c.copy(), "b": cp.b.copy(), "A.vals": cp.A.vals.copy()}
+    data[field][1] = np.inf
+    A = linalg.SparseMatrix(cp.m, cp.n, cp.A.colptr, cp.A.rowidx,
+                            data["A.vals"])
+    with pytest.raises(InputError, match=re.escape(f"{field}[1] is inf")):
+        canon.ConeProgram(c=data["c"], A=A, b=data["b"], cones=cp.cones)
+
+
+def test_lowering_is_linear_in_size():
+    # catenary adds one second-order block per link; lowering it must not
+    # cost per-block work that grows with the model (O(k^2) in total)
+    prob = build_example(ExampleConfig("catenary", params={"m": "400"})).problem
+    t0 = time.perf_counter()
+    cp, _ = canon.canonicalize(prob)
+    elapsed = time.perf_counter() - t0
+    assert len(cp.cones.soc) == 399
+    assert elapsed < 3.0, f"lowering took {elapsed:.2f}s, budget 3s"

@@ -248,7 +248,6 @@ def test_settings_defaults():
     assert s.alpha == 1.5
     assert s.scaling is True
     assert s.check_interval == 25
-    assert s.deterministic is True
 
 
 def test_scaling_off_still_solves():
