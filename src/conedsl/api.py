@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .canon import canonicalize, export_json, recover, recover_dual
 from .errors import DCPError, InputError, ShapeError
 from .expr import Constraint, as_expression, dcp_check
@@ -159,8 +157,9 @@ def solve(problem: Problem, solver: str | None = None, settings=None,
 
     sol = solve_cone_program(cp, _make_settings(settings, options))
     sign = -1.0 if cp.flipped else 1.0
-    if sol.status in ("optimal", "max_iters_reached") and np.all(
-            np.isfinite(sol.x)):
+    # only an optimal iterate has a value; the last residuals of any other
+    # stay in the metrics
+    if sol.status == "optimal":
         value = sign * (float(cp.c @ sol.x) + cp.offset)
     else:
         value = float("nan")

@@ -119,15 +119,3 @@ def const(x):
 
 def monos(*ms):
     return lambda signs, params: list(ms)
-
-
-def first_sign(signs, params):
-    return signs[0]
-
-
-def nonneg_sign(signs, params):
-    return Sign.NONNEG
-
-
-def unknown_sign(signs, params):
-    return Sign.UNKNOWN

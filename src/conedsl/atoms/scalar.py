@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from ..errors import DCPError, ShapeError, UnsupportedAtomError
 from ..expr import (AtomExpr, Curvature, Monotonicity, Shape, Sign,
                     as_expression, constant_value)
-from ..lin import LinForm, diag_mat_rows, svec_map
+from ..lin import LinForm, diag_mat_rows
 from .base import AtomDescriptor, const, monos, scalar_shape
 
 _INC = Monotonicity.INCREASING

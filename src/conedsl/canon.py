@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from . import linalg
 from .errors import InputError, SchemaError, ShapeError
 from .expr import AtomExpr, ConstantExpr, Curvature, Expression, Variable
-from .lin import LinForm, interleave_perm, svec_map
+from .lin import LinForm, flat_index, interleave_perm, svec_map
 
 
 @dataclass
@@ -62,6 +62,19 @@ class ConeSpec:
         for _ in range(self.ep):
             yield ("exp", r, r + 3, None)
             r += 3
+
+    def kinds(self):
+        """Yield (kind, start, stop, meta) once per cone kind present, in
+        row order; meta is the SOC block sizes or the PSD sides."""
+        r = 0
+        for kind, size, meta in (
+                ("zero", self.zero, None), ("nonneg", self.nonneg, None),
+                ("soc", sum(self.soc), self.soc),
+                ("psd", sum(s * (s + 1) // 2 for s in self.psd), self.psd),
+                ("exp", 3 * self.ep, None)):
+            if size:
+                yield (kind, r, r + size, meta)
+                r += size
 
     def validate(self, m: int):
         if any(q < 1 for q in self.soc) or any(s < 1 for s in self.psd):
@@ -284,18 +297,16 @@ def canonicalize(problem):
             continue
         n = v.shape.rows
         form = ctx.variable(v)
-        sym_rows, sym_cols, sym_vals = [], [], []
-        r = 0
-        for j in range(n):
-            for i in range(j + 1, n):
-                sym_rows.extend([r, r])
-                sym_cols.extend([i + j * n, j + i * n])
-                sym_vals.extend([1.0, -1.0])
-                r += 1
-        if r:
-            sym_map = sp.csr_matrix((sym_vals, (sym_rows, sym_cols)),
-                                    shape=(r, n * n))
-            ctx.zero(form.left_mul(sym_map))
+        # X[i, j] - X[j, i] = 0 below the diagonal, in svec order
+        rows, cols, _ = linalg.svec_layout(n)
+        i, j = rows[rows != cols], cols[rows != cols]
+        if i.size:
+            r = np.arange(i.size)
+            ctx.zero(form.left_mul(sp.csr_matrix(
+                (np.repeat([1.0, -1.0], i.size),
+                 (np.concatenate([r, r]),
+                  np.concatenate([flat_index(i, j, n), flat_index(j, i, n)]))),
+                shape=(i.size, n * n))))
         ctx.psd(form, n)
 
     # column layout: user variables first, then auxiliaries, each in the
@@ -546,6 +557,8 @@ def import_json(text: str):
         _expect(row + length <= m, f"{path}.row", "rows extend past m")
         if rec["cone"] == "psd":
             side = int((np.sqrt(8 * length + 1) - 1) / 2)
+            _expect(side * (side + 1) // 2 == length, f"{path}.len",
+                    "a psd constraint needs n(n+1)/2 rows for some side n")
             shape = (side, side)
         else:
             shape = (length, 1)

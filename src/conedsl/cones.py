@@ -13,39 +13,52 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
-from .linalg import svec, sym_eig, unsvec
+from .errors import NumericError, ShapeError
+from .linalg import svec, svec_dim, unsvec
 
 
-# -- basic cones ---------------------------------------------------------------
+# -- second-order and semidefinite cones, batched over blocks ------------------
 
-def _project_zero(v):
-    return np.zeros_like(v)
+def _segment_starts(sizes, total):
+    """First row of each of the consecutive blocks with the given sizes."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    ends = np.add.accumulate(sizes)
+    if ends.size == 0 or ends[-1] != total:
+        raise ShapeError("cone block sizes do not match vector length")
+    return sizes, ends - sizes
 
 
-def _project_nonneg(v):
-    return np.maximum(v, 0.0)
-
-
-def _project_soc(v):
-    t, x = v[0], v[1:]
-    nx = np.linalg.norm(x)
-    if nx <= t:
-        return v.copy()
-    if nx <= -t:
-        return np.zeros_like(v)
-    scale = 0.5 * (1.0 + t / nx)
-    out = np.empty_like(v)
-    out[0] = scale * nx
-    out[1:] = scale * x
+def _project_soc(v, sizes):
+    """Project consecutive SOC blocks (t, x), t first, in one pass."""
+    sizes, starts = _segment_starts(sizes, v.size)
+    t = v[starts]
+    sq = v * v
+    sq[starts] = 0.0
+    nx = np.sqrt(np.add.reduceat(sq, starts))
+    # per block: ((t + |x|) / 2) * (1, x / |x|), where clipping the scale
+    # to [0, 1] leaves a point inside the cone unchanged and sends one in
+    # the polar cone to 0; with x = 0 any finite scale gives (t, 0) or 0
+    ratio = t / np.where(nx > 0.0, nx, 1.0)
+    scale = np.minimum(np.maximum(0.5 * (1.0 + ratio), 0.0), 1.0)
+    out = np.repeat(scale, sizes) * v
+    out[starts] = np.where(nx <= t, t, scale * nx)
     return out
 
 
-def _project_psd(v, side):
-    X = unsvec(v, side)
-    eig = sym_eig(X)
-    w = np.clip(eig.values, 0.0, None)
-    return svec((eig.vectors * w) @ eig.vectors.T)
+def _project_psd(v, sides):
+    """Project consecutive svec PSD blocks: one batched eigh per side."""
+    sides = np.asarray(sides, dtype=np.int64)
+    _, starts = _segment_starts(sides * (sides + 1) // 2, v.size)
+    out = np.empty_like(v)
+    for side in np.unique(sides).tolist():
+        rows = starts[sides == side][:, None] + np.arange(svec_dim(side))
+        try:
+            w, Q = np.linalg.eigh(unsvec(v[rows], side))
+        except np.linalg.LinAlgError as e:
+            raise NumericError(f"eigendecomposition failed: {e}") from e
+        Qw = Q * np.maximum(w, 0.0)[:, None, :]
+        out[rows] = svec(Qw @ np.swapaxes(Q, 1, 2))
+    return out
 
 
 # -- exponential cone -----------------------------------------------------------
@@ -240,17 +253,19 @@ def project_exp_many(V: np.ndarray) -> np.ndarray:
 # -- product-cone interface -------------------------------------------------------
 
 def project_block(kind: str, v: np.ndarray, meta=None) -> np.ndarray:
+    """Project v, the rows of one cone kind: meta is the list of SOC block
+    sizes or PSD sides, or None (SOC) or an int (PSD) for a single block."""
     v = np.asarray(v, dtype=float).ravel()
     if kind == "zero":
-        return _project_zero(v)
+        return np.zeros_like(v)
     if kind == "nonneg":
-        return _project_nonneg(v)
+        return np.maximum(v, 0.0)
     if kind == "soc":
-        return _project_soc(v)
+        return _project_soc(v, [v.size] if meta is None else meta)
     if kind == "psd":
-        return _project_psd(v, meta)
+        return _project_psd(v, np.atleast_1d(meta))
     if kind == "exp":
-        return project_exp_many(v.reshape(1, 3))[0]
+        return project_exp_many(v.reshape(-1, 3)).ravel()
     raise ShapeError(f"unknown cone kind {kind!r}")
 
 
@@ -263,27 +278,25 @@ def in_cone_block(kind: str, v: np.ndarray, meta=None, tol: float = 1e-9) -> boo
     if kind == "soc":
         return bool(np.linalg.norm(v[1:]) <= v[0] + tol)
     if kind == "psd":
-        eig = sym_eig(unsvec(v, meta))
-        return bool(eig.values[0] >= -tol)
+        return bool(np.linalg.eigvalsh(unsvec(v, meta))[0] >= -tol)
     if kind == "exp":
         return bool(_in_exp_primal(v[0], v[1], v[2], tol))
     raise ShapeError(f"unknown cone kind {kind!r}")
 
 
 def project(cones, v: np.ndarray) -> np.ndarray:
-    """Project v onto the product cone described by a ConeSpec."""
+    """Project v onto the product cone described by a ConeSpec: one pass
+    per cone kind present."""
     v = np.asarray(v, dtype=float).ravel()
     if v.size != cones.total_dim:
         raise ShapeError("vector length does not match cone dimensions")
-    out = v.copy()
-    exp_start = cones.total_dim - 3 * cones.ep
-    for kind, start, stop, meta in cones.blocks():
+    out = np.empty_like(v)
+    for kind, start, stop, meta in cones.kinds():
         if kind == "exp":
-            break
-        out[start:stop] = project_block(kind, v[start:stop], meta)
-    if cones.ep:
-        tri = v[exp_start:].reshape(cones.ep, 3)
-        out[exp_start:] = project_exp_many(tri).ravel()
+            out[start:stop] = project_exp_many(
+                v[start:stop].reshape(-1, 3)).ravel()
+        else:
+            out[start:stop] = project_block(kind, v[start:stop], meta)
     return out
 
 

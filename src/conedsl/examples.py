@@ -718,8 +718,7 @@ def run_example(cfg: ExampleConfig) -> ResultRecord:
 
     outputs = {}
     feasibility = None
-    if result.status in ("optimal", "max_iters_reached") and np.all(
-            np.isfinite(result.solution.x)):
+    if result.status == "optimal":
         outputs = bundle.outputs(result)
         env = result._environment()
         viols = [c.violation(env) for c in bundle.problem.constraints]

@@ -429,14 +429,6 @@ def _arg_ok(curv: Curvature, mono: Monotonicity, want_convex: bool) -> bool:
         is_convex(curv) and mono == Monotonicity.DECREASING)
 
 
-def sign_of(e: Expression) -> Sign:
-    return as_expression(e).sign
-
-
-def curvature_of(e: Expression) -> Curvature:
-    return as_expression(e).curvature
-
-
 # -- constraints ------------------------------------------------------------
 
 _constr_counter = itertools.count()

@@ -15,8 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ShapeError
-
-_SQRT2 = np.sqrt(2.0)
+from .linalg import svec_layout
 
 
 class LinForm:
@@ -161,25 +160,16 @@ def interleave_perm(streams: int, n: int) -> np.ndarray:
 
 
 def svec_map(n: int) -> sp.csr_matrix:
-    """Map vec(X) of an n x n expression to svec of its symmetric part.
-
-    Lower triangle column by column; off-diagonal rows average the (i,j)
-    and (j,i) entries and scale by sqrt(2).
-    """
-    rows, cols, vals = [], [], []
-    r = 0
-    for j in range(n):
-        rows.append(r)
-        cols.append(flat_index(j, j, n))
-        vals.append(1.0)
-        r += 1
-        for i in range(j + 1, n):
-            rows.extend([r, r])
-            cols.extend([flat_index(i, j, n), flat_index(j, i, n)])
-            vals.extend([_SQRT2 / 2.0, _SQRT2 / 2.0])
-            r += 1
-    d = n * (n + 1) // 2
-    return sp.csr_matrix((vals, (rows, cols)), shape=(d, n * n))
+    """Map vec(X) of an n x n expression to svec of its symmetric part:
+    entry k is scale[k] * (X[i, j] + X[j, i]) / 2 in the svec layout."""
+    rows, cols, scale = svec_layout(n)
+    k = np.arange(rows.size)
+    return sp.csr_matrix(
+        (np.concatenate([scale, scale]) / 2.0,
+         (np.concatenate([k, k]),
+          np.concatenate([flat_index(rows, cols, n),
+                          flat_index(cols, rows, n)]))),
+        shape=(k.size, n * n))
 
 
 def diff_map(n: int, lag: int, differences: int) -> sp.csr_matrix:

@@ -1,13 +1,13 @@
-"""Sparse matrix type, quasidefinite solves, and symmetric eigensolves.
+"""Sparse matrix type, quasidefinite solves, and the svec layout.
 
 The canonicalizer and the solver exchange matrices in compressed sparse
-column form. Factorization and eigendecomposition are delegated to SciPy
-and NumPy; this module pins down the exact contracts the rest of the
-package relies on (duplicate handling, residual bounds, eigenvalue order).
+column form. Factorization is delegated to SciPy; this module pins down
+the exact contracts the rest of the package relies on (duplicate
+handling, residual bounds, the svec layout).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,25 +110,6 @@ class QuasidefSolver:
         return z
 
 
-@dataclass
-class SymmetricEig:
-    values: np.ndarray   # ascending
-    vectors: np.ndarray  # columns are orthonormal eigenvectors
-
-
-def sym_eig(S) -> SymmetricEig:
-    """Eigendecomposition of (S + S^T)/2 with ascending eigenvalues."""
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ShapeError("sym_eig requires a square matrix")
-    sym = 0.5 * (S + S.T)
-    try:
-        w, V = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as e:
-        raise NumericError(f"eigendecomposition failed: {e}") from e
-    return SymmetricEig(values=w, vectors=V)
-
-
 # Symmetric vectorization. Lower triangle stacked column by column with
 # off-diagonal entries scaled by sqrt(2), so that <X, Y> = svec(X).svec(Y).
 
@@ -139,34 +120,36 @@ def svec_dim(n: int) -> int:
     return n * (n + 1) // 2
 
 
+@functools.lru_cache(maxsize=None)
+def svec_layout(n: int):
+    """The svec layout of an n x n matrix, as (rows, cols, scale).
+
+    Entry k of svec(X) is scale[k] * X[rows[k], cols[k]]: the lower
+    triangle (rows >= cols) column by column, scale sqrt(2) off the
+    diagonal and 1 on it. The arrays are cached: do not modify them.
+    """
+    cols, rows = np.triu_indices(n)
+    return rows, cols, np.where(rows == cols, 1.0, _SQRT2)
+
+
 def svec(X: np.ndarray) -> np.ndarray:
+    """svec of the last two axes of X (one matrix or a stack of them)."""
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    out = np.empty(svec_dim(n))
-    k = 0
-    for j in range(n):
-        out[k] = X[j, j]
-        k += 1
-        cnt = n - j - 1
-        if cnt:
-            out[k : k + cnt] = _SQRT2 * X[j + 1 :, j]
-            k += cnt
-    return out
+    rows, cols, scale = svec_layout(X.shape[-1])
+    return scale * X[..., rows, cols]
 
 
 def unsvec(v: np.ndarray, n: int) -> np.ndarray:
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != svec_dim(n):
-        raise ShapeError(f"unsvec: expected length {svec_dim(n)}, got {v.size}")
-    X = np.zeros((n, n))
-    k = 0
-    for j in range(n):
-        X[j, j] = v[k]
-        k += 1
-        cnt = n - j - 1
-        if cnt:
-            col = v[k : k + cnt] / _SQRT2
-            X[j + 1 :, j] = col
-            X[j, j + 1 :] = col
-            k += cnt
+    """The symmetric n x n matrix of v, or a stack of them when v is 2-D."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2:
+        v = v.ravel()
+    if v.shape[-1] != svec_dim(n):
+        raise ShapeError(f"unsvec: expected length {svec_dim(n)}, "
+                         f"got {v.shape[-1]}")
+    rows, cols, scale = svec_layout(n)
+    X = np.zeros(v.shape[:-1] + (n, n))
+    vals = v / scale
+    X[..., rows, cols] = vals
+    X[..., cols, rows] = vals
     return X

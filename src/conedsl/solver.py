@@ -27,7 +27,6 @@ from .linalg import QuasidefSolver
 _RUIZ_SWEEPS = 10
 _MIN_SCALE = 1e-6
 _TAU_FLOOR = 1e-9
-_ACCEL_SAFEGUARD = 5.0
 _ACCEL_NORM_FLOOR = 1e-3
 
 
@@ -68,12 +67,6 @@ class Solution:
     certificate: dict | None = None
 
 
-def _block_ranges(cones):
-    """Row ranges that must share a uniform scaling (SOC/PSD/EXP blocks)."""
-    return [(start, stop) for kind, start, stop, _ in cones.blocks()
-            if kind in ("soc", "psd", "exp")]
-
-
 def _equilibrate(A: sp.csc_matrix, cones, enabled: bool):
     """Ruiz-style alternating row/col scaling; returns (d, e) with the
     scaled matrix being diag(d) A diag(e).  Rows inside a single SOC, PSD
@@ -86,14 +79,19 @@ def _equilibrate(A: sp.csc_matrix, cones, enabled: bool):
         return d, e
     coo = A.tocoo()
     rows, cols, vals = coo.row, coo.col, np.abs(coo.data)
-    groups = _block_ranges(cones)
+    # the SOC, PSD and EXP blocks tile the rows from `lo` to the end
+    lo = cones.zero + cones.nonneg
+    sizes = np.array(list(cones.soc) + [s * (s + 1) // 2 for s in cones.psd]
+                     + [3] * cones.ep, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
     for _ in range(_RUIZ_SWEEPS):
         cur = vals * d[rows] * e[cols]
         rmax = np.zeros(m)
         np.maximum.at(rmax, rows, cur)
         rmax[rmax == 0] = 1.0
-        for start, stop in groups:
-            rmax[start:stop] = np.exp(np.mean(np.log(rmax[start:stop])))
+        if sizes.size:
+            logs = np.add.reduceat(np.log(rmax[lo:]), starts)
+            rmax[lo:] = np.repeat(np.exp(logs / sizes), sizes)
         d /= np.sqrt(rmax)
         cur = vals * d[rows] * e[cols]
         cmax = np.zeros(n)
@@ -209,7 +207,9 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
     w_scale = float(np.linalg.norm(w))
     dws, dgs = [], []            # recent iterate / residual differences
     prev_w = prev_g = None
-    g_floor = np.inf
+    # after an Anderson step: the plain step and the residual norm of the
+    # point it was extrapolated from
+    fallback = None
     last_gnorm = float("nan")
 
     for it in range(1, settings.max_iters + 1):
@@ -280,11 +280,21 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
             continue
 
         # Anderson step on the fixed-point residual g = F(w) - w, with a
-        # safeguard: when the residual has grown well past the best value
-        # since the last restart, drop the memory and take the plain step.
+        # safeguard: an accelerated point whose residual is larger than the
+        # residual it was extrapolated from is rejected, and the iteration
+        # resumes from the plain step of that point with an empty memory.
         g = w_plain - w
         gnorm = float(np.linalg.norm(g))
         last_gnorm = gnorm
+        if not np.isfinite(gnorm) or (fallback is not None
+                                      and gnorm > fallback[1]):
+            w = w_plain if fallback is None else fallback[0]
+            fallback = None
+            dws.clear()
+            dgs.clear()
+            prev_w = prev_g = None
+            continue
+        fallback = None
         if prev_w is not None:
             dws.append(w - prev_w)
             dgs.append(g - prev_g)
@@ -292,14 +302,6 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
                 dws.pop(0)
                 dgs.pop(0)
         prev_w, prev_g = w, g
-        if not np.isfinite(gnorm) or gnorm > _ACCEL_SAFEGUARD * g_floor:
-            dws.clear()
-            dgs.clear()
-            prev_w = prev_g = None
-            g_floor = gnorm if np.isfinite(gnorm) else np.inf
-            w = w_plain
-            continue
-        g_floor = min(g_floor, gnorm)
         if dws:
             Y = np.column_stack(dgs)
             S = np.column_stack(dws)
@@ -307,6 +309,7 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
             cand = w_plain - (S + Y) @ gamma
             if np.all(np.isfinite(cand)):
                 if np.linalg.norm(cand) >= _ACCEL_NORM_FLOOR * w_scale:
+                    fallback = (w_plain, gnorm)
                     w = cand
                     continue
                 # the candidate collapsed toward w = 0, a trivial fixed
@@ -317,7 +320,6 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
             dws.clear()
             dgs.clear()
             prev_w = prev_g = None
-            g_floor = gnorm
         w = w_plain
 
     if x is None:

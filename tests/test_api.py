@@ -117,6 +117,16 @@ def test_settings_object_passthrough():
     assert res.status == "max_iters_reached"
 
 
+def test_unconverged_solve_reports_no_value():
+    prob, _ = simple_problem()
+    res = cd.solve(prob, max_iters=2)
+    assert res.status == "max_iters_reached"
+    assert np.isnan(res.value)
+    # the last residuals are still reported
+    assert len(res.metrics["residuals"]) == 3
+    assert res.metrics["iterations"] == 2
+
+
 def test_settings_and_options_conflict():
     prob, _ = simple_problem()
     with pytest.raises(InputError):

@@ -130,6 +130,7 @@ def test_export_byte_stability():
     (lambda d: d["A"]["rowidx"].append(99), None),
     (lambda d: d.update(n=-1), None),
     (lambda d: d["cones"].update(q="bad"), None),
+    (lambda d: d["constrs"][0].update(cone="psd"), "constrs[0].len"),
 ])
 def test_import_rejects_malformed(mutate, message):
     prob, _ = small_lp()

@@ -159,24 +159,66 @@ def spec_dim(spec):
 
 
 def test_stacked_project_matches_blockwise():
-    spec = make_spec()
+    # the batched passes against the per-block numpy reference
+    spec = ConeSpec(zero=2, nonneg=3, soc=[1, 2, 5, 3], psd=[3, 2, 3], ep=2)
     dim = spec_dim(spec)
     rng = SplitMix64(110)
     for _ in range(50):
         v = rng.normals(dim) * 2.0
         full = cones.project(spec, v)
         for kind, start, stop, meta in spec.blocks():
-            block = v[start:stop]
-            if kind == "exp":
-                for k in range((stop - start) // 3):
-                    seg = slice(start + 3 * k, start + 3 * k + 3)
-                    assert np.allclose(full[seg],
-                                       cones.project_block("exp", v[seg]),
-                                       atol=1e-12)
-            else:
-                assert np.allclose(full[start:stop],
-                                   cones.project_block(kind, block, meta),
-                                   atol=1e-12)
+            ref = project_block_np(kind, v[start:stop], meta)
+            atol = 1e-8 if kind == "exp" else 1e-12
+            assert np.allclose(full[start:stop], ref, atol=atol), kind
+
+
+def test_project_calls_project_block_once_per_kind(monkeypatch):
+    # the per-kind timers of the benchmark's tracer rely on this contract
+    calls = []
+    block, many = cones.project_block, cones.project_exp_many
+
+    def spy_block(kind, v, meta=None):
+        calls.append(kind)
+        return block(kind, v, meta)
+
+    def spy_many(V):
+        calls.append("exp_many")
+        return many(V)
+
+    monkeypatch.setattr(cones, "project_block", spy_block)
+    monkeypatch.setattr(cones, "project_exp_many", spy_many)
+    for spec, expect in [
+            (ConeSpec(zero=2, nonneg=3, soc=[1, 2, 5, 3], psd=[3, 2, 3], ep=2),
+             ["zero", "nonneg", "soc", "psd", "exp_many"]),
+            (ConeSpec(soc=[3] * 40, ep=5), ["soc", "exp_many"]),
+            (ConeSpec(nonneg=4, psd=[2, 2]), ["nonneg", "psd"])]:
+        calls.clear()
+        cones.project(spec, SplitMix64(114).normals(spec_dim(spec)))
+        assert calls == expect
+
+
+def test_project_block_takes_block_lists():
+    rng = SplitMix64(115)
+    sizes, sides = [1, 2, 5, 3], [3, 2, 3]
+    v = rng.normals(sum(sizes)) * 2.0
+    got = cones.project_block("soc", v, sizes)
+    start = 0
+    for q in sizes:
+        assert np.allclose(got[start:start + q],
+                           cones.project_block("soc", v[start:start + q]),
+                           atol=1e-15)
+        start += q
+    dims = [k * (k + 1) // 2 for k in sides]
+    v = rng.normals(sum(dims)) * 2.0
+    got = cones.project_block("psd", v, sides)
+    start = 0
+    for k, d in zip(sides, dims):
+        assert np.allclose(got[start:start + d],
+                           cones.project_block("psd", v[start:start + d], k),
+                           atol=1e-12)
+        start += d
+    with pytest.raises(ShapeError):
+        cones.project_block("soc", v, [2, 2])
 
 
 def test_project_dual_moreau_full_vector():

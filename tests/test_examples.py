@@ -111,6 +111,14 @@ def test_elastic_net_shrinks_with_penalty():
     assert b_heavy.sum() < b_light.sum()
 
 
+def test_unconverged_run_reports_no_objective():
+    record = run_example(ExampleConfig("ols", params={"max_iters": "2"}))
+    assert record.status == "max_iters_reached"
+    assert np.isnan(record.objective)
+    assert record.outputs == {}
+    assert len(record.residuals) == 3
+
+
 def test_unknown_example_rejected():
     with pytest.raises(InputError):
         run_example(ExampleConfig("wormhole_design"))

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conedsl import linalg
+from conedsl.lin import svec_map
 from conedsl.rng import SplitMix64
 
 from oracles import mat_to_svec, svec_to_mat
@@ -86,20 +87,6 @@ def test_quasidef_solver_accepts_scipy():
     assert np.linalg.norm(M @ solver.solve(rhs) - rhs) < 1e-9
 
 
-def test_sym_eig_matches_numpy():
-    rng = SplitMix64(9)
-    for n in (2, 5, 9):
-        G = rng.normals(n, n)
-        S = (G + G.T) / 2
-        eig = linalg.sym_eig(S)
-        ref = np.linalg.eigvalsh(S)
-        assert np.allclose(np.sort(eig.values), ref, atol=1e-10)
-        # vectors reconstruct the matrix
-        V, lam = eig.vectors, eig.values
-        assert np.allclose(V @ np.diag(lam) @ V.T, S, atol=1e-10)
-        assert np.allclose(V.T @ V, np.eye(n), atol=1e-10)
-
-
 def test_svec_unsvec_round_trip():
     rng = SplitMix64(10)
     for n in (1, 2, 4, 7):
@@ -128,6 +115,28 @@ def test_svec_matches_reference_layout():
         S = (G + G.T) / 2
         assert np.allclose(linalg.svec(S), mat_to_svec(S), atol=1e-12)
         assert np.allclose(linalg.unsvec(mat_to_svec(S), n), svec_to_mat(mat_to_svec(S), n), atol=1e-12)
+
+
+def test_svec_and_unsvec_act_on_stacks():
+    rng = SplitMix64(13)
+    n = 4
+    V = rng.normals(5, linalg.svec_dim(n))
+    mats = linalg.unsvec(V, n)
+    assert mats.shape == (5, n, n)
+    for k in range(5):
+        assert np.array_equal(mats[k], linalg.unsvec(V[k], n))
+    back = linalg.svec(mats)
+    assert np.allclose(back, V, atol=1e-12)
+    for k in range(5):
+        assert np.array_equal(back[k], linalg.svec(mats[k]))
+
+
+def test_svec_map_is_svec_of_symmetric_part():
+    rng = SplitMix64(14)
+    for n in (1, 2, 3, 5):
+        X = rng.normals(n, n)
+        got = svec_map(n) @ X.ravel(order="F")
+        assert np.allclose(got, mat_to_svec((X + X.T) / 2), atol=1e-12)
 
 
 def test_svec_dim():

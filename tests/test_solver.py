@@ -226,6 +226,17 @@ def test_max_iters_status():
     assert np.all(np.isfinite(sol.x))
 
 
+@pytest.mark.parametrize("k", range(4))
+def test_accelerated_solve_survives_one_ulp_nudge(k):
+    # this problem sits where one ulp in b can send the accelerated
+    # iteration adrift; the residual safeguard must bring it back
+    cp, _, _, _ = constructed_program(1098, MIXES[4])
+    cp.b[k] = np.nextafter(cp.b[k], np.inf)
+    sol = solve_cone_program(cp, SolverSettings(eps_abs=EPS, eps_rel=EPS,
+                                                max_iters=5000))
+    assert sol.status == "optimal"
+
+
 def test_settings_validation():
     with pytest.raises(InputError):
         SolverSettings(max_iters=0)
