@@ -8,6 +8,14 @@ semidefinite (svec coordinates), and the exponential cone
 Dual-cone projections always go through the Moreau identity
 Pi_K*(v) = v + Pi_K(-v), so the primal projections are the single source
 of truth.
+
+A point outside Kexp and its polar projects onto the surface at the ratio
+alpha = x/y that is the root of one univariate function H (Friberg,
+"Projection onto the exponential cone: a univariate root-finding problem",
+Optim. Methods Softw. 2023). project_exp_many brackets the root by the
+signs that y and the multiplier must have and finds it for all rows at
+once by Newton steps safeguarded with bisection (rtsafe); the boundary ray
+{x <= 0, y = 0, z >= 0} competes with the surface point.
 """
 from __future__ import annotations
 
@@ -67,8 +75,7 @@ def _in_exp_primal(r, s, t, tol=0.0):
     """Membership of (r, s, t) in Kexp, vectorized, additive tolerance."""
     r, s, t = np.asarray(r), np.asarray(s), np.asarray(t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ratio = np.where(s > 0, r / np.where(s > 0, s, 1.0), 0.0)
-        interior = (s > 0) & (s * np.exp(ratio) <= t + tol)
+        interior = (s > 0) & (s * np.exp(r / s) <= t + tol)
     edge = (np.abs(s) <= tol) & (r <= tol) & (t >= -tol)
     return interior | edge
 
@@ -77,86 +84,84 @@ def _in_exp_dual(u, v, w, tol=0.0):
     """Membership in Kexp* = {u<0: -u e^(v/u) <= e w} closure, vectorized."""
     u, v, w = np.asarray(u), np.asarray(v), np.asarray(w)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ratio = np.where(u < 0, v / np.where(u < 0, u, 1.0), 0.0)
-        interior = (u < 0) & (-u * np.exp(ratio) <= np.e * w + tol)
+        interior = (u < 0) & (-u * np.exp(v / u) <= np.e * w + tol)
     edge = (np.abs(u) <= tol) & (v >= -tol) & (w >= -tol)
     return interior | edge
 
 
-def _exp_residual(alpha, r, s, t, xp=np):
-    """H(alpha) whose root gives the projection; smooth, no denominators.
+def _exp_residual(alpha, r, s, t):
+    """H(alpha), whose root gives the projection, and H'(alpha), both
+    scaled by e^-|alpha|.
 
-    With E = e^alpha: y = (s - (1-alpha) r) / (alpha^2 - alpha + 1) and
-    lambda = (r - alpha s) / (E (alpha^2 - alpha + 1)); H is the third KKT
-    equation t = y E - lambda multiplied through by the positive
-    denominator.
+    With E = e^alpha, A = s - (1-alpha) r, B = r - alpha s and
+    den = alpha^2 - alpha + 1 > 0, the KKT conditions give y = A / den and
+    lambda = B / (E den); H = A E - B / E - t den is the third of them,
+    t = y E - lambda, multiplied through by den (Friberg's h(rho)), and
+    H' = (A + r) E + (B + s) / E - t (2 alpha - 1). The positive scale
+    keeps the sign of H and the Newton step H / H', and keeps both finite
+    at any alpha.
     """
-    E = xp.exp(alpha)
+    m = np.abs(alpha)
+    Ew, wE, w = np.exp(alpha - m), np.exp(-alpha - m), np.exp(-m)
     A = s - (1.0 - alpha) * r
     B = r - alpha * s
-    C = t * (alpha * alpha - alpha + 1.0)
-    return A * E - B / E - C
+    tw = t * w
+    H = A * Ew - B * wE - (alpha * alpha - alpha + 1.0) * tw
+    dH = (A + r) * Ew + (B + s) * wE - (2.0 * alpha - 1.0) * tw
+    return H, dH
 
 
-def _exp_solution(alpha, r, s, t, xp=np):
-    E = xp.exp(alpha)
-    den = alpha * alpha - alpha + 1.0
-    y = (s - (1.0 - alpha) * r) / den
-    lam = (r - alpha * s) / (E * den)
-    return y, lam, E
+# bracket ends stand in for +-inf on a side that y >= 0 and lambda >= 0
+# leave open, and clip those that lie farther out; den and every scaled
+# term of H stay finite there
+_EXP_LIM = 1e12
+_EXP_NEWTON_ITERS = 100  # a cap only: no input seen needs more than 45
+_EXP_STEP_TOL = 1e-14
 
 
-_EXP_LIM = 300.0
-_EXP_BISECT_ITERS = 90
-_EXP_VALID_TOL = 1e-9
+def _exp_root(r, s, t, lo, hi):
+    """Root alpha of H in [lo, hi] per row, by safeguarded Newton (rtsafe).
 
-
-def _project_exp_scalar(r, s, t):
-    """Robust long-double fallback: scan for sign changes, bisect each
-    candidate, keep the valid root closest to the input."""
-    ld = np.longdouble
-    r_, s_, t_ = ld(r), ld(s), ld(t)
-    grid = np.concatenate([
-        -np.geomspace(1e-6, 11000.0, 160)[::-1],
-        np.array([0.0]),
-        np.geomspace(1e-6, 11000.0, 160),
-    ]).astype(ld)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _exp_residual(grid, r_, s_, t_, xp=np)
-    vals = np.nan_to_num(vals, nan=np.inf)
-    best = None
-    sign = np.sign(vals)
-    for i in np.nonzero(sign[:-1] * sign[1:] <= 0)[0]:
-        lo, hi = grid[i], grid[i + 1]
-        flo = _exp_residual(lo, r_, s_, t_, xp=np)
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            fm = _exp_residual(mid, r_, s_, t_, xp=np)
-            if np.sign(fm) == np.sign(flo):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        alpha = float((lo + hi) / 2)
-        y, lam, E = _exp_solution(alpha, r, s, t)
-        if not (np.isfinite(y) and np.isfinite(lam) and np.isfinite(E)):
-            continue
-        if y < -_EXP_VALID_TOL or lam < -_EXP_VALID_TOL:
-            continue
-        y = max(y, 0.0)
-        p = np.array([alpha * y, y, y * E])
-        if not np.isfinite(p).all():
-            continue
-        dist = np.linalg.norm(p - np.array([r, s, t]))
-        if best is None or dist < best[0]:
-            best = (dist, p)
-    # the boundary ray {x <= 0, y = 0, z >= 0} competes with every surface
-    # root; when the root-find degenerates (the optimal x/y overflows the
-    # float range) the ray point is the projection
-    ray = np.array([min(r, 0.0), 0.0, max(t, 0.0)])
-    ray_dist = np.linalg.norm(ray - np.array([r, s, t]))
-    if best is None or ray_dist < best[0]:
-        best = (ray_dist, ray)
-    return best[1]
+    Newton steps start from the false-position point of the bracket and
+    are replaced by a bisection whenever they leave the bracket or fail to
+    halve the step before. A row stops when its Newton step is at most
+    _EXP_STEP_TOL * max(|alpha|, 1) (the step is taken) or when its
+    bracket has collapsed, and leaves the active set. Where rounding at an
+    end at which y or lambda vanishes hides the sign change, the root is
+    taken at the end where |H| is smaller.
+    """
+    (hlo, hhi), _ = _exp_residual(np.stack([lo, hi]), r, s, t)
+    alpha = np.where(np.abs(hlo) < np.abs(hhi), lo, hi)
+    act = np.nonzero((hlo < 0.0) & (hhi > 0.0))[0]
+    r, s, t, lo, hi = r[act], s[act], t[act], lo[act], hi[act]
+    hlo, hhi = hlo[act], hhi[act]
+    a = lo - hlo * (hi - lo) / (hhi - hlo)
+    last = hi - lo
+    for _ in range(_EXP_NEWTON_ITERS):
+        if act.size == 0:
+            break
+        h, dh = _exp_residual(a, r, s, t)
+        below = h < 0.0
+        lo = np.where(below, a, lo)
+        hi = np.where(below, hi, a)
+        step = h / dh
+        size = np.abs(step)
+        tol = _EXP_STEP_TOL * np.maximum(np.abs(a), 1.0)
+        small = size <= tol
+        nxt = a - step
+        newton = small | ((nxt > lo) & (nxt < hi) & (size <= 0.5 * last))
+        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+        last = np.abs(nxt - a)
+        a = nxt
+        done = small | (hi - lo <= tol)
+        if done.any():
+            alpha[act[done]] = a[done]
+            keep = ~done
+            act, r, s, t, lo, hi, a, last = (
+                act[keep], r[keep], s[keep], t[keep], lo[keep], hi[keep],
+                a[keep], last[keep])
+    alpha[act] = a
+    return alpha
 
 
 def project_exp_many(V: np.ndarray) -> np.ndarray:
@@ -164,7 +169,13 @@ def project_exp_many(V: np.ndarray) -> np.ndarray:
 
     Case analysis per block: already in the cone; in the polar cone
     (projection 0); the r <= 0, s <= 0 wedge with closed form (r, 0, t+);
-    otherwise the 1-D root-find on H.
+    otherwise the surface point at the root alpha = x / y of H, or the
+    boundary ray when that is closer. The root is bracketed by the
+    constraints y >= 0 (A >= 0) and lambda >= 0 (B >= 0) and found for all
+    such rows at once by Newton steps on H with the rtsafe safeguards: a
+    step that leaves the bracket or fails to halve the one before becomes
+    a bisection, and a row leaves the active set once its step is at most
+    1e-14 max(|alpha|, 1) or its bracket has collapsed (_exp_root).
     """
     V = np.asarray(V, dtype=float)
     out = V.copy()
@@ -183,69 +194,40 @@ def project_exp_many(V: np.ndarray) -> np.ndarray:
     idx = np.nonzero(newton)[0]
     if idx.size == 0:
         return out
-    rn, sn, tn = r[idx], s[idx], t[idx]
+    pts = V[idx]
+    rn, sn, tn = pts[:, 0], pts[:, 1], pts[:, 2]
 
-    # constraint-derived endpoints: y >= 0 and lambda >= 0 restrict alpha
-    lo = np.full(idx.size, -_EXP_LIM)
-    hi = np.full(idx.size, _EXP_LIM)
-    pos_r = rn > 0
-    neg_r = rn < 0
-    lo[pos_r] = np.maximum(lo[pos_r], 1.0 - sn[pos_r] / rn[pos_r])
-    hi[neg_r] = np.minimum(hi[neg_r], 1.0 - sn[neg_r] / rn[neg_r])
-    pos_s = sn > 0
-    neg_s = sn < 0
-    hi[pos_s] = np.minimum(hi[pos_s], rn[pos_s] / sn[pos_s])
-    lo[neg_s] = np.maximum(lo[neg_s], rn[neg_s] / sn[neg_s])
-    lo = np.clip(lo, -_EXP_LIM, _EXP_LIM)
-    hi = np.clip(hi, -_EXP_LIM, _EXP_LIM)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        flo = _exp_residual(lo, rn, sn, tn)
-        fhi = _exp_residual(hi, rn, sn, tn)
-        # expand whichever side fails to straddle the root
-        step = np.ones(idx.size)
-        for _ in range(60):
-            bad = (np.sign(flo) == np.sign(fhi)) & (np.abs(flo) > 0)
-            if not bad.any():
-                break
-            grow_hi = bad & (np.abs(fhi) <= np.abs(flo))
-            grow_lo = bad & ~grow_hi
-            hi[grow_hi] = np.minimum(hi[grow_hi] + step[grow_hi], _EXP_LIM)
-            lo[grow_lo] = np.maximum(lo[grow_lo] - step[grow_lo], -_EXP_LIM)
-            step[bad] *= 2.0
-            flo[grow_lo] = _exp_residual(lo[grow_lo], rn[grow_lo], sn[grow_lo],
-                                         tn[grow_lo])
-            fhi[grow_hi] = _exp_residual(hi[grow_hi], rn[grow_hi], sn[grow_hi],
-                                         tn[grow_hi])
-        for _ in range(_EXP_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            fm = _exp_residual(mid, rn, sn, tn)
-            take_lo = np.sign(fm) == np.sign(flo)
-            lo = np.where(take_lo, mid, lo)
-            flo = np.where(take_lo, fm, flo)
-            hi = np.where(take_lo, hi, mid)
-        alpha = 0.5 * (lo + hi)
-        y, lam, E = _exp_solution(alpha, rn, sn, tn)
-
-    proj = np.column_stack([alpha * np.maximum(y, 0.0), np.maximum(y, 0.0),
-                            np.maximum(y, 0.0) * E])
-    ok = (np.isfinite(proj).all(axis=1) & (y >= -_EXP_VALID_TOL)
-          & (lam >= -_EXP_VALID_TOL))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore",
+                     under="ignore"):
+        # y >= 0 and lambda >= 0 restrict alpha: A >= 0 and B >= 0
+        ratio_sr, ratio_rs = 1.0 - sn / rn, rn / sn
+        lo = np.maximum(np.where(rn > 0, ratio_sr, -_EXP_LIM),
+                        np.where(sn < 0, ratio_rs, -_EXP_LIM))
+        hi = np.minimum(np.where(rn < 0, ratio_sr, _EXP_LIM),
+                        np.where(sn > 0, ratio_rs, _EXP_LIM))
+        alpha = _exp_root(rn, sn, tn, np.minimum(lo, _EXP_LIM),
+                          np.maximum(hi, -_EXP_LIM))
+        # (alpha y, y, y E) at the root: y = A / den where E <= 1, and
+        # z = y E = t + lambda where E > 1, so that rounding in A (or in B)
+        # is never multiplied by E (or by 1/E); past alpha ~ 709 this gives
+        # y = 0, and below -745 z = 0
+        E = np.exp(alpha)
+        den = alpha * alpha - alpha + 1.0
+        up = alpha > 0.0
+        z = np.maximum(tn + (rn - alpha * sn) / (E * den), 0.0)
+        y = np.maximum(np.where(up, z / E, (sn - (1.0 - alpha) * rn) / den),
+                       0.0)
+        proj = np.stack([alpha * y, y, np.where(up, z, y * E)], axis=1)
     # guard against degenerate roots: when the optimizer sits on (or hugs)
-    # the boundary ray {x <= 0, y = 0, z >= 0}, the KKT root suffers
-    # catastrophic cancellation and can return a far-away cone point, so
+    # the boundary ray {x <= 0, y = 0, z >= 0}, the root lies at the end of
+    # its bracket where y = 0 and rounding decides the surface point, so
     # keep whichever candidate is closer
-    pts = np.column_stack([rn, sn, tn])
-    ray = np.column_stack([np.minimum(rn, 0.0), np.zeros(idx.size),
-                           np.maximum(tn, 0.0)])
-    with np.errstate(invalid="ignore"):
-        root_dist = np.where(ok, np.linalg.norm(np.nan_to_num(proj, nan=np.inf)
-                                                - pts, axis=1), np.inf)
-    ray_dist = np.linalg.norm(ray - pts, axis=1)
-    use_ray = ok & (ray_dist < root_dist)
-    proj[use_ray] = ray[use_ray]
-    for j in np.nonzero(~ok)[0]:
-        proj[j] = _project_exp_scalar(rn[j], sn[j], tn[j])
+    root_dist = ((proj - pts) ** 2).sum(axis=1)
+    ray_dist = np.maximum(rn, 0.0) ** 2 + sn ** 2 + np.minimum(tn, 0.0) ** 2
+    use_ray = ray_dist < root_dist
+    proj[use_ray, 0] = np.minimum(rn[use_ray], 0.0)
+    proj[use_ray, 1] = 0.0
+    proj[use_ray, 2] = np.maximum(tn[use_ray], 0.0)
     out[idx] = proj
     return out
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from conedsl.canon import ConeSpec
 from conedsl.errors import ShapeError
 from conedsl.rng import SplitMix64
 
-from oracles import exp_dual_member, exp_member, project_block_np
+from oracles import exp_dual_member, exp_member, project_block_np, project_exp_np
 
 N_POINTS = 1000
 N_MEMBERS = 100
@@ -138,6 +140,92 @@ def test_exp_boundary_ray():
         v = np.asarray(v)
         assert cones.in_cone_block("exp", v, tol=1e-9)
         assert np.allclose(cones.project_block("exp", v), v, atol=1e-9)
+
+
+def test_exp_projection_raises_no_warning():
+    # its root lies past alpha = 709, where e^alpha overflows
+    v = np.array([0.0017389, -1.8264, 2.6845])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = cones.project_block("exp", v)
+    assert cones.in_cone_block("exp", p, tol=1e-9)
+
+
+def exp_surface_points(rng, alphas):
+    """Points v = p + mu n with p on the exp-cone surface at x/y = alpha and
+    n its outward normal, so that p is the projection of v."""
+    pts, projs = [], []
+    for a in alphas:
+        mu = abs(rng.normal())
+        if a > 0:
+            # keep z = y e^a moderate: y = z e^-a
+            z = 1.0 + abs(rng.normal())
+            p = np.array([a * z * np.exp(-a), z * np.exp(-a), z])
+            n = np.array([1.0, 1.0 - a, -np.exp(-a)])
+        else:
+            y = np.exp(-abs(rng.normal()))
+            E = np.exp(a)
+            p = np.array([a * y, y, y * E])
+            n = np.array([E, E * (1.0 - a), -1.0])
+        pts.append(p + mu * n / np.linalg.norm(n))
+        projs.append(p)
+    return np.array(pts), np.array(projs)
+
+
+def exp_stress_families():
+    """name -> (points, their projections where known by construction)."""
+    rng = SplitMix64(116)
+    fams = {f"scale {sc:g}": (rng.normals(200, 3) * sc, None)
+            for sc in (1e-3, 1.0, 1e3)}
+    # each coordinate at its own scale from 1e-3 to 1e3, where unguarded
+    # Newton steps leave the bracket
+    fams["mixed scales"] = (
+        rng.normals(200, 3) * 10.0 ** (6.0 * rng.uniforms(200, 3) - 3.0), None)
+    # within 1e-8 of the boundary ray {x <= 0, y = 0, z >= 0}, half of them
+    # at its end z = 0
+    ray = np.column_stack([-np.abs(rng.normals(200)), np.zeros(200),
+                           np.abs(rng.normals(200))]) * 3.0
+    ray[100:, 2] = 0.0
+    fams["near ray"] = (ray + (2.0 * rng.uniforms(200, 3) - 1.0) * 1e-8, None)
+    # surface roots alpha = x/y near and far beyond +-300; e^alpha leaves
+    # the double range past 709 and -745
+    alphas = np.geomspace(30.0, 3000.0, 100)
+    fams["alpha near and beyond 300"] = exp_surface_points(
+        rng, np.concatenate([-alphas, alphas]))
+    return fams
+
+
+@pytest.mark.parametrize("family", list(exp_stress_families()))
+def test_exp_root_solve_stress(family):
+    V, exact = exp_stress_families()[family]
+    P = cones.project_exp_many(V)
+    # one batched call gives the same rows as row-by-row calls
+    rows = np.array([cones.project_exp_many(v[None])[0] for v in V])
+    assert np.array_equal(P, rows)
+    tol = 1e-9 * (1.0 + np.linalg.norm(V, axis=1))
+    for v, p, t in zip(V, P, tol):
+        assert cones.in_cone_block("exp", p, tol=t)
+    if exact is not None:
+        assert np.all(np.linalg.norm(P - exact, axis=1) <= tol)
+        return
+    with np.errstate(over="ignore"):
+        refs = np.array([project_exp_np(v) for v in V])
+    # one-sided: the reference's bounded scalar searches land up to 116
+    # farther on 15 of the mixed-scale points; membership bounds the other
+    # side
+    assert np.all(np.linalg.norm(P - V, axis=1)
+                  <= np.linalg.norm(refs - V, axis=1) + tol)
+
+
+def test_exp_projection_near_the_ray_with_far_root():
+    # within 5e-4 of the ray, with its root at alpha = r/s = -536: the
+    # projection keeps (r, s) and lifts z to s e^(r/s), while the ray point
+    # (r, 0, 0) is 4.3e-4 away
+    v = np.array([-0.23088331888879557, 0.000430628258344569,
+                  -0.22339180589068444])
+    want = np.array([v[0], v[1], v[1] * np.exp(v[0] / v[1])])
+    assert np.allclose(cones.project_block("exp", v), want, rtol=0.0,
+                       atol=1e-15)
 
 
 def test_in_cone_block_negatives():
