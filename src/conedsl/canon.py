@@ -140,30 +140,44 @@ class ConstrRecord:
     rows_shape: tuple
 
 
+def _index(records, attr):
+    """attr value -> the first record holding it."""
+    return {getattr(r, attr): r for r in reversed(records)}
+
+
+def _lookup(index, key, what):
+    try:
+        return index[key]
+    except KeyError:
+        raise KeyError(f"{what} not in map") from None
+
+
 @dataclass
 class VariableMap:
+    """Variable and constraint records. Look-ups go through dicts built
+    once, so recovering every variable is linear in their number."""
     n: int
     m: int
     vars: list
     constrs: list
 
+    def __post_init__(self):
+        self._vid = _index(self.vars, "vid")
+        self._key = _index(self.vars, "key")
+        self._cid = _index(self.constrs, "cid")
+        self._ckey = _index(self.constrs, "key")
+
     def var_by_vid(self, vid):
-        for r in self.vars:
-            if r.vid == vid:
-                return r
-        raise KeyError(f"variable id {vid} not in map")
+        return _lookup(self._vid, vid, f"variable id {vid}")
 
     def var_by_key(self, key):
-        for r in self.vars:
-            if r.key == key:
-                return r
-        raise KeyError(f"variable '{key}' not in map")
+        return _lookup(self._key, key, f"variable '{key}'")
 
     def constr_by_cid(self, cid):
-        for r in self.constrs:
-            if r.cid == cid:
-                return r
-        raise KeyError(f"constraint {cid} not in map")
+        return _lookup(self._cid, cid, f"constraint {cid}")
+
+    def constr_by_key(self, key):
+        return _lookup(self._ckey, key, f"constraint '{key}'")
 
 
 class GraphContext:
@@ -186,6 +200,7 @@ class GraphContext:
         self.exp_forms = []      # interleaved (x1,y1,z1,x2,...) forms
         self.zero_rows = 0
         self.nonneg_rows = 0
+        self.psd_rows = 0
 
     def _columns(self, size: int, aux: bool) -> int:
         start = self.ncols
@@ -236,6 +251,7 @@ class GraphContext:
         if vec_form.size != side * side:
             raise ShapeError("psd block form must cover the full matrix")
         self.psd_forms.append((vec_form.left_mul(svec_map(side)), side))
+        self.psd_rows += side * (side + 1) // 2
 
 
 class Lowerer:
@@ -287,8 +303,7 @@ def canonicalize(problem):
             ctx.nonneg(-body_form)
         else:  # psd
             d = shape[0] * (shape[0] + 1) // 2
-            psd_rows_before = sum(s * (s + 1) // 2 for _, s in ctx.psd_forms)
-            constr_entries.append((con, "psd", psd_rows_before, d, shape))
+            constr_entries.append((con, "psd", ctx.psd_rows, d, shape))
             ctx.psd(body_form, shape[0])
 
     # symmetry and cone membership for psd-symmetric variables
@@ -387,9 +402,7 @@ def recover_dual(solution, vmap: VariableMap, constraint, flipped=False):
     try:
         rec = vmap.constr_by_cid(cid)
     except KeyError:
-        rec = next((r for r in vmap.constrs if r.key == cid), None)
-        if rec is None:
-            raise
+        rec = vmap.constr_by_key(cid)
     y = solution.y[rec.row: rec.row + rec.length]
     if rec.cone == "psd":
         out = linalg.unsvec(y, rec.rows_shape[0])
@@ -508,6 +521,14 @@ def import_json(text: str):
     if rowidx.size:
         _expect(rowidx.min() >= 0 and rowidx.max() < m, "A.rowidx",
                 "row index out of range")
+        # within a column the row indices must increase strictly
+        first = np.zeros(rowidx.size, dtype=bool)
+        first[colptr[:-1][colptr[:-1] < rowidx.size]] = True
+        bad = np.flatnonzero((np.diff(rowidx) <= 0) & ~first[1:])
+        if bad.size:
+            col = int(np.searchsorted(colptr, bad[0] + 1, side="right")) - 1
+            raise SchemaError(f"field 'A.rowidx': row indices of column {col} "
+                              f"must increase strictly")
     A = linalg.SparseMatrix(m, n, colptr, rowidx, vals)
 
     cdoc = doc["cones"]

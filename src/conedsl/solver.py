@@ -36,7 +36,6 @@ class SolverSettings:
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
     alpha: float = 1.5
-    scaling: bool = True
     check_interval: int = 25
     accel_memory: int = 10
 
@@ -67,7 +66,7 @@ class Solution:
     certificate: dict | None = None
 
 
-def _equilibrate(A: sp.csc_matrix, cones, enabled: bool):
+def _equilibrate(A: sp.csc_matrix, cones):
     """Ruiz-style alternating row/col scaling; returns (d, e) with the
     scaled matrix being diag(d) A diag(e).  Rows inside a single SOC, PSD
     or EXP block receive one common factor (geometric mean) so cone
@@ -75,7 +74,7 @@ def _equilibrate(A: sp.csc_matrix, cones, enabled: bool):
     m, n = A.shape
     d = np.ones(m)
     e = np.ones(n)
-    if not enabled or A.nnz == 0:
+    if A.nnz == 0:
         return d, e
     coo = A.tocoo()
     rows, cols, vals = coo.row, coo.col, np.abs(coo.data)
@@ -101,35 +100,6 @@ def _equilibrate(A: sp.csc_matrix, cones, enabled: bool):
     return d, e
 
 
-def _trivial_no_vars(cp, settings, t0):
-    s = cp.b.copy()
-    tol = settings.eps_abs + settings.eps_rel * np.linalg.norm(cp.b)
-    if cone_ops.in_cone(cp.cones, s, tol=max(tol, 1e-12)):
-        return Solution("optimal", np.zeros(0), np.zeros(cp.m), s, 0.0,
-                        (0.0, 0.0, 0.0), 0, time.perf_counter() - t0)
-    proj = cone_ops.project(cp.cones, cp.b)
-    ycert = proj - cp.b
-    ycert /= max(np.dot(ycert, ycert), 1e-300)
-    cert = {"kind": "primal", "b_dot_y": float(cp.b @ ycert),
-            "residual": 0.0}
-    return Solution("primal_infeasible", np.full(0, np.nan), ycert,
-                    np.full(cp.m, np.nan), float("nan"),
-                    (float("nan"),) * 3, 0, time.perf_counter() - t0,
-                    certificate=cert)
-
-
-def _trivial_no_rows(cp, settings, t0):
-    nc = np.linalg.norm(cp.c)
-    if nc <= settings.eps_abs:
-        return Solution("optimal", np.zeros(cp.n), np.zeros(0), np.zeros(0),
-                        0.0, (0.0, 0.0, 0.0), 0, time.perf_counter() - t0)
-    xcert = -cp.c / (nc * nc)
-    cert = {"kind": "dual", "c_dot_x": float(cp.c @ xcert), "residual": 0.0}
-    return Solution("dual_infeasible", xcert, np.full(0, np.nan),
-                    np.zeros(0), float("nan"), (float("nan"),) * 3, 0,
-                    time.perf_counter() - t0, certificate=cert)
-
-
 def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) -> Solution:
     if settings is None:
         settings = SolverSettings()
@@ -137,15 +107,9 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
         raise InputError("solve_cone_program expects a ConeProgram")
     t0 = time.perf_counter()
     n, m = cp.n, cp.m
-    if n == 0:
-        return _trivial_no_vars(cp, settings, t0)
-    if m == 0:
-        return _trivial_no_rows(cp, settings, t0)
-
     A0 = cp.A.to_scipy()
-    d, e = _equilibrate(A0, cp.cones, settings.scaling)
-    As = sp.diags(d) @ A0 @ sp.diags(e) if settings.scaling else A0
-    As = sp.csc_matrix(As)
+    d, e = _equilibrate(A0, cp.cones)
+    As = sp.csc_matrix(sp.diags(d) @ A0 @ sp.diags(e))
     bs = d * cp.b
     cs = e * cp.c
     sigma = 1.0 / max(np.linalg.norm(bs), _MIN_SCALE)
@@ -179,11 +143,17 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
     it = 0
 
     def unscale(uu, vv):
+        """(x, y, s) in the problem's own scale, their residuals (primal,
+        dual, gap) and the scale |c'x| + |b'y| of the gap."""
         tau = max(uu[-1], _TAU_FLOOR)
         xv = e * uu[:n] / (sigma * tau)
         yv = d * uu[n:n + m] / (rho * tau)
         sv = (vv[n:n + m] / d) / (sigma * tau)
-        return xv, yv, sv
+        pres = np.linalg.norm(A0 @ xv + sv - cp.b)
+        dres = np.linalg.norm(A0.T @ yv + cp.c)
+        ctx = cp.c @ xv
+        bty = cp.b @ yv
+        return xv, yv, sv, (pres, dres, abs(ctx + bty)), abs(ctx) + abs(bty)
 
     def proj(wv):
         out = np.empty_like(wv)
@@ -218,28 +188,20 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
 
         if it % settings.check_interval == 0 or it == settings.max_iters:
             tau = u[-1]
+            resid = (float("nan"),) * 3
             if tau > _TAU_FLOOR:
-                xv, yv, sv = unscale(u, v)
-                pres = np.linalg.norm(A0 @ xv + sv - cp.b)
-                dres = np.linalg.norm(A0.T @ yv + cp.c)
-                ctx = cp.c @ xv
-                bty = cp.b @ yv
-                gap = abs(ctx + bty)
-                history.append({"iter": it, "pres": pres, "dres": dres,
-                                "gap": gap, "tau": tau, "kappa": v[-1],
-                                "fp_res": last_gnorm})
-                if (pres <= settings.eps_abs + settings.eps_rel * norm_b
-                        and dres <= settings.eps_abs + settings.eps_rel * norm_c
-                        and gap <= settings.eps_abs
-                        + settings.eps_rel * (abs(ctx) + abs(bty))):
-                    status = "optimal"
-                    x, y, s_vec = xv, yv, sv
-                    residuals = (pres, dres, gap)
-                    break
-            else:
-                history.append({"iter": it, "pres": float("nan"),
-                                "dres": float("nan"), "gap": float("nan"),
-                                "tau": tau, "kappa": v[-1]})
+                xv, yv, sv, resid, gap_scale = unscale(u, v)
+            pres, dres, gap = resid
+            history.append({"iter": it, "pres": pres, "dres": dres,
+                            "gap": gap, "tau": tau, "kappa": v[-1],
+                            "fp_res": last_gnorm})
+            if (tau > _TAU_FLOOR
+                    and pres <= settings.eps_abs + settings.eps_rel * norm_b
+                    and dres <= settings.eps_abs + settings.eps_rel * norm_c
+                    and gap <= settings.eps_abs + settings.eps_rel * gap_scale):
+                status = "optimal"
+                x, y, s_vec, residuals = xv, yv, sv, resid
+                break
 
             # certificate checks use the raw directions (no tau division)
             ydir = d * u[n:n + m]
@@ -323,11 +285,7 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
         w = w_plain
 
     if x is None:
-        x, y, s_vec = unscale(u, v)
-        pres = np.linalg.norm(A0 @ x + s_vec - cp.b)
-        dres = np.linalg.norm(A0.T @ y + cp.c)
-        gap = abs(cp.c @ x + cp.b @ y)
-        residuals = (pres, dres, gap)
+        x, y, s_vec, residuals, _ = unscale(u, v)
 
     objective = float(cp.c @ x) if status == "optimal" else float("nan")
     return Solution(status, x, y, s_vec, objective, residuals, it,

@@ -1,9 +1,13 @@
 import json
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import conedsl as cd
+from conedsl import canon
+from conedsl.api import Result
 from conedsl.errors import DCPError, InputError, ShapeError
 
 
@@ -31,6 +35,33 @@ def test_value_of_arbitrary_expression():
     assert np.allclose(xv, 1.0, atol=1e-5)
     assert np.isclose(np.asarray(res.value_of(2 * x[0] + 3)).item(), 5.0,
                       atol=1e-4)
+
+
+def test_recovery_is_linear_in_variable_count():
+    # every variable and constraint is looked up once by its record; a
+    # scan of the map per look-up makes this quadratic (over a second at
+    # V = 10000)
+    V = 10000
+    xs = [cd.Variable(name=f"x{i}") for i in range(V)]
+    cons = [x >= 0 for x in xs]
+    vmap = canon.VariableMap(
+        n=V, m=V,
+        vars=[canon.VarRecord(key=x.name, vid=x.vid, offset=i, rows=1,
+                              cols=1, psd=False) for i, x in enumerate(xs)],
+        constrs=[canon.ConstrRecord(key=f"c{i}", cid=con.cid, row=i,
+                                    length=1, cone="nonneg",
+                                    rows_shape=(1, 1))
+                 for i, con in enumerate(cons)])
+    sol = SimpleNamespace(x=np.arange(V, dtype=float),
+                          y=-np.arange(V, dtype=float))
+    res = Result(cd.Problem(cd.Minimize(xs[0]), cons), "optimal", 0.0, sol,
+                 vmap, SimpleNamespace(flipped=False), {})
+    t0 = time.perf_counter()
+    assert res.value_of(xs[-1]).item() == V - 1
+    duals = [res.dual_of(con).item() for con in cons]
+    elapsed = time.perf_counter() - t0
+    assert duals == list(-np.arange(V, dtype=float))
+    assert elapsed < 0.5, f"recovery took {elapsed:.2f}s, budget 0.5s"
 
 
 def test_value_of_foreign_variable_rejected():

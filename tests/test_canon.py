@@ -131,6 +131,11 @@ def test_export_byte_stability():
     (lambda d: d.update(n=-1), None),
     (lambda d: d["cones"].update(q="bad"), None),
     (lambda d: d["constrs"][0].update(cone="psd"), "constrs[0].len"),
+    # column 0 holds rows (0, 2): reversed, then repeated
+    (lambda d: d["A"].update(rowidx=[2, 0] + d["A"]["rowidx"][2:]),
+     "A.rowidx"),
+    (lambda d: d["A"].update(rowidx=[0, 0] + d["A"]["rowidx"][2:]),
+     "A.rowidx"),
 ])
 def test_import_rejects_malformed(mutate, message):
     prob, _ = small_lp()

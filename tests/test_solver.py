@@ -257,17 +257,7 @@ def test_settings_defaults():
     assert s.max_iters == 50000
     assert s.eps_abs == 1e-6 and s.eps_rel == 1e-6
     assert s.alpha == 1.5
-    assert s.scaling is True
     assert s.check_interval == 25
-
-
-def test_scaling_off_still_solves():
-    cp, x_star, _, _ = constructed_program(13, ("zero", "nonneg"))
-    opt = float(cp.c @ x_star)
-    sol = solve_cone_program(cp, SolverSettings(eps_abs=EPS, eps_rel=EPS,
-                                                scaling=False))
-    assert sol.status == "optimal"
-    assert abs(sol.objective - opt) <= 1e-4 * (1.0 + abs(opt))
 
 
 def test_plain_iteration_matches_accelerated_answer():
@@ -281,27 +271,83 @@ def test_plain_iteration_matches_accelerated_answer():
     assert abs(accel.objective - opt) <= 1e-4 * (1.0 + abs(opt))
 
 
-def test_empty_constraint_program():
-    # m = 0: minimize c'x with no rows; zero objective is the only
-    # bounded instance
-    cp = ConeProgram(c=np.zeros(3), A=from_dense(np.zeros((0, 3))),
-                     b=np.zeros(0),
-                     cones=ConeSpec(zero=0, nonneg=0, soc=[], psd=[], ep=0),
-                     offset=0.0, flipped=False)
-    sol = solve_cone_program(cp, SETTINGS)
-    assert sol.status == "optimal"
-    assert sol.objective == 0.0
+def program(c, b, cones):
+    """Cone program with an all-zero A of the shape that c and b give."""
+    return ConeProgram(c=np.asarray(c, dtype=float),
+                       A=from_dense(np.zeros((len(b), len(c)))),
+                       b=np.asarray(b, dtype=float), cones=cones,
+                       offset=0.0, flipped=False)
 
 
-def test_feasibility_only_program():
+def assert_uniform_history(sol):
+    assert sol.history
+    keys = {tuple(rec) for rec in sol.history}
+    assert keys == {("iter", "pres", "dres", "gap", "tau", "kappa", "fp_res")}
+
+
+NO_ROWS = ConeSpec(zero=0, nonneg=0, soc=[], psd=[], ep=0)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9])
+@pytest.mark.parametrize("c,status", [
+    ([0.0, 0.0, 0.0], "optimal"),
+    # 0 < ||c|| <= eps_abs is still unbounded: x = -t c for any t > 0
+    ([1e-7, 0.0, 0.0], "dual_infeasible"),
+    ([1.0, 2.0, 3.0], "dual_infeasible"),
+    ([], "optimal"),
+], ids=["c_zero", "c_tiny", "c_large", "no_vars"])
+def test_empty_constraint_program(c, status, eps):
+    # m = 0: minimize c'x with no rows; only c = 0 is bounded
+    cp = program(c, [], NO_ROWS)
+    sol = solve_cone_program(cp, SolverSettings(eps_abs=eps, eps_rel=eps))
+    assert sol.status == status
+    assert_uniform_history(sol)
+    if status == "optimal":
+        assert sol.objective == 0.0
+        assert sol.x.shape == (cp.n,)
+    else:
+        # an unbounded ray: c'x = -1 and nothing else to satisfy
+        assert sol.certificate["kind"] == "dual"
+        assert np.isclose(cp.c @ sol.x, -1.0)
+        assert np.isnan(sol.objective)
+
+
+FEASIBILITY = [
+    # (cone spec, b in K, b outside K)
+    (ConeSpec(zero=2, nonneg=0, soc=[], psd=[], ep=0), [0.0, 0.0], [1.0, 0.0]),
+    (ConeSpec(zero=0, nonneg=2, soc=[], psd=[], ep=0), [1.0, 2.0], [1.0, -2.0]),
+    (ConeSpec(zero=0, nonneg=0, soc=[3], psd=[], ep=0), [2.0, 1.0, 1.0],
+     [1.0, 2.0, 1.0]),
+    (ConeSpec(zero=0, nonneg=0, soc=[], psd=[2], ep=0), [1.0, 0.0, 1.0],
+     [1.0, 0.0, -1.0]),
+    (ConeSpec(zero=0, nonneg=0, soc=[], psd=[], ep=1), [0.0, 1.0, 2.0],
+     [0.0, -1.0, 2.0]),
+]
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9])
+@pytest.mark.parametrize("feasible", [True, False],
+                         ids=["feasible", "infeasible"])
+@pytest.mark.parametrize("spec,inside,outside", FEASIBILITY,
+                         ids=["zero", "nonneg", "soc", "psd", "exp"])
+def test_feasibility_only_program(spec, inside, outside, feasible, eps):
     # n = 0: find s = b in K
-    cp = ConeProgram(c=np.zeros(0), A=from_dense(np.zeros((2, 0))),
-                     b=np.array([1.0, 2.0]),
-                     cones=ConeSpec(zero=0, nonneg=2, soc=[], psd=[], ep=0),
-                     offset=0.0, flipped=False)
-    sol = solve_cone_program(cp, SETTINGS)
-    assert sol.status == "optimal"
-    assert np.allclose(sol.s, [1.0, 2.0], atol=1e-6)
+    b = np.array(inside if feasible else outside)
+    cp = program([], b, spec)
+    sol = solve_cone_program(cp, SolverSettings(eps_abs=eps, eps_rel=eps))
+    assert_uniform_history(sol)
+    if feasible:
+        assert sol.status == "optimal"
+        assert np.allclose(sol.s, b, atol=10 * eps)
+        return
+    assert sol.status == "primal_infeasible"
+    assert sol.certificate["kind"] == "primal"
+    # Farkas ray: b'y < 0, y in K* and A'y = 0
+    y = sol.y
+    assert b @ y < 0
+    assert np.linalg.norm(cone_ops.project_dual(spec, y) - y) \
+        <= 1e-9 * np.linalg.norm(y)
+    assert np.linalg.norm(cp.A.to_scipy().T @ y) == 0.0
 
 
 def test_dimension_mismatch_rejected():
