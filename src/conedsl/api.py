@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .canon import canonicalize, export_json, recover, recover_dual
-from .errors import DCPError, InputError, ShapeError
+from .errors import InputError, ShapeError
 from .expr import Constraint, as_expression, dcp_check
 from .solver import SolverSettings, solve_cone_program
 
@@ -135,7 +135,8 @@ def _make_settings(settings, options):
 
 def solve(problem: Problem, solver: str | None = None, settings=None,
           **options) -> Result:
-    """Check the ruleset, lower, and solve (or export) a problem."""
+    """Check the ruleset, lower, and solve (or export) a problem; raises
+    DCPError (from canonicalize) if the ruleset rejects it."""
     if not isinstance(problem, Problem):
         raise InputError("solve() expects a Problem")
     name = solver if solver is not None else _EMBEDDED
@@ -143,11 +144,6 @@ def solve(problem: Problem, solver: str | None = None, settings=None,
         raise InputError(
             f"unknown solver {name!r}; installed solvers: "
             f"{', '.join(installed_solvers())} (plus '{_EXPORT_ONLY}')")
-
-    report = dcp_check(problem)
-    if not report.accepted:
-        raise DCPError("problem does not follow the composition ruleset:\n"
-                       + report.render(), report=report)
 
     cp, vmap = canonicalize(problem)
     if name == _EXPORT_ONLY:

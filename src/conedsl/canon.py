@@ -5,16 +5,17 @@ Standard form:
     minimize    c'x
     subject to  A x + s = b,  s in K
 
-with K a product of cones in the fixed row order: zero rows, nonnegative
-rows, second-order blocks, semidefinite blocks (in scaled-lower-triangle
-svec coordinates), exponential-cone triples. Objective sense flips and
-constant offsets are tracked so user-facing values can be reported in the
-original sense.
+with K a product of cones whose row layout (the order of the cone kinds,
+the rows of each block, PSD blocks in scaled-lower-triangle svec
+coordinates) `ConeSpec` states. Objective sense flips and constant
+offsets are tracked so user-facing values can be reported in the original
+sense.
 
-Each bucket keeps lowering-traversal order (objective first, then
-constraints in declaration order); symmetry and cone-membership rows for
-psd-symmetric variables are appended after all constraints. This makes
-repeated canonicalizations of one problem byte-identical when exported.
+The rows of each cone kind keep lowering-traversal order (objective
+first, then constraints in declaration order); symmetry and
+cone-membership rows for psd-symmetric variables are appended after all
+constraints. This makes repeated canonicalizations of one problem
+byte-identical when exported.
 """
 from __future__ import annotations
 
@@ -25,56 +26,62 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .errors import InputError, SchemaError, ShapeError
-from .expr import AtomExpr, ConstantExpr, Curvature, Expression, Variable
+from .errors import DCPError, InputError, SchemaError, ShapeError
+from .expr import (AtomExpr, ConstantExpr, Curvature, Expression, Variable,
+                   dcp_check)
 from .lin import LinForm, flat_index, interleave_perm, svec_map
 
 
 @dataclass
 class ConeSpec:
+    """The cone K, and the one statement of its row layout: the order of
+    the cone kinds and the row count of each block. The fields are the
+    counts the JSON `cones` keys carry (z, l, q, s, ep)."""
     zero: int = 0
     nonneg: int = 0
     soc: list = field(default_factory=list)
     psd: list = field(default_factory=list)
     ep: int = 0
 
+    def _table(self):
+        """kind -> (row count of each block, meta), in row order. Zero and
+        nonneg rows form one block each; meta is the SOC block sizes or the
+        PSD sides, as `cones.project_block` takes them."""
+        return {"zero": ([self.zero] if self.zero else [], None),
+                "nonneg": ([self.nonneg] if self.nonneg else [], None),
+                "soc": (self.soc, self.soc),
+                "psd": ([linalg.svec_dim(s) for s in self.psd], self.psd),
+                "exp": ([3] * self.ep, None)}
+
     @property
     def total_dim(self) -> int:
-        return (self.zero + self.nonneg + sum(self.soc)
-                + sum(s * (s + 1) // 2 for s in self.psd) + 3 * self.ep)
+        return sum(sum(sizes) for sizes, _ in self._table().values())
 
     def blocks(self):
-        """Yield (kind, start, stop, meta) covering all rows in order."""
+        """Yield (kind, start, stop, meta) covering all rows in order; meta
+        is the block's SOC size or PSD side."""
         r = 0
-        if self.zero:
-            yield ("zero", 0, self.zero, None)
-            r = self.zero
-        if self.nonneg:
-            yield ("nonneg", r, r + self.nonneg, None)
-            r += self.nonneg
-        for q in self.soc:
-            yield ("soc", r, r + q, None)
-            r += q
-        for s in self.psd:
-            d = s * (s + 1) // 2
-            yield ("psd", r, r + d, s)
-            r += d
-        for _ in range(self.ep):
-            yield ("exp", r, r + 3, None)
-            r += 3
+        for kind, (sizes, meta) in self._table().items():
+            for i, size in enumerate(sizes):
+                yield (kind, r, r + size, None if meta is None else meta[i])
+                r += size
 
     def kinds(self):
         """Yield (kind, start, stop, meta) once per cone kind present, in
         row order; meta is the SOC block sizes or the PSD sides."""
         r = 0
-        for kind, size, meta in (
-                ("zero", self.zero, None), ("nonneg", self.nonneg, None),
-                ("soc", sum(self.soc), self.soc),
-                ("psd", sum(s * (s + 1) // 2 for s in self.psd), self.psd),
-                ("exp", 3 * self.ep, None)):
+        for kind, (sizes, meta) in self._table().items():
+            size = sum(sizes)
             if size:
                 yield (kind, r, r + size, meta)
                 r += size
+
+    def cone_blocks(self):
+        """(first row, row counts) of the SOC, PSD and exp blocks, which
+        follow the zero and nonneg rows (each of those a cone of its own)."""
+        table = self._table()
+        lo = sum(table.pop("zero")[0]) + sum(table.pop("nonneg")[0])
+        return lo, [size for sizes, _ in table.values() for size in sizes]
 
     def validate(self, m: int):
         if any(q < 1 for q in self.soc) or any(s < 1 for s in self.psd):
@@ -192,15 +199,8 @@ class GraphContext:
         self.col_is_aux = []     # one flag per column handed out
         self.var_cols = {}       # vid -> first column of a user variable
         self.user_vars = []      # Variables in first-encounter order
-        self.zero_forms = []
-        self.nonneg_forms = []
-        self.soc_forms = []      # forms whose rows are whole cone blocks
-        self.soc_sizes = []      # the block sizes, in row order
-        self.psd_forms = []      # (svec form, side)
-        self.exp_forms = []      # interleaved (x1,y1,z1,x2,...) forms
-        self.zero_rows = 0
-        self.nonneg_rows = 0
-        self.psd_rows = 0
+        self.cones = ConeSpec()  # K, grown as rows are registered
+        self.forms = {kind: [] for kind in self.cones._table()}
 
     def _columns(self, size: int, aux: bool) -> int:
         start = self.ncols
@@ -218,19 +218,24 @@ class GraphContext:
             self.user_vars.append(v)
         return LinForm.columns(start, v.size)
 
-    def zero(self, form: LinForm):
-        self.zero_forms.append(form)
-        self.zero_rows += form.size
+    def _add(self, kind: str, form: LinForm) -> int:
+        """Register form's rows under kind; return its index there."""
+        self.forms[kind].append(form)
+        return len(self.forms[kind]) - 1
 
-    def nonneg(self, form: LinForm):
-        self.nonneg_forms.append(form)
-        self.nonneg_rows += form.size
+    def zero(self, form: LinForm) -> int:
+        self.cones.zero += form.size
+        return self._add("zero", form)
+
+    def nonneg(self, form: LinForm) -> int:
+        self.cones.nonneg += form.size
+        return self._add("nonneg", form)
 
     def soc(self, forms):
         """One second-order block; forms concatenate to (t, x) with t first."""
         block = LinForm.concat(forms)
-        self.soc_forms.append(block)
-        self.soc_sizes.append(block.size)
+        self.cones.soc.append(block.size)
+        self._add("soc", block)
 
     def soc_batch(self, forms):
         """len(forms) parallel streams of length n -> n blocks of that size."""
@@ -239,19 +244,20 @@ class GraphContext:
         stacked = LinForm.concat(forms)
         if n > 1:
             stacked = stacked.select(interleave_perm(streams, n))
-        self.soc_forms.append(stacked)
-        self.soc_sizes.extend([streams] * n)
+        self.cones.soc.extend([streams] * n)
+        self._add("soc", stacked)
 
     def exp_batch(self, xf: LinForm, yf: LinForm, zf: LinForm):
         n = xf.size
         stacked = LinForm.concat([xf, yf, zf])
-        self.exp_forms.append(stacked.select(interleave_perm(3, n)))
+        self.cones.ep += n
+        self._add("exp", stacked.select(interleave_perm(3, n)))
 
-    def psd(self, vec_form: LinForm, side: int):
+    def psd(self, vec_form: LinForm, side: int) -> int:
         if vec_form.size != side * side:
             raise ShapeError("psd block form must cover the full matrix")
-        self.psd_forms.append((vec_form.left_mul(svec_map(side)), side))
-        self.psd_rows += side * (side + 1) // 2
+        self.cones.psd.append(side)
+        return self._add("psd", vec_form.left_mul(svec_map(side)))
 
 
 class Lowerer:
@@ -280,7 +286,12 @@ class Lowerer:
 
 
 def canonicalize(problem):
-    """Lower an accepted problem to (ConeProgram, VariableMap)."""
+    """Check a problem against the ruleset and lower it to
+    (ConeProgram, VariableMap); raise DCPError if the ruleset rejects it."""
+    report = dcp_check(problem)
+    if not report.accepted:
+        raise DCPError("problem does not follow the composition ruleset:\n"
+                       + report.render(), report=report)
     ctx = GraphContext()
     low = Lowerer(ctx)
 
@@ -290,21 +301,16 @@ def canonicalize(problem):
     if flipped:
         obj_form = -obj_form
 
-    constr_entries = []  # (constraint, bucket, row_start_in_bucket, length, shape)
+    entries = []  # (constraint, cone kind, index of its form there, shape)
     for con in problem.constraints:
-        body_form = low.lower(con.body)
+        body = low.lower(con.body)
         shape = (con.body.shape.rows, con.body.shape.cols)
         if con.kind == "eq":
-            constr_entries.append((con, "zero", ctx.zero_rows, body_form.size, shape))
-            ctx.zero(body_form)
+            entries.append((con, "zero", ctx.zero(body), shape))
         elif con.kind == "ineq":
-            constr_entries.append((con, "nonneg", ctx.nonneg_rows,
-                                   body_form.size, shape))
-            ctx.nonneg(-body_form)
+            entries.append((con, "nonneg", ctx.nonneg(-body), shape))
         else:  # psd
-            d = shape[0] * (shape[0] + 1) // 2
-            constr_entries.append((con, "psd", ctx.psd_rows, d, shape))
-            ctx.psd(body_form, shape[0])
+            entries.append((con, "psd", ctx.psd(body, shape[0]), shape))
 
     # symmetry and cone membership for psd-symmetric variables
     for v in ctx.user_vars:
@@ -340,38 +346,26 @@ def canonicalize(problem):
     is_aux = np.array(ctx.col_is_aux, dtype=bool)
     perm = np.concatenate([np.flatnonzero(~is_aux), np.flatnonzero(is_aux)])
 
-    zero_rows = ctx.zero_rows
-    nonneg_rows = ctx.nonneg_rows
-    soc_sizes = ctx.soc_sizes
-    psd_sides = [s for _, s in ctx.psd_forms]
-    ep = sum(f.size for f in ctx.exp_forms) // 3
-    cones = ConeSpec(zero=zero_rows, nonneg=nonneg_rows, soc=soc_sizes,
-                     psd=psd_sides, ep=ep)
-
-    # A = -coefficients, b = constants
-    G = LinForm.concat(ctx.zero_forms + ctx.nonneg_forms + ctx.soc_forms
-                       + [f for f, _ in ctx.psd_forms] + ctx.exp_forms)
+    # A = -coefficients, b = constants, rows in the order of K's kinds
+    G = LinForm.concat([f for forms in ctx.forms.values() for f in forms])
     m = G.size
     A = linalg.from_scipy(-G.widened(n)[:, perm])
     b = G.const
     c = obj_form.widened(n).toarray().ravel()[perm]
     offset = float(obj_form.const[0])
 
-    # global row positions for user constraints
-    bucket_base = {
-        "zero": 0,
-        "nonneg": zero_rows,
-        "soc": zero_rows + nonneg_rows,
-        "psd": zero_rows + nonneg_rows + sum(soc_sizes),
-    }
-    constr_records = []
-    for i, (con, bucket, start, length, shape) in enumerate(constr_entries):
-        constr_records.append(ConstrRecord(
-            key=f"c{i}", cid=con.cid, row=bucket_base[bucket] + start,
-            length=length, cone=bucket, rows_shape=shape))
+    # a constraint's rows start at its kind's first row plus the rows of
+    # the forms registered before its own under that kind
+    first = {kind: start + np.cumsum([0] + [f.size for f in ctx.forms[kind]])
+             for kind, start, _, _ in ctx.cones.kinds()}
+    constr_records = [
+        ConstrRecord(key=f"c{i}", cid=con.cid, row=int(first[kind][j]),
+                     length=ctx.forms[kind][j].size, cone=kind,
+                     rows_shape=shape)
+        for i, (con, kind, j, shape) in enumerate(entries)]
 
     vmap = VariableMap(n=n, m=m, vars=var_records, constrs=constr_records)
-    cp = ConeProgram(c=c, A=A, b=b, cones=cones,
+    cp = ConeProgram(c=c, A=A, b=b, cones=ctx.cones,
                      offset=offset, flipped=flipped)
     return cp, vmap
 
@@ -518,6 +512,10 @@ def import_json(text: str):
     _expect(np.all(np.diff(colptr) >= 0), "A.colptr", "must be nondecreasing")
     _expect(colptr[-1] == vals.size, "A.colptr", "must end at nnz")
     _expect(rowidx.size == vals.size, "A.rowidx", "length must match vals")
+    stored_zero = vals == 0.0
+    if stored_zero.any():
+        raise SchemaError(f"field 'A.vals': entry {int(stored_zero.argmax())} "
+                          f"is a stored zero")
     if rowidx.size:
         _expect(rowidx.min() >= 0 and rowidx.max() < m, "A.rowidx",
                 "row index out of range")
@@ -578,7 +576,7 @@ def import_json(text: str):
         _expect(row + length <= m, f"{path}.row", "rows extend past m")
         if rec["cone"] == "psd":
             side = int((np.sqrt(8 * length + 1) - 1) / 2)
-            _expect(side * (side + 1) // 2 == length, f"{path}.len",
+            _expect(linalg.svec_dim(side) == length, f"{path}.len",
                     "a psd constraint needs n(n+1)/2 rows for some side n")
             shape = (side, side)
         else:

@@ -15,8 +15,7 @@ import argparse
 import json
 import sys
 
-from .api import solve as api_solve
-from .canon import import_json
+from .canon import canonicalize, export_json, import_json
 from .errors import ConeDSLError, DCPError, InputError, SchemaError
 from .examples import (ExampleConfig, build_example, describe_examples,
                        emit_series, run_example)
@@ -59,11 +58,9 @@ def _cmd_example(args):
 def _cmd_export(args):
     cfg = ExampleConfig(args.name, seed=args.seed,
                         params=_parse_params(args.param))
-    bundle = build_example(cfg)
-    result = api_solve(bundle.problem, solver="export-only")
+    text = export_json(*canonicalize(build_example(cfg).problem))
     with open(args.out, "w") as f:
-        json.dump(result.export, f, separators=(",", ":"))
-        f.write("\n")
+        f.write(text + "\n")
     print(f"wrote {args.out}")
     return 0
 

@@ -56,7 +56,7 @@ def _project_soc(v, sizes):
 def _project_psd(v, sides):
     """Project consecutive svec PSD blocks: one batched eigh per side."""
     sides = np.asarray(sides, dtype=np.int64)
-    _, starts = _segment_starts(sides * (sides + 1) // 2, v.size)
+    _, starts = _segment_starts(svec_dim(sides), v.size)
     out = np.empty_like(v)
     for side in np.unique(sides).tolist():
         rows = starts[sides == side][:, None] + np.arange(svec_dim(side))
@@ -236,14 +236,15 @@ def project_exp_many(V: np.ndarray) -> np.ndarray:
 
 def project_block(kind: str, v: np.ndarray, meta=None) -> np.ndarray:
     """Project v, the rows of one cone kind: meta is the list of SOC block
-    sizes or PSD sides, or None (SOC) or an int (PSD) for a single block."""
+    sizes or PSD sides, or one int (or None, SOC) for a single block."""
     v = np.asarray(v, dtype=float).ravel()
     if kind == "zero":
         return np.zeros_like(v)
     if kind == "nonneg":
         return np.maximum(v, 0.0)
     if kind == "soc":
-        return _project_soc(v, [v.size] if meta is None else meta)
+        return _project_soc(v, [v.size] if meta is None
+                            else np.atleast_1d(meta))
     if kind == "psd":
         return _project_psd(v, np.atleast_1d(meta))
     if kind == "exp":

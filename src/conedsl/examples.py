@@ -141,8 +141,7 @@ def _ols(p, rng):
 
 @_register("isotonic", {"m": 30},
            "isotonic least squares: nondecreasing fit to a noisy trend",
-           {"m": "series length"},
-           settings={"eps_abs": 1e-9, "eps_rel": 1e-9})
+           {"m": "series length"})
 def _isotonic(p, rng):
     m = p["m"]
     y = 2.0 * np.linspace(0, 1, m).reshape(-1, 1) + 0.4 * rng.normals(m, 1)
@@ -154,8 +153,7 @@ def _isotonic(p, rng):
 
 @_register("huber_reg", {"m": 60, "n": 5, "M": 1.0},
            "robust regression with the huber loss; 10% gross outliers",
-           {"m": "observations", "n": "coefficients", "M": "huber threshold"},
-           settings={"eps_abs": 1e-9, "eps_rel": 1e-9})
+           {"m": "observations", "n": "coefficients", "M": "huber threshold"})
 def _huber_reg(p, rng):
     m, n, M = p["m"], p["n"], p["M"]
     X = rng.normals(m, n)
@@ -319,8 +317,7 @@ def _saturating_hinges(p, rng):
 
 @_register("logconcave_mle", {"counts": "1,5,2,1"},
            "log-concave probability mass estimation from counts on 0..K",
-           {"counts": "comma-separated nonnegative observation counts"},
-           settings={"eps_abs": 1e-9, "eps_rel": 1e-9})
+           {"counts": "comma-separated nonnegative observation counts"})
 def _logconcave_mle(p, rng):
     counts = np.array([float(v) for v in str(p["counts"]).split(",")])
     if counts.size < 3 or (counts < 0).any():
@@ -340,8 +337,7 @@ def _logconcave_mle(p, rng):
            "survey raking: reweight a sample to match population margin "
            "totals with minimal relative-entropy perturbation",
            {"sample": "fixture CSV of sample units",
-            "totals": "fixture CSV of margin totals"},
-           settings={"eps_abs": 1e-9, "eps_rel": 1e-9})
+            "totals": "fixture CSV of margin totals"})
 def _calibration(p, rng):
     header, rows = _read_csv(str(p["sample"]))
     if header[:3] != ["stype", "sch_wide", "pw"]:
@@ -435,8 +431,7 @@ def _near_bundle(prob, beta, t, y):
 @_register("worst_cov", {},
            "worst-case variance of a portfolio under partial knowledge of "
            "the covariance matrix (semidefinite program)",
-           {},
-           settings={"eps_abs": 1e-9, "eps_rel": 1e-9})
+           {})
 def _worst_cov(p, rng):
     w = np.array([[0.1], [0.2], [-0.05], [0.1]])
     Sigma = Semidef(4, name="Sigma")
@@ -474,8 +469,7 @@ def _staircase(m):
            {"m": "number of chain points",
             "variant": "flat (equal-height endpoints) | ground (lowered "
                        "right endpoint over a staircase)",
-            "length": "total chain length; 0 picks 1.5 (flat) or 4.0 (ground)"},
-           settings={"eps_abs": 1e-9, "eps_rel": 1e-9})
+            "length": "total chain length; 0 picks 1.5 (flat) or 4.0 (ground)"})
 def _catenary(p, rng):
     m, variant = p["m"], p["variant"]
     if m < 3:
@@ -604,8 +598,7 @@ def _kelly(p, rng):
 @_register("channel_capacity", {"crossover": 0.1},
            "capacity of a binary symmetric channel in bits via mutual "
            "information maximization",
-           {"crossover": "error probability in [0, 1]"},
-           settings={"eps_abs": 1e-9, "eps_rel": 1e-9})
+           {"crossover": "error probability in [0, 1]"})
 def _channel_capacity(p, rng):
     pe = p["crossover"]
     if not 0.0 <= pe <= 1.0:
@@ -637,8 +630,7 @@ _GRAPHS = {
 @_register("fmmc", {"graph": "triangle_plus"},
            "fastest-mixing symmetric Markov chain on a small graph: "
            "minimize the second-largest eigenvalue modulus",
-           {"graph": "k3 | path3 | path4 | triangle_plus | bipartite23"},
-           settings={"eps_abs": 1e-9, "eps_rel": 1e-9})
+           {"graph": "k3 | path3 | path4 | triangle_plus | bipartite23"})
 def _fmmc(p, rng):
     name = str(p["graph"])
     if name not in _GRAPHS:

@@ -79,9 +79,8 @@ def _equilibrate(A: sp.csc_matrix, cones):
     coo = A.tocoo()
     rows, cols, vals = coo.row, coo.col, np.abs(coo.data)
     # the SOC, PSD and EXP blocks tile the rows from `lo` to the end
-    lo = cones.zero + cones.nonneg
-    sizes = np.array(list(cones.soc) + [s * (s + 1) // 2 for s in cones.psd]
-                     + [3] * cones.ep, dtype=np.int64)
+    lo, sizes = cones.cone_blocks()
+    sizes = np.array(sizes, dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
     for _ in range(_RUIZ_SWEEPS):
         cur = vals * d[rows] * e[cols]

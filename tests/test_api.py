@@ -114,6 +114,17 @@ def test_dcp_rejection_raises_with_report():
     assert not exc.value.report.accepted
 
 
+@pytest.mark.parametrize("lower", [cd.canonicalize, cd.get_problem_data])
+def test_lowering_rejects_what_the_ruleset_rejects(lower):
+    # lowered anyway, min sqrt(x) would be reported dual_infeasible, while
+    # its minimum is 0 at x = 0
+    x = cd.Variable(name="x")
+    with pytest.raises(DCPError) as exc:
+        lower(cd.Problem(cd.Minimize(cd.sqrt(x))))
+    assert exc.value.report is not None
+    assert not exc.value.report.accepted
+
+
 def test_export_only_run():
     prob, x = simple_problem()
     res = cd.solve(prob, solver="export-only")

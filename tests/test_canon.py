@@ -57,6 +57,115 @@ def vdim(spec):
         + sum(n * (n + 1) // 2 for n in spec.psd) + 3 * spec.ep
 
 
+KIND_ORDER = ["zero", "nonneg", "soc", "psd", "exp"]
+
+
+def random_spec(rng):
+    """A ConeSpec whose kinds are each empty with probability 1/3."""
+    def count(hi):
+        return 0 if rng.uniform() < 1 / 3 else int(rng.randint(hi)) + 1
+
+    return canon.ConeSpec(
+        zero=count(4), nonneg=count(4),
+        soc=[int(rng.randint(5)) + 1 for _ in range(count(3))],
+        psd=[int(rng.randint(4)) + 1 for _ in range(count(3))],
+        ep=count(3))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cone_layout_views_tile_the_same_rows(seed):
+    spec = random_spec(SplitMix64(600 + seed))
+    m = vdim(spec)
+    assert spec.total_dim == m
+    blocks = list(spec.blocks())
+    kinds = list(spec.kinds())
+    # blocks and kinds each tile 0..m in the one kind order
+    for views in (blocks, kinds):
+        assert [v[1] for v in views] == [0] + [v[2] for v in views[:-1]]
+        assert (views[-1][2] if views else 0) == m
+        assert all(v[2] > v[1] for v in views)
+    assert [k[0] for k in kinds] == [k for k in KIND_ORDER
+                                      if any(b[0] == k for b in blocks)]
+    # each kind spans exactly its blocks, with the kind's meta
+    for kind, start, stop, meta in kinds:
+        mine = [b for b in blocks if b[0] == kind]
+        assert (mine[0][1], mine[-1][2]) == (start, stop)
+        if kind in ("soc", "psd"):
+            assert [b[3] for b in mine] == list(meta)
+    assert [b[3] for b in blocks if b[0] == "psd"] == spec.psd
+    assert [b[2] - b[1] for b in blocks if b[0] == "psd"] == [
+        linalg.svec_dim(s) for s in spec.psd]
+    # equilibration's blocks: the SOC, PSD and exp blocks, after the rest
+    lo, sizes = spec.cone_blocks()
+    multi = [b for b in blocks if b[0] in ("soc", "psd", "exp")]
+    assert lo == spec.zero + spec.nonneg
+    assert sizes == [b[2] - b[1] for b in multi]
+    assert lo + sum(sizes) == m
+
+
+def test_empty_cone_layout():
+    spec = canon.ConeSpec()
+    assert spec.total_dim == 0
+    assert list(spec.blocks()) == [] and list(spec.kinds()) == []
+    assert spec.cone_blocks() == (0, [])
+
+
+def test_constraint_records_address_their_rows():
+    # affine eq / ineq / psd constraints interleaved with atoms that add
+    # rows of those kinds: abs and huber (nonneg), lambda_max (psd),
+    # log_sum_exp (nonneg, exp), so each record's first row depends on the
+    # rows registered before it
+    rng = SplitMix64(71)
+    x = cd.Variable(4, name="x")
+    S = cd.Variable(3, 3, name="S")
+    M1, M2 = rng.normals(2, 4), rng.normals(3, 3)
+    atoms = {}
+
+    def atom_le(atom, rhs):
+        con = atom <= rhs
+        atoms[con.cid] = atom
+        return con
+
+    cons = [
+        M1 @ x == rng.normals(2, 1),
+        atom_le(cd.abs(x), 2.0 + x),
+        x >= -1.0,
+        cd.psd(S + M2),
+        atom_le(cd.lambda_max(S), 3.0 + cd.sum_entries(x)),
+        cd.matrix_trace(S) == 2.0,
+        atom_le(cd.huber(x), 5.0 - x),
+        cd.psd(S.T + 2.0 * M2),
+        atom_le(cd.log_sum_exp(x), 4.0 + x[0]),
+        x[1] + x[2] == 0.5,
+    ]
+    prob = cd.Problem(cd.Minimize(cd.sum_entries(x)), cons)
+    cp, vmap = canon.canonicalize(prob)
+    assert [r.cid for r in vmap.constrs] == [c.cid for c in cons]
+
+    # a random user point; auxiliary columns are 0, and each atom above
+    # returns a form over auxiliary columns only, so an atom's rows read
+    # as if the atom were 0
+    env, point = {}, np.zeros(cp.n)
+    for var in (x, S):
+        rec = vmap.var_by_vid(var.vid)
+        env[var.vid] = rng.normals(rec.rows, rec.cols)
+        point[rec.offset:rec.offset + rec.size] = env[var.vid].ravel(order="F")
+    slack = cp.b - cp.A.to_scipy() @ point
+    for rec, con in zip(vmap.constrs, cons):
+        body = np.asarray(con.body.value(env), dtype=float)
+        if con.cid in atoms:
+            body = body - atoms[con.cid].value(env)
+        if rec.cone == "zero":
+            expect = body.ravel(order="F")
+        elif rec.cone == "nonneg":
+            expect = -body.ravel(order="F")
+        else:
+            expect = linalg.svec(0.5 * (body + body.T))
+        assert rec.length == expect.size
+        assert np.allclose(slack[rec.row:rec.row + rec.length], expect,
+                           rtol=0, atol=1e-12), con
+
+
 def test_maximize_flips():
     x = cd.Variable(2, name="x")
     pmin = cd.Problem(cd.Minimize(cd.sum_entries(x)), [x >= 1])
@@ -136,6 +245,7 @@ def test_export_byte_stability():
      "A.rowidx"),
     (lambda d: d["A"].update(rowidx=[0, 0] + d["A"]["rowidx"][2:]),
      "A.rowidx"),
+    (lambda d: d["A"]["vals"].__setitem__(0, 0.0), "A.vals"),
 ])
 def test_import_rejects_malformed(mutate, message):
     prob, _ = small_lp()

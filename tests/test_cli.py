@@ -108,6 +108,16 @@ def test_export_deterministic_bytes(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_export_writes_the_library_export(tmp_path, capsys):
+    out_file = tmp_path / "fmmc.json"
+    code, _, _ = run_cli(capsys, ["export", "fmmc", "--out", str(out_file)])
+    assert code == 0
+    problem = examples_mod.build_example(
+        examples_mod.ExampleConfig("fmmc")).problem
+    expect = cd.export_json(*cd.canonicalize(problem)) + "\n"
+    assert out_file.read_bytes() == expect.encode()
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run_cli(capsys, ["solve", "/nonexistent/path.json"])
     assert code == 4
