@@ -33,6 +33,9 @@ class AtomDescriptor:
     shape_out/sign_out/base_curvature/monotonicity drive the composition
     engine; evaluate gives numeric semantics; graph emits the cone
     representation of the epigraph (convex) or hypograph (concave).
+    An atom marked copies_entries has no graph: each output entry is one
+    argument entry or zero, and the lowering takes which from evaluate,
+    run on the argument entries numbered from 1 (0 marks a zero entry).
     """
 
     name: str
@@ -43,6 +46,7 @@ class AtomDescriptor:
     monotonicity: Callable
     evaluate: Callable
     graph: Callable | None = None
+    copies_entries: bool = False
     sample: Callable = _default_sample
     doc: str = ""
 

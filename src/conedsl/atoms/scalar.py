@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from ..errors import DCPError, ShapeError, UnsupportedAtomError
 from ..expr import (AtomExpr, Curvature, Monotonicity, Shape, Sign,
                     as_expression, constant_value)
-from ..lin import LinForm, diag_mat_rows
+from ..lin import LinForm
 from .base import AtomDescriptor, const, monos, scalar_shape
 
 _INC = Monotonicity.INCREASING
@@ -34,10 +34,8 @@ def _ones(n):
 # -- lambda_max / lambda_min ---------------------------------------------------
 
 def _diag_embed(n):
-    """Map a scalar form to vec of (that scalar times the identity)."""
-    diag_rows = diag_mat_rows(n)
-    return sp.csr_matrix((np.ones(n), (diag_rows, np.zeros(n, dtype=np.int64))),
-                         shape=(n * n, 1))
+    """Positions that select vec(t I) from a scalar form t."""
+    return np.where(np.eye(n, dtype=bool).ravel(), 0, -1)
 
 
 def _lambda_max_graph(ctx, forms, params):
@@ -45,7 +43,7 @@ def _lambda_max_graph(ctx, forms, params):
     (x,) = forms
     n = int(round(np.sqrt(x.size)))
     t = ctx.aux(1)
-    ctx.psd(t.left_mul(_diag_embed(n)) - x, n)
+    ctx.psd(t.select(_diag_embed(n)) - x, n)
     return t
 
 
@@ -54,7 +52,7 @@ def _lambda_min_graph(ctx, forms, params):
     (x,) = forms
     n = int(round(np.sqrt(x.size)))
     t = ctx.aux(1)
-    ctx.psd(x - t.left_mul(_diag_embed(n)), n)
+    ctx.psd(x - t.select(_diag_embed(n)), n)
     return t
 
 
@@ -109,36 +107,19 @@ def _log_det_graph(ctx, forms, params):
     n = int(round(np.sqrt(x.size)))
     strict = n * (n - 1) // 2
     z = ctx.aux(n)
-    zlow = ctx.aux(strict) if strict else None
+    zlow = ctx.aux(strict)
     u = ctx.aux(n)
 
-    # assemble vec of the 2n x 2n symmetric block matrix G
-    m = 2 * n
-    rows_z, cols_z = [], []
-    for j in range(n):
-        rows_z.append(j + j * m)                       # diag(z) block
-        cols_z.append(j)
-        rows_z.extend([(n + j) + j * m, j + (n + j) * m])  # Z's own diagonal
-        cols_z.extend([j, j])
-    G = z.left_mul(sp.csr_matrix((np.ones(3 * n), (rows_z, cols_z)),
-                                 shape=(m * m, n)))
-    if zlow is not None:
-        rows_l, cols_l = [], []
-        k = 0
-        for j in range(n):
-            for i in range(j + 1, n):
-                # Z occupies the lower-left block; mirror into upper-right
-                rows_l.extend([(n + i) + j * m, j + (n + i) * m])
-                cols_l.extend([k, k])
-                k += 1
-        G = G + zlow.left_mul(sp.csr_matrix(
-            (np.ones(2 * strict), (rows_l, cols_l)), shape=(m * m, strict)))
-    # sym(X) occupies the lower-right block
-    rows_x = [(n + i) + (n + j) * m for j in range(n) for i in range(n)]
-    cols_x = [i + j * n for j in range(n) for i in range(n)]
-    G = G + x.left_mul(sp.csr_matrix((np.ones(n * n), (rows_x, cols_x)),
-                                     shape=(m * m, n * n)))
-    ctx.psd(G, m)
+    # the 2n x 2n block matrix as positions in (z, zlow, vec X)
+    pos = np.full((2 * n, 2 * n), -1)
+    d = np.arange(n)
+    pos[d, d] = pos[n + d, d] = pos[d, n + d] = d    # diag(z), Z's diagonal
+    # zlow holds Z's strict lower triangle column by column; Z occupies the
+    # lower-left block and is mirrored into the upper-right
+    j, i = np.triu_indices(n, 1)
+    pos[n + i, j] = pos[j, n + i] = n + np.arange(strict)
+    pos[n:, n:] = n + strict + np.arange(n * n).reshape(n, n, order="F")
+    ctx.psd(LinForm.concat([z, zlow, x]).select(pos.ravel(order="F")), 2 * n)
     ctx.exp_batch(u, _ones(n), z)
     return u.left_mul(sp.csr_matrix(np.ones((1, n))))
 

@@ -1,7 +1,9 @@
 """Affine structural atoms: arithmetic, stacking, indexing, reductions.
 
 These atoms never create cone rows; their graph implementations are pure
-linear reindexing / combination of the argument forms.
+linear reindexing / combination of the argument forms. Transpose, reshape,
+hstack, vstack and diag only copy entries, so they carry no graph: the
+lowering takes the source of each output entry from their evaluate.
 """
 from __future__ import annotations
 
@@ -12,9 +14,8 @@ from ..errors import DCPError, ShapeError
 from ..expr import (AtomExpr, ConstantExpr, Curvature, Expression,
                     Monotonicity, Shape, Sign, as_expression, constant_value,
                     sign_add, sign_join, sign_mul, sign_neg, sign_of_values)
-from ..lin import (LinForm, cumsum_axis_map, diag_mat_rows, diag_vec_map,
-                   diff_map, matmul_left_map, matmul_right_map, select_flat,
-                   sum_axis_map, trace_map, transpose_perm, vstack_perm)
+from ..lin import (cumsum_axis_map, diff_map, matmul_left_map,
+                   matmul_right_map, sum_axis_map, trace_map)
 from .base import AtomDescriptor, const, monos, same_shape
 
 _INC = Monotonicity.INCREASING
@@ -198,13 +199,12 @@ TRANSPOSE = AtomDescriptor(
     base_curvature=const(Curvature.AFFINE),
     monotonicity=monos(_INC),
     evaluate=lambda v, p: v[0].T,
-    graph=lambda ctx, f, p: f[0].select(transpose_perm(p["rows"], p["cols"])),
+    copies_entries=True,
 )
 
 
 def transpose(x):
-    x = as_expression(x)
-    return AtomExpr(TRANSPOSE, [x], {"rows": x.shape.rows, "cols": x.shape.cols})
+    return AtomExpr(TRANSPOSE, [as_expression(x)])
 
 
 def _normalize_sel(key, n):
@@ -222,8 +222,10 @@ INDEX = AtomDescriptor(
     base_curvature=const(Curvature.AFFINE),
     monotonicity=monos(_INC),
     evaluate=lambda v, p: v[0][np.ix_(p["rows_sel"], p["cols_sel"])],
+    # a direct formula, not copies_entries: numbering the whole argument
+    # for every index would make k indexes into one n-vector cost O(k n)
     graph=lambda ctx, f, p: f[0].select(
-        select_flat(p["rows_sel"], p["cols_sel"], p["x_rows"])),
+        (p["rows_sel"][:, None] + p["x_rows"] * p["cols_sel"]).ravel("F")),
 )
 
 
@@ -252,7 +254,7 @@ RESHAPE = AtomDescriptor(
     base_curvature=const(Curvature.AFFINE),
     monotonicity=monos(_INC),
     evaluate=lambda v, p: v[0].reshape(p["rows"], p["cols"], order="F"),
-    graph=lambda ctx, f, p: f[0],
+    copies_entries=True,
 )
 
 
@@ -303,8 +305,7 @@ HSTACK = AtomDescriptor(
     base_curvature=const(Curvature.AFFINE),
     monotonicity=lambda s, p: [_INC] * len(s),
     evaluate=lambda v, p: np.hstack(v),
-    # vec([A B]) is just the concatenation of the piece vecs
-    graph=lambda ctx, f, p: LinForm.concat(f),
+    copies_entries=True,
 )
 
 VSTACK = AtomDescriptor(
@@ -314,8 +315,7 @@ VSTACK = AtomDescriptor(
     base_curvature=const(Curvature.AFFINE),
     monotonicity=lambda s, p: [_INC] * len(s),
     evaluate=lambda v, p: np.vstack(v),
-    graph=lambda ctx, f, p: LinForm.concat(f).select(
-        vstack_perm(p["row_counts"], p["ncols"])),
+    copies_entries=True,
 )
 
 
@@ -324,10 +324,7 @@ def hstack(*args):
 
 
 def vstack(*args):
-    exprs = [as_expression(a) for a in args]
-    return AtomExpr(VSTACK, exprs,
-                    {"row_counts": [e.shape.rows for e in exprs],
-                     "ncols": exprs[0].shape.cols})
+    return AtomExpr(VSTACK, [as_expression(a) for a in args])
 
 
 # -- diag / diff --------------------------------------------------------------------
@@ -349,14 +346,6 @@ def _diag_eval(v, p):
     return np.diag(x).reshape(-1, 1)
 
 
-def _diag_graph(ctx, f, p):
-    (x,) = f
-    if p["to_matrix"]:
-        return x.left_mul(diag_vec_map(x.size))
-    n = int(round(np.sqrt(x.size)))
-    return x.select(diag_mat_rows(n))
-
-
 DIAG = AtomDescriptor(
     name="diag", display="diag",
     shape_out=_diag_shape,
@@ -364,14 +353,12 @@ DIAG = AtomDescriptor(
     base_curvature=const(Curvature.AFFINE),
     monotonicity=monos(_INC),
     evaluate=_diag_eval,
-    graph=_diag_graph,
+    copies_entries=True,
 )
 
 
 def diag(x):
-    x = as_expression(x)
-    to_matrix = x.shape.cols == 1 or x.shape.rows == 1
-    return AtomExpr(DIAG, [x], {"to_matrix": to_matrix})
+    return AtomExpr(DIAG, [as_expression(x)])
 
 
 def _diff_shape(shapes, params):

@@ -20,16 +20,16 @@ byte-identical when exported.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg
 from .errors import DCPError, InputError, SchemaError, ShapeError
 from .expr import (AtomExpr, ConstantExpr, Curvature, Expression, Variable,
                    dcp_check)
-from .lin import LinForm, flat_index, interleave_perm, svec_map
+from .lin import LinForm, flat_index, svec_map
 
 
 @dataclass
@@ -243,7 +243,9 @@ class GraphContext:
         n = forms[0].size
         stacked = LinForm.concat(forms)
         if n > 1:
-            stacked = stacked.select(interleave_perm(streams, n))
+            # row i * streams + j is entry i of stream j
+            stacked = stacked.select(
+                np.arange(streams * n).reshape(streams, n).T.ravel())
         self.cones.soc.extend([streams] * n)
         self._add("soc", stacked)
 
@@ -251,7 +253,8 @@ class GraphContext:
         n = xf.size
         stacked = LinForm.concat([xf, yf, zf])
         self.cones.ep += n
-        self._add("exp", stacked.select(interleave_perm(3, n)))
+        self._add("exp",
+                  stacked.select(np.arange(3 * n).reshape(3, n).T.ravel()))
 
     def psd(self, vec_form: LinForm, side: int) -> int:
         if vec_form.size != side * side:
@@ -278,11 +281,30 @@ class Lowerer:
                 form = LinForm.constant(e.value({}).ravel(order="F"))
             else:
                 child_forms = [self.lower(a) for a in e.args]
-                form = e.atom.graph(self.ctx, child_forms, e.params)
+                if e.atom.copies_entries:
+                    form = LinForm.concat(child_forms).select(
+                        _entry_positions(e))
+                else:
+                    form = e.atom.graph(self.ctx, child_forms, e.params)
         else:
             raise TypeError(f"cannot lower {type(e).__name__}")
         self.memo[key] = form
         return form
+
+
+def _entry_positions(e: AtomExpr) -> np.ndarray:
+    """For an atom that copies entries: the position in its concatenated
+    argument forms of each output entry, -1 for an entry that is zero.
+    The atom's evaluate runs on its argument entries numbered from 1 in
+    column-major order, so its output names the source of each entry."""
+    numbered, start = [], 1
+    for a in e.args:
+        rows, cols = a.shape
+        numbered.append(np.arange(start, start + a.size, dtype=float)
+                        .reshape(rows, cols, order="F"))
+        start += a.size
+    out = np.asarray(e.atom.evaluate(numbered, e.params))
+    return out.ravel(order="F").astype(np.int64) - 1
 
 
 def canonicalize(problem):
@@ -322,12 +344,8 @@ def canonicalize(problem):
         rows, cols, _ = linalg.svec_layout(n)
         i, j = rows[rows != cols], cols[rows != cols]
         if i.size:
-            r = np.arange(i.size)
-            ctx.zero(form.left_mul(sp.csr_matrix(
-                (np.repeat([1.0, -1.0], i.size),
-                 (np.concatenate([r, r]),
-                  np.concatenate([flat_index(i, j, n), flat_index(j, i, n)]))),
-                shape=(i.size, n * n))))
+            ctx.zero(form.select(flat_index(i, j, n))
+                     - form.select(flat_index(j, i, n)))
         ctx.psd(form, n)
 
     # column layout: user variables first, then auxiliaries, each in the
@@ -466,16 +484,26 @@ def _as_int(doc, path, minimum=None):
     return v
 
 
-def _num_list(v, path):
+def _array(v, path, types, dtype):
+    """A JSON list as one array; every entry's type is one of types."""
     _expect(isinstance(v, list), path, "expected a list of numbers")
-    out = []
-    for i, x in enumerate(v):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise SchemaError(f"field '{path}[{i}]': expected number")
-        if not np.isfinite(x):
-            raise SchemaError(f"field '{path}[{i}]': must be finite")
-        out.append(float(x))
-    return np.array(out, dtype=float)
+    if not set(map(type, v)) <= types:
+        i = next(i for i, x in enumerate(v) if type(x) not in types)
+        what = "integer" if types == {int} else "number"
+        raise SchemaError(f"field '{path}[{i}]': expected {what}")
+    try:
+        return np.array(v, dtype=dtype)
+    except OverflowError:
+        raise SchemaError(f"field '{path}': entry out of range") from None
+
+
+def _num_list(v, path):
+    out = _array(v, path, {int, float}, float)
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise SchemaError(f"field '{path}[{int(finite.argmin())}]': "
+                          f"must be finite")
+    return out
 
 
 def import_json(text: str):
@@ -498,14 +526,16 @@ def import_json(text: str):
     _expect(c.size == n, "c", f"expected {n} entries, got {c.size}")
     b = _num_list(doc["b"], "b")
     _expect(b.size == m, "b", f"expected {m} entries, got {b.size}")
-    _expect(isinstance(doc["offset"], (int, float))
-            and not isinstance(doc["offset"], bool), "offset", "expected number")
+    offset = doc["offset"]
+    _expect(type(offset) in (int, float), "offset", "expected number")
+    # false for NaN, infinities and integers too large for a double
+    _expect(abs(offset) <= sys.float_info.max, "offset", "must be finite")
     _expect(isinstance(doc["flipped"], bool), "flipped", "expected boolean")
 
     Adoc = doc["A"]
     _expect(isinstance(Adoc, dict), "A", "expected object")
-    colptr = _num_list(Adoc.get("colptr", None), "A.colptr").astype(np.int64)
-    rowidx = _num_list(Adoc.get("rowidx", None), "A.rowidx").astype(np.int64)
+    colptr = _array(Adoc.get("colptr", None), "A.colptr", {int}, np.int64)
+    rowidx = _array(Adoc.get("rowidx", None), "A.rowidx", {int}, np.int64)
     vals = _num_list(Adoc.get("vals", None), "A.vals")
     _expect(colptr.size == n + 1, "A.colptr", f"expected {n + 1} entries")
     _expect(colptr[0] == 0, "A.colptr", "must start at 0")
@@ -533,6 +563,8 @@ def import_json(text: str):
     _expect(isinstance(cdoc, dict), "cones", "expected object")
     for key in ("z", "l", "q", "s", "ep"):
         _expect(key in cdoc, f"cones.{key}", "missing")
+    for key in ("q", "s"):
+        _expect(isinstance(cdoc[key], list), f"cones.{key}", "expected a list")
     cones = ConeSpec(
         zero=_as_int(cdoc["z"], "cones.z", 0),
         nonneg=_as_int(cdoc["l"], "cones.l", 0),
@@ -586,6 +618,6 @@ def import_json(text: str):
                                            rows_shape=shape))
 
     cp = ConeProgram(c=c, A=A, b=b, cones=cones,
-                     offset=float(doc["offset"]), flipped=doc["flipped"])
+                     offset=float(offset), flipped=doc["flipped"])
     vmap = VariableMap(n=n, m=m, vars=var_records, constrs=constr_records)
     return cp, vmap

@@ -1,12 +1,14 @@
-"""Affine forms over the lowering's columns, plus vec-ordering helpers.
+"""Affine forms over the lowering's columns, plus the constant linear maps
+(svec, differences, matrix products, sums, trace) that atom graphs apply.
 
 A LinForm represents an affine map z = C @ x + d, where x stacks the
 column-major flattenings of every variable in the order the lowering
 handed out their columns. C is one CSR matrix as wide as the columns
 handed out when the form was built; forms built earlier are narrower and
 are widened with zero columns when forms combine. Atom graph
-implementations compose these forms; the canonicalizer stacks them into
-the cone program data. All matrix flattenings are column-major throughout
+implementations compose these forms, atoms that only copy entries are
+lowered as one `select`, and the canonicalizer stacks the forms into the
+cone program data. All matrix flattenings are column-major throughout
 the package.
 """
 from __future__ import annotations
@@ -77,8 +79,16 @@ class LinForm:
         return LinForm(M @ self.coef, M @ self.const)
 
     def select(self, rows) -> "LinForm":
+        """Row k is row rows[k] of this form; position -1 gives a zero row."""
         rows = np.asarray(rows, dtype=np.int64)
-        return LinForm(self.coef[rows], self.const[rows])
+        coef, const = self.coef, self.const
+        if rows.size and rows.min() < 0:
+            # append the zero row that -1 then indexes
+            coef = sp.csr_matrix(
+                (coef.data, coef.indices, np.append(coef.indptr, coef.nnz)),
+                shape=(self.size + 1, self.width))
+            const = np.append(const, 0.0)
+        return LinForm(coef[rows], const[rows])
 
     def scale_rows(self, d) -> "LinForm":
         d = np.asarray(d, dtype=float).ravel()
@@ -99,6 +109,8 @@ class LinForm:
         forms = list(forms)
         if not forms:
             return LinForm.constant(np.zeros(0))
+        if len(forms) == 1:
+            return forms[0]
         width = max(f.width for f in forms)
         return LinForm(sp.vstack([f.widened(width) for f in forms], format="csr"),
                        np.concatenate([f.const for f in forms]))
@@ -119,44 +131,6 @@ def _broadcast_pair(a: LinForm, b: LinForm):
 def flat_index(i, j, rows: int):
     """Flat position of entry (i, j) in column-major order."""
     return i + j * rows
-
-
-def transpose_perm(rows: int, cols: int) -> np.ndarray:
-    """perm[k] = source position in vec(X) of entry k of vec(X^T)."""
-    src = np.arange(rows * cols).reshape(rows, cols, order="F")
-    return src.T.ravel(order="F")
-
-
-def select_flat(row_sel, col_sel, rows: int) -> np.ndarray:
-    row_sel = np.asarray(row_sel, dtype=np.int64)
-    col_sel = np.asarray(col_sel, dtype=np.int64)
-    return (row_sel[:, None] + rows * col_sel[None, :]).ravel(order="F")
-
-
-def vstack_perm(row_counts, ncols: int) -> np.ndarray:
-    """Row permutation mapping concatenated piece-vecs to the stacked vec."""
-    total = sum(row_counts)
-    perm = np.empty(total * ncols, dtype=np.int64)
-    offsets = np.cumsum([0] + list(row_counts))
-    piece_starts = [off * ncols for off in offsets[:-1]]
-    for p, m in enumerate(row_counts):
-        for j in range(ncols):
-            dst = offsets[p] + j * total
-            src = piece_starts[p] + j * m
-            perm[dst : dst + m] = np.arange(src, src + m)
-    return perm
-
-
-def interleave_perm(streams: int, n: int) -> np.ndarray:
-    """Source rows for grouping k parallel streams of length n into n blocks.
-
-    Input row layout is stream-major (stream j occupies rows j*n..j*n+n-1);
-    output row i*streams + j is entry i of stream j.
-    """
-    out = np.empty(streams * n, dtype=np.int64)
-    for j in range(streams):
-        out[j::streams] = np.arange(n) + j * n
-    return out
 
 
 def svec_map(n: int) -> sp.csr_matrix:
@@ -230,14 +204,3 @@ def trace_map(n: int) -> sp.csr_matrix:
     cols = [flat_index(j, j, n) for j in range(n)]
     return sp.csr_matrix((np.ones(n), (np.zeros(n, dtype=np.int64), cols)),
                          shape=(1, n * n))
-
-
-def diag_vec_map(n: int) -> sp.csr_matrix:
-    """vec of diag(x) from a length-n vector x."""
-    rows = [flat_index(j, j, n) for j in range(n)]
-    return sp.csr_matrix((np.ones(n), (rows, np.arange(n))), shape=(n * n, n))
-
-
-def diag_mat_rows(n: int) -> np.ndarray:
-    """Flat positions of the diagonal of an n x n matrix."""
-    return np.array([flat_index(j, j, n) for j in range(n)], dtype=np.int64)

@@ -28,6 +28,7 @@ _RUIZ_SWEEPS = 10
 _MIN_SCALE = 1e-6
 _TAU_FLOOR = 1e-9
 _ACCEL_NORM_FLOOR = 1e-3
+_ALPHA = 1.5          # over-relaxation of the splitting step, in (0, 2)
 
 
 @dataclass
@@ -35,15 +36,12 @@ class SolverSettings:
     max_iters: int = 50000
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
-    alpha: float = 1.5
     check_interval: int = 25
     accel_memory: int = 10
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise InputError("max_iters must be positive")
-        if not (0.0 < self.alpha < 2.0):
-            raise InputError("relaxation alpha must lie in (0, 2)")
         if self.eps_abs < 0 or self.eps_rel < 0:
             raise InputError("tolerances must be nonnegative")
         if self.check_interval < 1:
@@ -133,7 +131,6 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
 
     norm_b = np.linalg.norm(cp.b)
     norm_c = np.linalg.norm(cp.c)
-    alpha = settings.alpha
     history = []
     status = "max_iters_reached"
     certificate = None
@@ -169,7 +166,7 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
     v = np.zeros(n + m + 1)
     u[-1] = 1.0
     v[-1] = 1.0
-    w = alpha * embed_solve(u + v) + (1.0 - alpha) * u - v
+    w = _ALPHA * embed_solve(u + v) + (1.0 - _ALPHA) * u - v
 
     mem = settings.accel_memory
     accel_on = mem > 0
@@ -235,7 +232,7 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
                     y = np.full(m, np.nan)
                     break
 
-        w_plain = w + alpha * (embed_solve(2.0 * u - w) - u)
+        w_plain = w + _ALPHA * (embed_solve(2.0 * u - w) - u)
         if not accel_on:
             w = w_plain
             continue

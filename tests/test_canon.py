@@ -246,6 +246,17 @@ def test_export_byte_stability():
     (lambda d: d["A"].update(rowidx=[0, 0] + d["A"]["rowidx"][2:]),
      "A.rowidx"),
     (lambda d: d["A"]["vals"].__setitem__(0, 0.0), "A.vals"),
+    # fractional indices, not truncated to the integer below
+    (lambda d: d["A"]["rowidx"].__setitem__(0, 0.5), "A.rowidx"),
+    (lambda d: d["A"]["colptr"].__setitem__(1, d["A"]["colptr"][1] + 0.5),
+     "A.colptr"),
+    (lambda d: d["cones"].update(q=5), "cones.q"),
+    (lambda d: d["cones"].update(s=None), "cones.s"),
+    # integers too large for a double, or for an index
+    (lambda d: d["c"].__setitem__(0, 10**400), "c"),
+    (lambda d: d["A"]["rowidx"].__setitem__(0, 2**70), "A.rowidx"),
+    (lambda d: d.update(offset=10**400), "offset"),
+    (lambda d: d.update(offset=float("nan")), "offset"),
 ])
 def test_import_rejects_malformed(mutate, message):
     prob, _ = small_lp()

@@ -2,20 +2,56 @@
 
 For each nonlinear atom, fix the argument by equality and minimize (or
 maximize) the atom; the optimal value must equal direct evaluation at
-the pinned point.
+the pinned point. For each affine atom, the lowered form applied to
+sampled argument values must equal the independent reference.
 """
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import conedsl as cd
 from conedsl.atoms import REGISTRY
+from conedsl.canon import GraphContext, Lowerer
 from conedsl.expr import Curvature
+from conedsl.lin import LinForm
 from conedsl.rng import SplitMix64
 
 from test_atoms import CASES, build_expr, case_atom, flat, sample_values
 
 NONLINEAR_IDS = [cid for cid, case in CASES.items()
                  if case["curv"] in (Curvature.CONVEX, Curvature.CONCAVE)]
+AFFINE_IDS = [cid for cid, case in CASES.items()
+              if case["curv"] is Curvature.AFFINE]
+
+
+@pytest.mark.parametrize("cid", AFFINE_IDS)
+def test_affine_lowering_matches_reference(cid):
+    case = CASES[cid]
+    var_idx = case.get("var_idx", list(range(len(case["shapes"]))))
+    e, the_vars = build_expr(cid)
+    ctx = GraphContext()
+    form = Lowerer(ctx).lower(e)
+    coef = form.widened(ctx.ncols)
+    rng = SplitMix64(31)
+    for _ in range(5):
+        vals = sample_values(cid, rng)
+        by_vid = {v.vid: vals[i] for v, i in zip(the_vars, var_idx)}
+        # the columns hold each variable's column-major entries in turn
+        x = np.concatenate([by_vid[v.vid].ravel(order="F")
+                            for v in ctx.user_vars])
+        want = np.asarray(case["ref"](vals), dtype=float).ravel(order="F")
+        assert np.allclose(coef @ x + form.const, want, atol=1e-12), cid
+
+
+def test_select_takes_minus_one_as_a_zero_row():
+    form = LinForm(sp.csr_matrix([[1.0, 2.0], [0.0, 3.0]]), [4.0, -0.0])
+    out = form.select([1, -1, 0, -1])
+    assert out.width == 2 and out.coef.nnz == 3
+    assert np.array_equal(out.coef.toarray(),
+                          [[0.0, 3.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
+    assert np.array_equal(out.const, [0.0, 0.0, 4.0, 0.0])
+    # a copied -0.0 stays -0.0; exports write the sign
+    assert list(np.signbit(out.const)) == [True, False, False, False]
 
 
 @pytest.mark.parametrize("cid", NONLINEAR_IDS)

@@ -241,10 +241,6 @@ def test_settings_validation():
     with pytest.raises(InputError):
         SolverSettings(max_iters=0)
     with pytest.raises(InputError):
-        SolverSettings(alpha=0.0)
-    with pytest.raises(InputError):
-        SolverSettings(alpha=2.0)
-    with pytest.raises(InputError):
         SolverSettings(eps_abs=-1e-9)
     with pytest.raises(InputError):
         SolverSettings(check_interval=0)
@@ -256,7 +252,6 @@ def test_settings_defaults():
     s = SolverSettings()
     assert s.max_iters == 50000
     assert s.eps_abs == 1e-6 and s.eps_rel == 1e-6
-    assert s.alpha == 1.5
     assert s.check_interval == 25
 
 
