@@ -153,12 +153,9 @@ def solve(problem: Problem, solver: str | None = None, settings=None,
 
     sol = solve_cone_program(cp, _make_settings(settings, options))
     sign = -1.0 if cp.flipped else 1.0
-    # only an optimal iterate has a value; the last residuals of any other
-    # stay in the metrics
-    if sol.status == "optimal":
-        value = sign * (float(cp.c @ sol.x) + cp.offset)
-    else:
-        value = float("nan")
+    # only an optimal iterate has an objective (NaN otherwise); the last
+    # residuals of any other stay in the metrics
+    value = sign * (sol.objective + cp.offset)
     metrics = {"iterations": sol.iterations,
                "solve_time": sol.solve_time,
                "residuals": sol.residuals}

@@ -48,7 +48,6 @@ class AtomDescriptor:
     graph: Callable | None = None
     copies_entries: bool = False
     sample: Callable = _default_sample
-    doc: str = ""
 
     def __post_init__(self):
         REGISTRY[self.name] = self

@@ -5,7 +5,7 @@ import numpy as np
 
 from ..errors import DCPError, ShapeError, UnsupportedAtomError
 from ..expr import (AtomExpr, Curvature, Monotonicity, Sign, as_expression,
-                    constant_value, sign_join)
+                    constant_value, sign_neg)
 from ..lin import LinForm
 from .base import AtomDescriptor, const, monos, same_shape
 
@@ -239,13 +239,8 @@ def _max_elem_sign(signs, params):
 
 
 def _min_elem_sign(signs, params):
-    if all(s == Sign.ZERO for s in signs):
-        return Sign.ZERO
-    if any(s in (Sign.ZERO, Sign.NONPOS) for s in signs):
-        return Sign.NONPOS
-    if all(s == Sign.NONNEG for s in signs):
-        return Sign.NONNEG
-    return Sign.UNKNOWN
+    # min(a, b) = -max(-a, -b)
+    return sign_neg(_max_elem_sign([sign_neg(s) for s in signs], params))
 
 
 def _max_elem_graph(ctx, forms, params):

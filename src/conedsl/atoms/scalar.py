@@ -9,6 +9,7 @@ from ..expr import (AtomExpr, Curvature, Monotonicity, Shape, Sign,
                     as_expression, constant_value)
 from ..lin import LinForm
 from .base import AtomDescriptor, const, monos, scalar_shape
+from .structural import _const_mono
 
 _INC = Monotonicity.INCREASING
 _DEC = Monotonicity.DECREASING
@@ -314,15 +315,9 @@ def _quad_form_curv(signs, params):
 
 
 def _quad_form_monos(signs, params):
-    mode = params["mode"]
-    if mode == "const_x":
+    if params["mode"] == "const_x":
         c = params["c"].ravel()
-        outer = np.outer(c, c)
-        if np.all(outer >= 0):
-            return [_NONMONO, _INC]
-        if np.all(outer <= 0):
-            return [_NONMONO, _DEC]
-        return [_NONMONO, _NONMONO]
+        return [_NONMONO, _const_mono(np.outer(c, c))]
     return [_NONMONO, _NONMONO]
 
 

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from ..errors import DCPError, ShapeError
 from ..expr import (AtomExpr, ConstantExpr, Curvature, Expression,
                     Monotonicity, Shape, Sign, as_expression, constant_value,
-                    sign_add, sign_join, sign_mul, sign_neg, sign_of_values)
+                    sign_add, sign_mul, sign_neg, sign_of_values)
 from ..lin import (cumsum_axis_map, diff_map, matmul_left_map,
                    matmul_right_map, sum_axis_map, trace_map)
 from .base import AtomDescriptor, const, monos, same_shape
@@ -294,7 +294,7 @@ def _vstack_shape(shapes, params):
 def _join_signs(signs, params):
     out = signs[0]
     for s in signs[1:]:
-        out = sign_join(out, s)
+        out = sign_add(out, s)
     return out
 
 

@@ -27,8 +27,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DCPError, InputError, SchemaError, ShapeError
-from .expr import (AtomExpr, ConstantExpr, Curvature, Expression, Variable,
-                   dcp_check)
+from .expr import AtomExpr, Curvature, Expression, Variable, dcp_check
 from .lin import LinForm, flat_index, svec_map
 
 
@@ -274,18 +273,14 @@ class Lowerer:
             return self.memo[key]
         if isinstance(e, Variable):
             form = self.ctx.variable(e)
-        elif isinstance(e, ConstantExpr):
-            form = LinForm.constant(e.values.ravel(order="F"))
+        elif e.curvature == Curvature.CONSTANT:
+            form = LinForm.constant(e.value({}).ravel(order="F"))
         elif isinstance(e, AtomExpr):
-            if e.curvature == Curvature.CONSTANT:
-                form = LinForm.constant(e.value({}).ravel(order="F"))
+            child_forms = [self.lower(a) for a in e.args]
+            if e.atom.copies_entries:
+                form = LinForm.concat(child_forms).select(_entry_positions(e))
             else:
-                child_forms = [self.lower(a) for a in e.args]
-                if e.atom.copies_entries:
-                    form = LinForm.concat(child_forms).select(
-                        _entry_positions(e))
-                else:
-                    form = e.atom.graph(self.ctx, child_forms, e.params)
+                form = e.atom.graph(self.ctx, child_forms, e.params)
         else:
             raise TypeError(f"cannot lower {type(e).__name__}")
         self.memo[key] = form

@@ -5,7 +5,9 @@ applications. Curvature is inferred by the standard composition rule:
 f(g_1, ..., g_k) is convex when f is convex and each argument is affine,
 or convex where f is increasing, or concave where f is decreasing; the
 concave case is the mirror image. Everything that cannot be certified
-this way is reported as unknown, never guessed.
+this way is reported as unknown, never guessed. `_clause_breaks` states
+this rule once, at one atom node: the curvature verdict and the
+rejection path of `violation_path` are both read from it.
 """
 from __future__ import annotations
 
@@ -72,17 +74,6 @@ def sign_mul(a: Sign, b: Sign) -> Sign:
     return Sign.NONNEG if a == b else Sign.NONPOS
 
 
-def sign_join(a: Sign, b: Sign) -> Sign:
-    """Least upper bound in the lattice zero <= nonneg/nonpos <= unknown."""
-    if a == b:
-        return a
-    if a == Sign.ZERO:
-        return b
-    if b == Sign.ZERO:
-        return a
-    return Sign.UNKNOWN
-
-
 def sign_of_values(values: np.ndarray) -> Sign:
     if np.all(values == 0):
         return Sign.ZERO
@@ -99,18 +90,6 @@ class Curvature(Enum):
     CONVEX = "convex"
     CONCAVE = "concave"
     UNKNOWN = "unknown"
-
-
-def is_convex(c: Curvature) -> bool:
-    return c in (Curvature.CONSTANT, Curvature.AFFINE, Curvature.CONVEX)
-
-
-def is_concave(c: Curvature) -> bool:
-    return c in (Curvature.CONSTANT, Curvature.AFFINE, Curvature.CONCAVE)
-
-
-def is_affine(c: Curvature) -> bool:
-    return c in (Curvature.CONSTANT, Curvature.AFFINE)
 
 
 class Monotonicity(Enum):
@@ -130,6 +109,19 @@ def resolve_monotonicity(mono: Monotonicity, arg_sign: Sign) -> Monotonicity:
     if arg_sign == Sign.NONPOS:
         return Monotonicity.DECREASING
     return Monotonicity.NONMONOTONE
+
+
+# the curvatures that meet each requirement
+_MEETS = {
+    "affine": (Curvature.CONSTANT, Curvature.AFFINE),
+    "convex": (Curvature.CONSTANT, Curvature.AFFINE, Curvature.CONVEX),
+    "concave": (Curvature.CONSTANT, Curvature.AFFINE, Curvature.CONCAVE),
+}
+_OPPOSITE = {"affine": "affine", "convex": "concave", "concave": "convex"}
+
+# what a convex atom asks of an argument it increases or decreases in
+_CONVEX_ARG_NEED = {Monotonicity.INCREASING: "convex",
+                    Monotonicity.DECREASING: "concave"}
 
 
 _var_counter = itertools.count()
@@ -305,13 +297,19 @@ def Semidef(n: int, name: str | None = None) -> Variable:
     return Variable(n, n, name=name, attr="psd-symmetric")
 
 
-def to_matrix(val, shape: Shape) -> np.ndarray:
-    """Coerce a scalar / 1-D / 2-D value to the expression's 2-D shape."""
+def _as_2d(val) -> np.ndarray:
+    """A float array with a scalar made 1 x 1 and a 1-D value a column."""
     arr = np.asarray(val, dtype=float)
     if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
+        return arr.reshape(1, 1)
+    if arr.ndim == 1:
+        return arr.reshape(-1, 1)
+    return arr
+
+
+def to_matrix(val, shape: Shape) -> np.ndarray:
+    """Coerce a scalar / 1-D / 2-D value to the expression's 2-D shape."""
+    arr = _as_2d(val)
     if arr.shape != (shape.rows, shape.cols):
         raise ShapeError(f"value shape {arr.shape} does not match {tuple(shape)}")
     return arr
@@ -321,12 +319,8 @@ class ConstantExpr(Expression):
     __slots__ = ("values",)
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(-1, 1)
-        elif arr.ndim != 2:
+        arr = _as_2d(values)
+        if arr.ndim != 2:
             raise ShapeError("constants must be at most 2-dimensional")
         bad = np.argwhere(~np.isfinite(arr))
         if bad.size:
@@ -388,20 +382,9 @@ class AtomExpr(Expression):
     def _compute_curvature(self) -> Curvature:
         if all(a.curvature == Curvature.CONSTANT for a in self.args):
             return Curvature.CONSTANT
-        base = self.atom.base_curvature([a.sign for a in self.args], self.params)
-        monos = [
-            resolve_monotonicity(m, a.sign)
-            for m, a in zip(self.atom.monotonicity([a.sign for a in self.args],
-                                                   self.params), self.args)
-        ]
-        cvx_ok = base in (Curvature.AFFINE, Curvature.CONVEX) and all(
-            _arg_ok(a.curvature, m, want_convex=True)
-            for a, m in zip(self.args, monos)
-        )
-        ccv_ok = base in (Curvature.AFFINE, Curvature.CONCAVE) and all(
-            _arg_ok(a.curvature, m, want_convex=False)
-            for a, m in zip(self.args, monos)
-        )
+        clauses = _clause_breaks(self)
+        cvx_ok = clauses["convex"] == []
+        ccv_ok = clauses["concave"] == []
         if cvx_ok and ccv_ok:
             return Curvature.AFFINE
         if cvx_ok:
@@ -419,14 +402,28 @@ class AtomExpr(Expression):
         return to_matrix(out, self.shape)
 
 
-def _arg_ok(curv: Curvature, mono: Monotonicity, want_convex: bool) -> bool:
-    if is_affine(curv):
-        return True
-    if want_convex:
-        return (is_convex(curv) and mono == Monotonicity.INCREASING) or (
-            is_concave(curv) and mono == Monotonicity.DECREASING)
-    return (is_concave(curv) and mono == Monotonicity.INCREASING) or (
-        is_convex(curv) and mono == Monotonicity.DECREASING)
+def _clause_breaks(e: AtomExpr) -> dict:
+    """The composition rule at one atom node, for its two clauses.
+
+    f(g_1, ..., g_k) is convex when f is convex and each g_i is convex
+    where f increases in it, concave where f decreases, and affine
+    otherwise; the concave clause asks the opposite of each argument.
+    Maps "convex" and "concave" to the (argument, requirement) pairs that
+    break that clause, or to None when f's base curvature rules it out.
+    """
+    signs = [a.sign for a in e.args]
+    base = e.atom.base_curvature(signs, e.params)
+    needs = [_CONVEX_ARG_NEED.get(resolve_monotonicity(m, s), "affine")
+             for m, s in zip(e.atom.monotonicity(signs, e.params), signs)]
+    out = {}
+    for clause, curv in (("convex", Curvature.CONVEX),
+                         ("concave", Curvature.CONCAVE)):
+        out[clause] = None
+        if base in (Curvature.AFFINE, curv):
+            out[clause] = [(a, n) for a, n in zip(e.args, needs)
+                           if a.curvature not in _MEETS[n]]
+        needs = [_OPPOSITE[n] for n in needs]
+    return out
 
 
 # -- constraints ------------------------------------------------------------
@@ -507,52 +504,23 @@ class DCPReport:
         return "\n".join(lines)
 
 
-def _need_met(curv: Curvature, need: str) -> bool:
-    if need == "affine":
-        return is_affine(curv)
-    if need == "convex":
-        return is_convex(curv)
-    return is_concave(curv)
-
-
 def violation_path(e: Expression, need: str):
     """Root-to-leaf chain explaining why e fails the curvature requirement.
 
-    Returns None when the requirement holds. At each atom the first child
-    that breaks every admissible composition clause is followed.
+    Returns None when the requirement holds. At each atom the first
+    argument that breaks the first clause able to meet the requirement is
+    followed.
     """
-    if _need_met(e.curvature, need):
+    if e.curvature in _MEETS[need]:
         return None
     path = [(e.label(), e.curvature)]
-    if not isinstance(e, AtomExpr):
-        return path
-    base = e.atom.base_curvature([a.sign for a in e.args], e.params)
-    viable = []
-    if need in ("convex", "affine") and base in (Curvature.AFFINE, Curvature.CONVEX):
-        viable.append(True)
-    if need in ("concave", "affine") and base in (Curvature.AFFINE, Curvature.CONCAVE):
-        viable.append(False)
-    monos = [
-        resolve_monotonicity(m, a.sign)
-        for m, a in zip(e.atom.monotonicity([a.sign for a in e.args], e.params),
-                        e.args)
-    ]
-    for want_convex in viable:
-        for child, mono in zip(e.args, monos):
-            if not _arg_ok(child.curvature, mono, want_convex):
-                child_need = _child_requirement(mono, want_convex)
-                sub = violation_path(child, child_need)
-                if sub:
-                    return path + sub
+    if isinstance(e, AtomExpr):
+        clauses = _clause_breaks(e)
+        for clause in ("convex", "concave"):
+            if need in (clause, "affine") and clauses[clause]:
+                child, child_need = clauses[clause][0]
+                return path + violation_path(child, child_need)
     return path
-
-
-def _child_requirement(mono: Monotonicity, want_convex: bool) -> str:
-    if mono == Monotonicity.INCREASING:
-        return "convex" if want_convex else "concave"
-    if mono == Monotonicity.DECREASING:
-        return "concave" if want_convex else "convex"
-    return "affine"
 
 
 def dcp_check(problem) -> DCPReport:

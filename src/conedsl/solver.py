@@ -14,6 +14,7 @@ Deterministic: no random state anywhere in the loop.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,8 @@ _MIN_SCALE = 1e-6
 _TAU_FLOOR = 1e-9
 _ACCEL_NORM_FLOOR = 1e-3
 _ALPHA = 1.5          # over-relaxation of the splitting step, in (0, 2)
+_CHECK_INTERVAL = 25  # iterations between convergence checks
+_ACCEL_MEMORY = 10    # Anderson differences kept
 
 
 @dataclass
@@ -36,18 +39,12 @@ class SolverSettings:
     max_iters: int = 50000
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
-    check_interval: int = 25
-    accel_memory: int = 10
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise InputError("max_iters must be positive")
         if self.eps_abs < 0 or self.eps_rel < 0:
             raise InputError("tolerances must be nonnegative")
-        if self.check_interval < 1:
-            raise InputError("check_interval must be positive")
-        if self.accel_memory < 0:
-            raise InputError("accel_memory must be nonnegative")
 
 
 @dataclass
@@ -138,13 +135,19 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
     residuals = (float("nan"),) * 3
     it = 0
 
+    def directions(uu, vv):
+        """(x, y, s) of the embedding in the problem's own scale, before
+        the division by sigma * tau (x, s) or rho * tau (y)."""
+        return e * uu[:n], d * uu[n:n + m], vv[n:n + m] / d
+
     def unscale(uu, vv):
         """(x, y, s) in the problem's own scale, their residuals (primal,
         dual, gap) and the scale |c'x| + |b'y| of the gap."""
         tau = max(uu[-1], _TAU_FLOOR)
-        xv = e * uu[:n] / (sigma * tau)
-        yv = d * uu[n:n + m] / (rho * tau)
-        sv = (vv[n:n + m] / d) / (sigma * tau)
+        xdir, ydir, sdir = directions(uu, vv)
+        xv = xdir / (sigma * tau)
+        yv = ydir / (rho * tau)
+        sv = sdir / (sigma * tau)
         pres = np.linalg.norm(A0 @ xv + sv - cp.b)
         dres = np.linalg.norm(A0.T @ yv + cp.c)
         ctx = cp.c @ xv
@@ -168,10 +171,10 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
     v[-1] = 1.0
     w = _ALPHA * embed_solve(u + v) + (1.0 - _ALPHA) * u - v
 
-    mem = settings.accel_memory
-    accel_on = mem > 0
+    accel_on = True
     w_scale = float(np.linalg.norm(w))
-    dws, dgs = [], []            # recent iterate / residual differences
+    # recent iterate / residual differences
+    dws, dgs = deque(maxlen=_ACCEL_MEMORY), deque(maxlen=_ACCEL_MEMORY)
     prev_w = prev_g = None
     # after an Anderson step: the plain step and the residual norm of the
     # point it was extrapolated from
@@ -182,7 +185,7 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
         u = proj(w)
         v = u - w
 
-        if it % settings.check_interval == 0 or it == settings.max_iters:
+        if it % _CHECK_INTERVAL == 0 or it == settings.max_iters:
             tau = u[-1]
             resid = (float("nan"),) * 3
             if tau > _TAU_FLOOR:
@@ -200,7 +203,7 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
                 break
 
             # certificate checks use the raw directions (no tau division)
-            ydir = d * u[n:n + m]
+            xdir, ydir, sdir = directions(u, v)
             bty_dir = cp.b @ ydir
             if bty_dir < 0 and norm_b > 0:
                 res = np.linalg.norm(A0.T @ ydir)
@@ -215,8 +218,6 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
                     s_vec = np.full(m, np.nan)
                     y = ycert
                     break
-            xdir = e * u[:n]
-            sdir = v[n:n + m] / d
             ctx_dir = cp.c @ xdir
             if ctx_dir < 0 and norm_c > 0:
                 res = np.linalg.norm(A0 @ xdir + sdir)
@@ -256,9 +257,6 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
         if prev_w is not None:
             dws.append(w - prev_w)
             dgs.append(g - prev_g)
-            if len(dws) > mem:
-                dws.pop(0)
-                dgs.pop(0)
         prev_w, prev_g = w, g
         if dws:
             Y = np.column_stack(dgs)

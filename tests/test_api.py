@@ -154,8 +154,7 @@ def test_export_round_trip_matches_direct_solve():
 
 def test_settings_object_passthrough():
     prob, _ = simple_problem()
-    res = cd.solve(prob, settings=cd.SolverSettings(max_iters=2,
-                                                    check_interval=1))
+    res = cd.solve(prob, settings=cd.SolverSettings(max_iters=2))
     assert res.status == "max_iters_reached"
 
 

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 import conedsl as cd
-from conedsl.expr import Curvature, Sign, violation_path
+from conedsl.atoms import REGISTRY
+from conedsl.expr import (AtomExpr, Curvature, Monotonicity, Sign,
+                          resolve_monotonicity, violation_path)
 from conedsl.errors import DCPError, ShapeError
+from conedsl.rng import SplitMix64
 
 
 def test_variable_basics():
@@ -218,3 +221,268 @@ def test_indexing_and_transpose():
     env = {M: np.arange(12, dtype=float).reshape(3, 4)}
     assert np.isclose(M[1, 2].value(env), 6.0)
     assert np.allclose(M.T.value(env), np.arange(12, dtype=float).reshape(3, 4).T)
+
+
+# -- random trees over the registered atoms -----------------------------------
+
+SCALAR, COL, ROW, SQUARE = (1, 1), (3, 1), (1, 3), (3, 3)
+SHAPES = (SCALAR, COL, ROW, SQUARE)
+TRANSPOSED = {SCALAR: SCALAR, COL: ROW, ROW: COL, SQUARE: SQUARE}
+ELEMENTWISE = (cd.abs, cd.entr, cd.exp, lambda e: cd.huber(e, 1.5),
+               cd.inv_pos, cd.log, cd.logistic, cd.neg, cd.pos, cd.sqrt,
+               cd.square)
+
+
+def pick(rng, options):
+    return options[rng.randint(len(options))]
+
+
+def random_constant(rng, shape):
+    """Positive, negative, mixed-sign or zero entries."""
+    kind = rng.randint(4)
+    vals = rng.uniforms(*shape) + 0.5
+    if kind == 1:
+        vals = -vals
+    elif kind == 2:
+        vals = rng.normals(*shape)
+    elif kind == 3:
+        vals = np.zeros(shape)
+    return cd.Constant(vals)
+
+
+def definite(rng, sign):
+    B = rng.normals(3, 3)
+    return sign * (B @ B.T)
+
+
+def varying(sub, shape):
+    """A subtree that is not constant, for the operands a facade would
+    otherwise evaluate."""
+    return sub(shape) + cd.Variable(*shape)
+
+
+# rules per output shape; each takes the generator and a builder of
+# subtrees of a given shape, and composes without regard to DCP
+ANY_SHAPE_RULES = (
+    lambda rng, sub, s: pick(rng, ELEMENTWISE)(sub(s)),
+    lambda rng, sub, s: sub(s) + sub(s),
+    lambda rng, sub, s: sub(s) - sub(s),
+    lambda rng, sub, s: rng.normal() * sub(s),
+    lambda rng, sub, s: sub(s) / -2.0,
+    lambda rng, sub, s: random_constant(rng, s) * sub(s),
+    lambda rng, sub, s: cd.max_elemwise(*[sub(s) for _ in range(2 + rng.randint(2))]),
+    lambda rng, sub, s: cd.min_elemwise(*[sub(s) for _ in range(2 + rng.randint(2))]),
+    lambda rng, sub, s: cd.cumsum_axis(sub(s), 1 + rng.randint(2)),
+    lambda rng, sub, s: sub(TRANSPOSED[s]).T,
+)
+SHAPE_RULES = {
+    SCALAR: (
+        lambda rng, sub: sub(COL)[rng.randint(3)],
+        lambda rng, sub: cd.diff(sub(COL), differences=2),
+        lambda rng, sub: cd.sum_entries(sub(pick(rng, SHAPES))),
+        lambda rng, sub: cd.matrix_trace(sub(SQUARE)),
+        lambda rng, sub: cd.lambda_max(sub(SQUARE)),
+        lambda rng, sub: cd.lambda_min(sub(SQUARE)),
+        lambda rng, sub: cd.log_det(sub(SQUARE)),
+        lambda rng, sub: cd.log_sum_exp(sub(COL)),
+        lambda rng, sub: cd.max_entries(sub(pick(rng, (COL, SQUARE)))),
+        lambda rng, sub: cd.min_entries(sub(pick(rng, (COL, SQUARE)))),
+        lambda rng, sub: cd.p_norm(sub(COL), pick(rng, (1, 2, "inf"))),
+        lambda rng, sub: cd.cvxr_norm(sub(SQUARE), "fro"),
+        lambda rng, sub: cd.sum_squares(sub(COL)),
+        lambda rng, sub: cd.quad_form(varying(sub, COL), definite(rng, pick(rng, (1, -1)))),
+        lambda rng, sub: cd.quad_form(random_constant(rng, COL), sub(SQUARE)),
+        lambda rng, sub: cd.quad_over_lin(sub(COL), sub(SCALAR)),
+        lambda rng, sub: rng.normals(1, 3) @ sub(COL),
+        lambda rng, sub: varying(sub, ROW) @ rng.normals(3, 1),
+    ),
+    COL: (
+        lambda rng, sub: sub(SQUARE)[:, rng.randint(3)],
+        lambda rng, sub: cd.vstack(sub(SCALAR), sub(SCALAR), sub(SCALAR)),
+        lambda rng, sub: cd.diag(sub(SQUARE)),
+        lambda rng, sub: rng.normals(3, 3) @ sub(COL),
+        lambda rng, sub: cd.vec(sub(ROW)),
+        lambda rng, sub: random_constant(rng, COL) * sub(SCALAR),
+        lambda rng, sub: cd.sum_entries(sub(SQUARE), axis=1),
+    ),
+    ROW: (
+        lambda rng, sub: sub(SQUARE)[rng.randint(3), :],
+        lambda rng, sub: cd.hstack(sub(SCALAR), sub(SCALAR), sub(SCALAR)),
+        lambda rng, sub: varying(sub, ROW) @ rng.normals(3, 3),
+        lambda rng, sub: cd.reshape_expr(sub(COL), 1, 3),
+        lambda rng, sub: cd.sum_entries(sub(SQUARE), axis=2),
+    ),
+    SQUARE: (
+        lambda rng, sub: cd.hstack(sub(COL), sub(COL), sub(COL)),
+        lambda rng, sub: cd.vstack(sub(ROW), sub(ROW), sub(ROW)),
+        lambda rng, sub: cd.diag(sub(COL)),
+        lambda rng, sub: rng.normals(3, 3) @ sub(SQUARE),
+        lambda rng, sub: varying(sub, SQUARE) @ rng.normals(3, 3),
+        lambda rng, sub: sub(SQUARE)[[2, 0, 1], :],
+    ),
+}
+
+
+def random_tree(rng, shape, depth):
+    """An expression of the given shape, DCP or not, at most depth atoms
+    deep."""
+    if depth == 0 or rng.randint(5) == 0:
+        return cd.Variable(*shape) if rng.randint(3) else random_constant(rng, shape)
+
+    def sub(s):
+        return random_tree(rng, s, depth - 1)
+
+    rules = SHAPE_RULES[shape]
+    k = rng.randint(len(ANY_SHAPE_RULES) + len(rules))
+    if k < len(ANY_SHAPE_RULES):
+        return ANY_SHAPE_RULES[k](rng, sub, shape)
+    return rules[k - len(ANY_SHAPE_RULES)](rng, sub)
+
+
+def random_problem(seed, depth=3):
+    rng = SplitMix64(seed)
+    sense = pick(rng, (cd.Minimize, cd.Maximize))
+    constraints = []
+    for _ in range(rng.randint(4)):
+        kind = rng.randint(3)
+        if kind == 2:
+            constraints.append(cd.psd(random_tree(rng, SQUARE, depth)))
+            continue
+        shape = pick(rng, SHAPES)
+        lhs, rhs = random_tree(rng, shape, depth), random_tree(rng, shape, depth)
+        constraints.append(lhs <= rhs if kind == 0 else lhs == rhs)
+    return cd.Problem(sense(random_tree(rng, SCALAR, depth)), constraints)
+
+
+def atom_nodes(e, seen=None):
+    """Distinct atom nodes of a tree, by identity."""
+    seen = {} if seen is None else seen
+    if isinstance(e, AtomExpr) and id(e) not in seen:
+        seen[id(e)] = e
+        for a in e.args:
+            atom_nodes(a, seen)
+    return seen
+
+
+def reference_curvature(e):
+    """The composition rule of Grant, Boyd and Ye, read per argument:
+    affine always passes; a convex argument passes where the clause's
+    atom increases in it (convex clause) or decreases (concave clause);
+    a concave one the other way round."""
+    if not isinstance(e, AtomExpr):
+        return e.curvature
+    curvs = [reference_curvature(a) for a in e.args]
+    if all(c is Curvature.CONSTANT for c in curvs):
+        return Curvature.CONSTANT
+    signs = [a.sign for a in e.args]
+    base = e.atom.base_curvature(signs, e.params)
+    monos = [resolve_monotonicity(m, s)
+             for m, s in zip(e.atom.monotonicity(signs, e.params), signs)]
+    up = {True: Monotonicity.INCREASING, False: Monotonicity.DECREASING}
+
+    def holds(convex):
+        if base not in (Curvature.AFFINE,
+                        Curvature.CONVEX if convex else Curvature.CONCAVE):
+            return False
+        return all(c in (Curvature.CONSTANT, Curvature.AFFINE)
+                   or (c is Curvature.CONVEX and m is up[convex])
+                   or (c is Curvature.CONCAVE and m is up[not convex])
+                   for c, m in zip(curvs, monos))
+
+    cvx, ccv = holds(True), holds(False)
+    if cvx and ccv:
+        return Curvature.AFFINE
+    if cvx or ccv:
+        return Curvature.CONVEX if cvx else Curvature.CONCAVE
+    return Curvature.UNKNOWN
+
+
+MEETS = {
+    "affine": {Curvature.CONSTANT, Curvature.AFFINE},
+    "convex": {Curvature.CONSTANT, Curvature.AFFINE, Curvature.CONVEX},
+    "concave": {Curvature.CONSTANT, Curvature.AFFINE, Curvature.CONCAVE},
+}
+
+
+def test_random_trees_reach_every_registered_atom():
+    used = set()
+    for seed in range(300):
+        p = random_problem(seed)
+        for body in [p.objective.expr] + [c.body for c in p.constraints]:
+            used |= {e.atom.name for e in atom_nodes(body).values()}
+    assert used == set(REGISTRY)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_violation_path_agrees_with_curvature(block):
+    accepted = 0
+    for seed in range(100 * block, 100 * block + 100):
+        p = random_problem(seed)
+        bodies = [p.objective.expr] + [c.body for c in p.constraints]
+        for body in bodies:
+            for e in [body] + list(atom_nodes(body).values()):
+                assert e.curvature is reference_curvature(e)
+                for need, meets in MEETS.items():
+                    path = violation_path(e, need)
+                    assert (path is None) == (e.curvature in meets)
+                    if path is not None:
+                        assert path[0] == (e.label(), e.curvature)
+        obj_need = "convex" if p.objective.sense == "minimize" else "concave"
+        needs = [obj_need] + [{"eq": "affine", "ineq": "convex",
+                               "psd": "affine"}[c.kind] for c in p.constraints]
+        all_clear = all(violation_path(b, n) is None
+                        for b, n in zip(bodies, needs))
+        assert cd.dcp_check(p).accepted == all_clear
+        accepted += all_clear
+    # the corpus holds both verdicts
+    assert 0 < accepted < 100
+
+
+def count_rule_calls(monkeypatch):
+    calls = {"base_curvature": 0, "monotonicity": 0}
+
+    def counted(name, fn):
+        def wrapper(signs, params):
+            calls[name] += 1
+            return fn(signs, params)
+        return wrapper
+
+    for desc in REGISTRY.values():
+        for name in calls:
+            monkeypatch.setattr(desc, name, counted(name, getattr(desc, name)))
+    return calls
+
+
+def test_curvature_consults_each_atom_rule_once_per_node(monkeypatch):
+    calls = count_rule_calls(monkeypatch)
+    x = cd.Variable(3, name="x")
+    e = cd.sum_entries(cd.square(x - 1)) + cd.p_norm(cd.exp(x), 2)
+    assert e.curvature is Curvature.CONVEX
+    n_atoms = len(atom_nodes(e))
+    assert 0 < calls["base_curvature"] <= n_atoms
+    assert 0 < calls["monotonicity"] <= n_atoms
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_tree_curvature_consults_rules_once_per_node(monkeypatch, seed):
+    calls = count_rule_calls(monkeypatch)
+    p = random_problem(seed)
+    nodes = {}
+    for body in [p.objective.expr] + [c.body for c in p.constraints]:
+        body.curvature
+        atom_nodes(body, nodes)
+    assert calls["base_curvature"] <= len(nodes)
+    assert calls["monotonicity"] <= len(nodes)
+
+
+def test_violation_path_follows_first_clause_then_first_argument():
+    x = cd.Variable(2, name="x")
+    y = cd.Variable(2, name="y")
+    e = cd.square(x) + cd.sqrt(y) + cd.log(x)
+    U, CVX, CCV = Curvature.UNKNOWN, Curvature.CONVEX, Curvature.CONCAVE
+    # the convex clause comes first, and its first breaking argument is the
+    # inner sum, whose own convex clause breaks first at sqrt
+    assert violation_path(e, "affine") == [("+", U), ("+", U), ("sqrt", CCV)]
+    assert violation_path(e, "convex") == [("+", U), ("+", U), ("sqrt", CCV)]
+    assert violation_path(e, "concave") == [("+", U), ("+", U),
+                                            ("square", CVX)]

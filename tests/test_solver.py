@@ -220,7 +220,7 @@ def test_scaling_invariance_of_verdict():
 
 def test_max_iters_status():
     cp, _, _, _ = constructed_program(11, ("nonneg", "soc", "psd"))
-    sol = solve_cone_program(cp, SolverSettings(max_iters=3, check_interval=1))
+    sol = solve_cone_program(cp, SolverSettings(max_iters=3))
     assert sol.status == "max_iters_reached"
     assert sol.iterations == 3
     assert np.all(np.isfinite(sol.x))
@@ -242,28 +242,12 @@ def test_settings_validation():
         SolverSettings(max_iters=0)
     with pytest.raises(InputError):
         SolverSettings(eps_abs=-1e-9)
-    with pytest.raises(InputError):
-        SolverSettings(check_interval=0)
-    with pytest.raises(InputError):
-        SolverSettings(accel_memory=-1)
 
 
 def test_settings_defaults():
     s = SolverSettings()
     assert s.max_iters == 50000
     assert s.eps_abs == 1e-6 and s.eps_rel == 1e-6
-    assert s.check_interval == 25
-
-
-def test_plain_iteration_matches_accelerated_answer():
-    cp, x_star, _, _ = constructed_program(17, ("nonneg", "soc"))
-    opt = float(cp.c @ x_star)
-    plain = solve_cone_program(cp, SolverSettings(eps_abs=EPS, eps_rel=EPS,
-                                                  accel_memory=0))
-    accel = solve_cone_program(cp, SETTINGS)
-    assert plain.status == accel.status == "optimal"
-    assert abs(plain.objective - opt) <= 1e-4 * (1.0 + abs(opt))
-    assert abs(accel.objective - opt) <= 1e-4 * (1.0 + abs(opt))
 
 
 def program(c, b, cones):
@@ -373,7 +357,6 @@ def test_diagnostics_rendering():
     assert "certificate" in text
 
     cp, _, _, _ = constructed_program(19, ("nonneg", "soc"))
-    stuck = solve_cone_program(cp, SolverSettings(max_iters=2,
-                                                  check_interval=1))
+    stuck = solve_cone_program(cp, SolverSettings(max_iters=2))
     text = diagnostics(stuck)
     assert "max_iters_reached" in text
