@@ -152,10 +152,9 @@ def solve(problem: Problem, solver: str | None = None, settings=None,
                       {}, export=payload)
 
     sol = solve_cone_program(cp, _make_settings(settings, options))
-    sign = -1.0 if cp.flipped else 1.0
     # only an optimal iterate has an objective (NaN otherwise); the last
     # residuals of any other stay in the metrics
-    value = sign * (sol.objective + cp.offset)
+    value = cp.user_objective(sol.objective)
     metrics = {"iterations": sol.iterations,
                "solve_time": sol.solve_time,
                "residuals": sol.residuals}

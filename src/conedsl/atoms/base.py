@@ -1,13 +1,11 @@
 """Atom descriptor type, registry, and the conformance table generator."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from ..errors import UnsupportedAtomError
-from ..expr import Curvature, Monotonicity, Shape, Sign
+from ..expr import Shape, Sign
 
 REGISTRY: dict[str, "AtomDescriptor"] = {}
 

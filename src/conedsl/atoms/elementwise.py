@@ -139,7 +139,7 @@ HUBER = AtomDescriptor(
 
 
 def huber(x, M=1.0):
-    M = float(constant_value(as_expression(M)).item()) if not np.isscalar(M) else float(M)
+    M = float(constant_value(as_expression(M)).item())
     if M <= 0:
         raise DCPError("huber threshold M must be a positive constant")
     return AtomExpr(HUBER, [as_expression(x)], {"M": M})

@@ -8,12 +8,11 @@ lowering takes the source of each output entry from their evaluate.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import DCPError, ShapeError
-from ..expr import (AtomExpr, ConstantExpr, Curvature, Expression,
-                    Monotonicity, Shape, Sign, as_expression, constant_value,
-                    sign_add, sign_mul, sign_neg, sign_of_values)
+from ..expr import (AtomExpr, Curvature, Monotonicity, Shape, Sign,
+                    as_expression, constant_value, sign_add, sign_mul,
+                    sign_neg, sign_of_values)
 from ..lin import (cumsum_axis_map, diff_map, matmul_left_map,
                    matmul_right_map, sum_axis_map, trace_map)
 from .base import AtomDescriptor, const, monos, same_shape
@@ -65,8 +64,7 @@ def negate(a):
 # -- products ------------------------------------------------------------------
 
 def _scale_params(c):
-    c = float(c)
-    return {"c": c}
+    return {"c": float(constant_value(as_expression(c)).item())}
 
 
 SCALE = AtomDescriptor(
@@ -178,13 +176,10 @@ def matrix_product(a, b):
 
 
 def divide(x, c):
-    x = as_expression(x)
-    if isinstance(c, Expression):
-        c = constant_value(c).ravel()
-        if c.size != 1:
-            raise ShapeError("division requires a scalar constant divisor")
-        c = c[0]
-    c = float(c)
+    c = constant_value(as_expression(c))
+    if c.size != 1:
+        raise ShapeError("division requires a scalar constant divisor")
+    c = float(c.item())
     if c == 0:
         raise ZeroDivisionError("division of an expression by zero")
     return scale(x, 1.0 / c)

@@ -109,9 +109,15 @@ class ConeProgram:
             if bad.size:
                 raise InputError(f"{name}[{bad[0]}] is {vec[bad[0]]}; cone "
                                  f"program data must be finite")
-        if self.A.ncols != self.c.size or self.A.nrows != self.b.size:
+        if self.A.shape != (self.b.size, self.c.size):
             raise ShapeError("A dimensions disagree with c / b")
-        self.cones.validate(self.A.nrows)
+        self.cones.validate(self.b.size)
+
+    def user_objective(self, objective: float) -> float:
+        """The objective of the problem as posed, from that of this
+        program: the constant offset added back, and the sign flipped
+        back for a maximization."""
+        return (-1.0 if self.flipped else 1.0) * (objective + self.offset)
 
     @property
     def n(self) -> int:
@@ -552,7 +558,7 @@ def import_json(text: str):
             col = int(np.searchsorted(colptr, bad[0] + 1, side="right")) - 1
             raise SchemaError(f"field 'A.rowidx': row indices of column {col} "
                               f"must increase strictly")
-    A = linalg.SparseMatrix(m, n, colptr, rowidx, vals)
+    A = linalg.SparseMatrix((vals, rowidx, colptr), shape=(m, n))
 
     cdoc = doc["cones"]
     _expect(isinstance(cdoc, dict), "cones", "expected object")

@@ -17,8 +17,8 @@ import sys
 
 from .canon import canonicalize, export_json, import_json
 from .errors import ConeDSLError, DCPError, InputError, SchemaError
-from .examples import (ExampleConfig, build_example, describe_examples,
-                       emit_series, run_example)
+from .examples import (ExampleConfig, _jsonify, build_example,
+                       describe_examples, emit_series, run_example)
 from .solver import SolverSettings, solve_cone_program
 
 _STATUS_EXIT = {
@@ -75,23 +75,16 @@ def _cmd_solve(args):
     settings = SolverSettings(eps_abs=args.eps, eps_rel=args.eps,
                               max_iters=args.max_iters)
     sol = solve_cone_program(cp, settings)
-    objective = sol.objective + cp.offset
-    if cp.flipped:
-        objective = -objective
-    record = {
+    record = _jsonify({
         "file": args.file,
         "status": sol.status,
-        "objective": None if not _finite(objective) else objective,
-        "residuals": [None if not _finite(v) else v for v in sol.residuals],
+        "objective": cp.user_objective(sol.objective),
+        "residuals": sol.residuals,
         "iterations": sol.iterations,
         "solve_time": sol.solve_time,
-    }
+    })
     print(json.dumps(record, indent=2))
     return _STATUS_EXIT.get(sol.status, 1)
-
-
-def _finite(v):
-    return v == v and v not in (float("inf"), float("-inf"))
 
 
 def _cmd_list(_args):

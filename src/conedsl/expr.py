@@ -6,8 +6,8 @@ f(g_1, ..., g_k) is convex when f is convex and each argument is affine,
 or convex where f is increasing, or concave where f is decreasing; the
 concave case is the mirror image. Everything that cannot be certified
 this way is reported as unknown, never guessed. `_clause_breaks` states
-this rule once, at one atom node: the curvature verdict and the
-rejection path of `violation_path` are both read from it.
+this rule once, at one atom node: curvature inference keeps its result
+on the node, and the rejection path of `violation_path` reads it there.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DCPError, InputError, ShapeError, UnsupportedAtomError
+from .errors import DCPError, InputError, ShapeError
 
 
 class Shape(NamedTuple):
@@ -367,12 +367,13 @@ def constant_value(e: Expression) -> np.ndarray:
 class AtomExpr(Expression):
     """Application of an atom to argument expressions."""
 
-    __slots__ = ("atom", "args", "params")
+    __slots__ = ("atom", "args", "params", "_clauses")
 
     def __init__(self, atom, args, params=None):
         self.atom = atom
         self.args = tuple(args)
         self.params = params or {}
+        self._clauses = None  # _clause_breaks, kept by curvature inference
         shape = atom.shape_out([a.shape for a in self.args], self.params)
         super().__init__(shape)
 
@@ -382,9 +383,9 @@ class AtomExpr(Expression):
     def _compute_curvature(self) -> Curvature:
         if all(a.curvature == Curvature.CONSTANT for a in self.args):
             return Curvature.CONSTANT
-        clauses = _clause_breaks(self)
-        cvx_ok = clauses["convex"] == []
-        ccv_ok = clauses["concave"] == []
+        self._clauses = _clause_breaks(self)
+        cvx_ok = self._clauses["convex"] == []
+        ccv_ok = self._clauses["concave"] == []
         if cvx_ok and ccv_ok:
             return Curvature.AFFINE
         if cvx_ok:
@@ -515,10 +516,11 @@ def violation_path(e: Expression, need: str):
         return None
     path = [(e.label(), e.curvature)]
     if isinstance(e, AtomExpr):
-        clauses = _clause_breaks(e)
+        # a curvature that fails a need is not constant, so inference
+        # has kept the node's clauses
         for clause in ("convex", "concave"):
-            if need in (clause, "affine") and clauses[clause]:
-                child, child_need = clauses[clause][0]
+            if need in (clause, "affine") and e._clauses[clause]:
+                child, child_need = e._clauses[clause][0]
                 return path + violation_path(child, child_need)
     return path
 

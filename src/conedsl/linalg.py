@@ -1,9 +1,9 @@
-"""Sparse matrix type, quasidefinite solves, and the svec layout.
+"""Canonical CSC matrices, quasidefinite solves, and the svec layout.
 
-The canonicalizer and the solver exchange matrices in compressed sparse
-column form. Factorization is delegated to SciPy; this module pins down
-the exact contracts the rest of the package relies on (duplicate
-handling, residual bounds, the svec layout).
+The canonicalizer hands the solver and the JSON interchange a SciPy CSC
+matrix in canonical form. Factorization is delegated to SciPy; this
+module pins down the contracts the rest of the package relies on
+(duplicate handling, residual bounds, the svec layout).
 """
 from __future__ import annotations
 
@@ -16,53 +16,32 @@ import scipy.sparse.linalg as spla
 from .errors import FactorizationError, NumericError, ShapeError
 
 
-class SparseMatrix:
-    """Immutable CSC matrix: column pointers, row indices, values.
-
-    Row indices are strictly increasing within each column and no stored
-    value is exactly zero.
-    """
-
-    __slots__ = ("nrows", "ncols", "colptr", "rowidx", "vals", "_scipy")
-
-    def __init__(self, nrows, ncols, colptr, rowidx, vals):
-        self.nrows = int(nrows)
-        self.ncols = int(ncols)
-        self.colptr = np.asarray(colptr, dtype=np.int64)
-        self.rowidx = np.asarray(rowidx, dtype=np.int64)
-        self.vals = np.asarray(vals, dtype=np.float64)
-        if self.colptr.shape != (self.ncols + 1,):
-            raise ShapeError("colptr must have ncols + 1 entries")
-        if self.colptr[0] != 0 or self.colptr[-1] != self.vals.size:
-            raise ShapeError("colptr must start at 0 and end at nnz")
-        self._scipy = None
+class SparseMatrix(sp.csc_matrix):
+    """A SciPy CSC matrix whose `data`, `indices` and `indptr` also go by
+    their JSON names `vals`, `rowidx` and `colptr`."""
 
     @property
-    def nnz(self) -> int:
-        return int(self.vals.size)
+    def vals(self) -> np.ndarray:
+        return self.data
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
+    def rowidx(self) -> np.ndarray:
+        return self.indices
 
-    def to_scipy(self) -> sp.csc_matrix:
-        if self._scipy is None:
-            self._scipy = sp.csc_matrix(
-                (self.vals, self.rowidx, self.colptr), shape=(self.nrows, self.ncols)
-            )
-        return self._scipy
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
+    @property
+    def colptr(self) -> np.ndarray:
+        return self.indptr
 
 
 def from_scipy(mat) -> SparseMatrix:
-    """Normalize any scipy sparse matrix into the canonical CSC layout."""
-    csc = sp.csc_matrix(mat)
-    csc.sum_duplicates()
-    csc.eliminate_zeros()
-    csc.sort_indices()
-    return SparseMatrix(csc.shape[0], csc.shape[1], csc.indptr, csc.indices, csc.data)
+    """A copy of mat in canonical CSC form: row indices strictly increasing
+    within each column (duplicates summed) and no stored value exactly
+    zero. The copy keeps the in-place steps below off mat's arrays."""
+    A = SparseMatrix(mat, copy=True)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    A.sort_indices()
+    return A
 
 
 def from_dense(arr) -> SparseMatrix:
@@ -82,7 +61,7 @@ class QuasidefSolver:
     """
 
     def __init__(self, M):
-        csc = M.to_scipy() if isinstance(M, SparseMatrix) else sp.csc_matrix(M)
+        csc = sp.csc_matrix(M)
         if csc.shape[0] != csc.shape[1]:
             raise ShapeError("quasidefinite solve requires a square matrix")
         self._csc = csc

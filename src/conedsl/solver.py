@@ -101,9 +101,8 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
         raise InputError("solve_cone_program expects a ConeProgram")
     t0 = time.perf_counter()
     n, m = cp.n, cp.m
-    A0 = cp.A.to_scipy()
-    d, e = _equilibrate(A0, cp.cones)
-    As = sp.csc_matrix(sp.diags(d) @ A0 @ sp.diags(e))
+    d, e = _equilibrate(cp.A, cp.cones)
+    As = sp.csc_matrix(sp.diags(d) @ cp.A @ sp.diags(e))
     bs = d * cp.b
     cs = e * cp.c
     sigma = 1.0 / max(np.linalg.norm(bs), _MIN_SCALE)
@@ -148,8 +147,8 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
         xv = xdir / (sigma * tau)
         yv = ydir / (rho * tau)
         sv = sdir / (sigma * tau)
-        pres = np.linalg.norm(A0 @ xv + sv - cp.b)
-        dres = np.linalg.norm(A0.T @ yv + cp.c)
+        pres = np.linalg.norm(cp.A @ xv + sv - cp.b)
+        dres = np.linalg.norm(cp.A.T @ yv + cp.c)
         ctx = cp.c @ xv
         bty = cp.b @ yv
         return xv, yv, sv, (pres, dres, abs(ctx + bty)), abs(ctx) + abs(bty)
@@ -206,13 +205,13 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
             xdir, ydir, sdir = directions(u, v)
             bty_dir = cp.b @ ydir
             if bty_dir < 0 and norm_b > 0:
-                res = np.linalg.norm(A0.T @ ydir)
+                res = np.linalg.norm(cp.A.T @ ydir)
                 if res <= settings.eps_abs * (-bty_dir) / norm_b:
                     ycert = ydir / (-bty_dir)
                     status = "primal_infeasible"
                     certificate = {
                         "kind": "primal", "b_dot_y": -1.0,
-                        "residual": float(np.linalg.norm(A0.T @ ycert)),
+                        "residual": float(np.linalg.norm(cp.A.T @ ycert)),
                     }
                     x = np.full(n, np.nan)
                     s_vec = np.full(m, np.nan)
@@ -220,7 +219,7 @@ def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) 
                     break
             ctx_dir = cp.c @ xdir
             if ctx_dir < 0 and norm_c > 0:
-                res = np.linalg.norm(A0 @ xdir + sdir)
+                res = np.linalg.norm(cp.A @ xdir + sdir)
                 if res <= settings.eps_abs * (-ctx_dir) / norm_c:
                     scale = 1.0 / (-ctx_dir)
                     status = "dual_infeasible"

@@ -332,7 +332,7 @@ def test_criterion_11_constructed_optimum_suite():
                 sol = cd.solve_cone_program(cp, settings)
                 assert sol.status == "optimal", (mix, seed)
                 assert abs(sol.objective - opt) <= 1e-4 * (1.0 + abs(opt))
-                A = cp.A.to_dense()
+                A = cp.A.toarray()
                 pres = np.linalg.norm(A @ sol.x + sol.s - cp.b)
                 dres = np.linalg.norm(A.T @ sol.y + cp.c)
                 gap = abs(cp.c @ sol.x + cp.b @ sol.y)

@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -229,3 +230,18 @@ def test_nonfinite_constant_rejected_at_modelling_boundary():
         cd.solve(cd.Problem(cd.Minimize(cd.sum_squares(A @ x - 1))))
     with pytest.raises(InputError, match=r"inf at index \(0, 1\)"):
         cd.Constant([[1.0, np.inf]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: x / float("nan"),
+    lambda x: x / float("inf"),
+    lambda x: cd.scale(x, float("nan")),
+    lambda x: cd.huber(x, float("nan")),
+    lambda x: cd.huber(x, float("inf")),
+], ids=["divide-nan", "divide-inf", "scale-nan", "huber-nan", "huber-inf"])
+def test_nonfinite_scalar_parameter_rejected_when_atom_is_built(build):
+    x = cd.Variable(2, name="x")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="non-finite"):
+            build(x)

@@ -11,9 +11,9 @@ from scipy.special import logsumexp
 
 import conedsl as cd
 from conedsl.atoms import REGISTRY
-from conedsl.atoms.base import UNSUPPORTED, Monotonicity, get_atom
+from conedsl.atoms.base import UNSUPPORTED, get_atom
 from conedsl.errors import UnsupportedAtomError
-from conedsl.expr import AtomExpr, Curvature, Sign, make_shape
+from conedsl.expr import AtomExpr, Curvature, Monotonicity, Sign, make_shape
 from conedsl.rng import SplitMix64
 
 from oracles import huber_value

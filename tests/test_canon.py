@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 import conedsl as cd
@@ -27,7 +28,7 @@ def test_standard_form_row_structure():
     assert cp.cones.nonneg == 3
     assert vmap.n == 2 and vmap.m == 3
     # rows encode Ax + s = b with s >= 0: x >= 1 becomes -x + s = -1
-    assert np.allclose(cp.A.to_dense(), [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    assert np.allclose(cp.A.toarray(), [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
     assert np.allclose(cp.b, [-1.0, -1.0, 5.0])
     assert np.allclose(cp.c, [1.0, 1.0])
 
@@ -150,7 +151,7 @@ def test_constraint_records_address_their_rows():
         rec = vmap.var_by_vid(var.vid)
         env[var.vid] = rng.normals(rec.rows, rec.cols)
         point[rec.offset:rec.offset + rec.size] = env[var.vid].ravel(order="F")
-    slack = cp.b - cp.A.to_scipy() @ point
+    slack = cp.b - cp.A @ point
     for rec, con in zip(vmap.constrs, cons):
         body = np.asarray(con.body.value(env), dtype=float)
         if con.cid in atoms:
@@ -218,11 +219,27 @@ def test_export_schema_keys_and_round_trip():
     cp2, vmap2 = canon.import_json(text)
     assert np.allclose(cp2.c, cp.c)
     assert np.allclose(cp2.b, cp.b)
-    assert np.allclose(cp2.A.to_dense(), cp.A.to_dense())
+    assert np.allclose(cp2.A.toarray(), cp.A.toarray())
     assert cp2.cones == cp.cones
     assert cp2.offset == cp.offset and cp2.flipped == cp.flipped
     # second export of the imported program is byte-identical
     assert canon.export_json(cp2, vmap2) == text
+
+
+def test_cone_program_matrix_is_canonical_csc():
+    x = cd.Variable(3, name="x")
+    # x[0] cancels in the second constraint; x appears twice in the first
+    prob = cd.Problem(cd.Minimize(cd.sum_entries(x) + cd.p_norm(x - 1, 2)),
+                      [x + 2 * x >= 1, x[0] - x[0] + x[1] <= 3])
+    cp, vmap = canon.canonicalize(prob)
+    cp2, _ = canon.import_json(canon.export_json(cp, vmap))
+    for A in (cp.A, cp2.A):
+        assert isinstance(A, sp.csc_matrix)
+        assert A.vals is A.data
+        assert A.rowidx is A.indices
+        assert A.colptr is A.indptr
+        assert A.has_canonical_format
+        assert not np.any(A.data == 0.0)
 
 
 def test_export_byte_stability():
@@ -374,8 +391,8 @@ def test_cone_program_rejects_nonfinite_data(field):
     cp, _ = canon.canonicalize(prob)
     data = {"c": cp.c.copy(), "b": cp.b.copy(), "A.vals": cp.A.vals.copy()}
     data[field][1] = np.inf
-    A = linalg.SparseMatrix(cp.m, cp.n, cp.A.colptr, cp.A.rowidx,
-                            data["A.vals"])
+    A = linalg.SparseMatrix((data["A.vals"], cp.A.rowidx, cp.A.colptr),
+                            shape=(cp.m, cp.n))
     with pytest.raises(InputError, match=re.escape(f"{field}[1] is inf")):
         canon.ConeProgram(c=data["c"], A=A, b=data["b"], cones=cp.cones)
 

@@ -199,3 +199,20 @@ def test_maximization_objective_reported_in_user_sense(tmp_path, capsys):
     ref = json.loads(ref_out)
     assert np.isclose(solved["objective"], ref["objective"],
                       rtol=1e-5, atol=1e-6)
+
+
+def test_solve_reports_offset_and_flip_in_user_sense(tmp_path, capsys):
+    x = cd.Variable(name="x")
+    prob = cd.Problem(cd.Maximize(5 - cd.square(x - 3)))
+    res = cd.solve(prob, solver="export-only")
+    assert res.export["offset"] == -5.0 and res.export["flipped"]
+    f = tmp_path / "offset.json"
+    f.write_text(json.dumps(res.export))
+    code, out, _ = run_cli(capsys, ["solve", str(f), "--eps", "1e-9"])
+    assert code == 0
+    record = json.loads(out)
+    assert list(record) == ["file", "status", "objective", "residuals",
+                            "iterations", "solve_time"]
+    direct = cd.solve(prob, eps_abs=1e-9, eps_rel=1e-9)
+    assert np.isclose(record["objective"], 5.0, rtol=0, atol=1e-6)
+    assert np.isclose(record["objective"], direct.value, rtol=0, atol=1e-9)

@@ -461,6 +461,13 @@ def test_curvature_consults_each_atom_rule_once_per_node(monkeypatch):
     n_atoms = len(atom_nodes(e))
     assert 0 < calls["base_curvature"] <= n_atoms
     assert 0 < calls["monotonicity"] <= n_atoms
+    # a rejection path reads the rule inference already applied
+    calls.update(base_curvature=0, monotonicity=0)
+    bad = cd.sum_entries(cd.sqrt(cd.square(x - 1))) + cd.p_norm(cd.exp(x), 2)
+    assert not cd.dcp_check(cd.Problem(cd.Minimize(bad))).accepted
+    n_atoms = len(atom_nodes(bad))
+    assert 0 < calls["base_curvature"] <= n_atoms
+    assert 0 < calls["monotonicity"] <= n_atoms
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -1,0 +1,25 @@
+"""Every name a module imports is read somewhere in that module."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "conedsl"
+MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: str(p.relative_to(SRC).with_suffix("")))
+def test_module_reads_every_import(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    imported.pop("annotations", None)  # from __future__ import annotations
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items()
+                    if name not in read)
+    assert not unused, f"imported but never read: {', '.join(unused)}"

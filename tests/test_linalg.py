@@ -21,7 +21,7 @@ def test_from_dense_round_trip():
     for _ in range(10):
         dense = random_sparse(rng, 6, 4)
         A = linalg.from_dense(dense)
-        assert np.allclose(A.to_dense(), dense)
+        assert np.allclose(A.toarray(), dense)
         assert A.shape == (6, 4)
 
 
@@ -30,7 +30,7 @@ def test_csc_invariants():
     dense = random_sparse(rng, 8, 5)
     A = linalg.from_dense(dense)
     assert A.colptr[0] == 0 and A.colptr[-1] == A.nnz
-    for j in range(A.ncols):
+    for j in range(A.shape[1]):
         rows = A.rowidx[A.colptr[j]:A.colptr[j + 1]]
         assert np.all(np.diff(rows) > 0)
     assert not np.any(A.vals == 0.0)
@@ -41,18 +41,27 @@ def test_assemble_merges_duplicates():
                         shape=(2, 2))
     A = linalg.from_scipy(coo)
     # duplicate entries sum; the exact-zero sum is dropped
-    assert np.allclose(A.to_dense(), [[3.0, 0.0], [0.0, 0.0]])
+    assert np.allclose(A.toarray(), [[3.0, 0.0], [0.0, 0.0]])
     assert A.nnz == 1
-    assert np.allclose(A.to_scipy().toarray(), [[3.0, 0.0], [0.0, 0.0]])
+    assert np.allclose(A.toarray(), [[3.0, 0.0], [0.0, 0.0]])
 
 
 def test_scipy_round_trip():
     rng = SplitMix64(5)
     dense = random_sparse(rng, 5, 5)
     A = linalg.from_scipy(sp.csc_matrix(dense))
-    assert np.allclose(A.to_dense(), dense)
-    back = A.to_scipy()
+    assert np.allclose(A.toarray(), dense)
+    back = sp.csc_matrix(A)
     assert np.allclose(back.toarray(), dense)
+
+
+def test_from_scipy_leaves_its_argument_unchanged():
+    # one column holding rows 2, 1 (a stored zero) and 0, out of order
+    mat = sp.csc_matrix(([1.0, 0.0, 2.0], [2, 1, 0], [0, 3]), shape=(3, 1))
+    A = linalg.from_scipy(mat)
+    assert A.vals.tolist() == [2.0, 1.0] and A.rowidx.tolist() == [0, 2]
+    assert mat.data.tolist() == [1.0, 0.0, 2.0]
+    assert mat.indices.tolist() == [2, 1, 0]
 
 
 def quasidef_matrix(rng, n, m):

@@ -74,7 +74,7 @@ def test_constructed_optimum_recovery(batch):
         assert sol.status == "optimal", (mix, seed)
         assert abs(sol.objective - opt) <= 1e-4 * (1.0 + abs(opt))
         # KKT residuals at the reported point
-        A = cp.A.to_dense()
+        A = cp.A.toarray()
         pres = np.linalg.norm(A @ sol.x + sol.s - cp.b)
         dres = np.linalg.norm(A.T @ sol.y + cp.c)
         gap = abs(cp.c @ sol.x + cp.b @ sol.y)
@@ -206,7 +206,7 @@ def test_scaling_invariance_of_verdict():
             drow[start:stop] = 0.5 + 2.0 * rng.uniform()
     ecol = 0.5 + rng.uniforms(n) * 2.0
     rho = 3.7
-    A = cp.A.to_dense()
+    A = cp.A.toarray()
     scaled = ConeProgram(
         c=rho * (cp.c * ecol),
         A=from_dense(drow[:, None] * A * ecol[None, :]),
@@ -326,7 +326,7 @@ def test_feasibility_only_program(spec, inside, outside, feasible, eps):
     assert b @ y < 0
     assert np.linalg.norm(cone_ops.project_dual(spec, y) - y) \
         <= 1e-9 * np.linalg.norm(y)
-    assert np.linalg.norm(cp.A.to_scipy().T @ y) == 0.0
+    assert np.linalg.norm(cp.A.T @ y) == 0.0
 
 
 def test_dimension_mismatch_rejected():
