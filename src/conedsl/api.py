@@ -157,5 +157,6 @@ def solve(problem: Problem, solver: str | None = None, settings=None,
     value = cp.user_objective(sol.objective)
     metrics = {"iterations": sol.iterations,
                "solve_time": sol.solve_time,
-               "residuals": sol.residuals}
+               "residuals": sol.residuals,
+               "anderson": sol.anderson}
     return Result(problem, sol.status, value, sol, vmap, cp, metrics)

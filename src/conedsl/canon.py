@@ -24,6 +24,7 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import linalg
 from .errors import DCPError, InputError, SchemaError, ShapeError
@@ -94,6 +95,8 @@ class ConeSpec:
 
 @dataclass
 class ConeProgram:
+    """min c'x s.t. Ax + s = b, s in K. A may be any SciPy sparse matrix;
+    it is kept in the canonical form of `linalg.from_scipy`."""
     c: np.ndarray
     A: linalg.SparseMatrix
     b: np.ndarray
@@ -104,6 +107,13 @@ class ConeProgram:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float).ravel()
         self.b = np.asarray(self.b, dtype=float).ravel()
+        if not sp.issparse(self.A):
+            raise InputError(f"A must be a SciPy sparse matrix, got "
+                             f"{type(self.A).__name__}")
+        # a canonical A (as lowering and import_json build it) is kept as
+        # it is, so exporting it copies nothing
+        if not linalg.is_canonical(self.A):
+            self.A = linalg.from_scipy(self.A)
         for name, vec in (("c", self.c), ("b", self.b), ("A.vals", self.A.vals)):
             bad = np.flatnonzero(~np.isfinite(vec))
             if bad.size:

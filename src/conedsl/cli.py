@@ -81,6 +81,7 @@ def _cmd_solve(args):
         "objective": cp.user_objective(sol.objective),
         "residuals": sol.residuals,
         "iterations": sol.iterations,
+        "anderson": sol.anderson,
         "solve_time": sol.solve_time,
     })
     print(json.dumps(record, indent=2))

@@ -19,6 +19,8 @@ once by Newton steps safeguarded with bisection (rtsafe); the boundary ray
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import NumericError, ShapeError
@@ -267,14 +269,32 @@ def in_cone_block(kind: str, v: np.ndarray, meta=None, tol: float = 1e-9) -> boo
     raise ShapeError(f"unknown cone kind {kind!r}")
 
 
+class Layout(NamedTuple):
+    """K's rows as the projections read them: the total dimension and one
+    (kind, start, stop, meta) per cone kind present, as ConeSpec.kinds()
+    gives them."""
+    total_dim: int
+    kinds: tuple
+
+
+def layout(cones) -> Layout:
+    """The Layout of a ConeSpec, read once; a Layout is returned as it is.
+    A solver passes it to project_dual on every iteration, so that the
+    spec's table is not rebuilt per call."""
+    if isinstance(cones, Layout):
+        return cones
+    return Layout(cones.total_dim, tuple(cones.kinds()))
+
+
 def project(cones, v: np.ndarray) -> np.ndarray:
-    """Project v onto the product cone described by a ConeSpec: one pass
-    per cone kind present."""
+    """Project v onto the product cone described by a ConeSpec or its
+    Layout: one pass per cone kind present."""
     v = np.asarray(v, dtype=float).ravel()
-    if v.size != cones.total_dim:
+    total_dim, kinds = layout(cones)
+    if v.size != total_dim:
         raise ShapeError("vector length does not match cone dimensions")
     out = np.empty_like(v)
-    for kind, start, stop, meta in cones.kinds():
+    for kind, start, stop, meta in kinds:
         if kind == "exp":
             out[start:stop] = project_exp_many(
                 v[start:stop].reshape(-1, 3)).ravel()
@@ -284,7 +304,8 @@ def project(cones, v: np.ndarray) -> np.ndarray:
 
 
 def project_dual(cones, v: np.ndarray) -> np.ndarray:
-    """Projection onto the dual cone via Pi_K*(v) = v + Pi_K(-v)."""
+    """Projection onto the dual cone via Pi_K*(v) = v + Pi_K(-v); cones is
+    a ConeSpec or its Layout."""
     v = np.asarray(v, dtype=float).ravel()
     return v + project(cones, -v)
 

@@ -34,14 +34,21 @@ class SparseMatrix(sp.csc_matrix):
 
 
 def from_scipy(mat) -> SparseMatrix:
-    """A copy of mat in canonical CSC form: row indices strictly increasing
-    within each column (duplicates summed) and no stored value exactly
-    zero. The copy keeps the in-place steps below off mat's arrays."""
-    A = SparseMatrix(mat, copy=True)
+    """A copy of mat in canonical CSC form: doubles, row indices strictly
+    increasing within each column (duplicates summed) and no stored value
+    exactly zero. The copy keeps the in-place steps below off mat's
+    arrays."""
+    A = SparseMatrix(mat, dtype=float, copy=True)
     A.sum_duplicates()
     A.eliminate_zeros()
     A.sort_indices()
     return A
+
+
+def is_canonical(mat) -> bool:
+    """Whether mat already is what from_scipy returns."""
+    return (isinstance(mat, SparseMatrix) and mat.dtype == np.float64
+            and mat.has_canonical_format and bool(mat.data.all()))
 
 
 def from_dense(arr) -> SparseMatrix:

@@ -26,6 +26,7 @@ def test_solve_returns_result():
     assert res.problem is prob
     assert res.solution is not None
     assert "iterations" in res.metrics and "residuals" in res.metrics
+    assert res.metrics["anderson"] == res.solution.anderson
     assert "optimal" in repr(res)
 
 

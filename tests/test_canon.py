@@ -397,6 +397,44 @@ def test_cone_program_rejects_nonfinite_data(field):
         canon.ConeProgram(c=data["c"], A=A, b=data["b"], cones=cp.cones)
 
 
+def test_cone_program_keeps_a_canonical_matrix():
+    prob, _ = small_lp()
+    cp, _ = canon.canonicalize(prob)
+    again = canon.ConeProgram(c=cp.c, A=cp.A, b=cp.b, cones=cp.cones)
+    assert again.A is cp.A
+
+
+def test_cone_program_accepts_any_scipy_sparse_matrix():
+    prob, _ = small_lp()
+    cp, vmap = canon.canonicalize(prob)
+    want = canon.export_json(cp, vmap)
+    for A in (sp.csc_matrix(cp.A.toarray()), sp.coo_array(cp.A.toarray()),
+              sp.csr_matrix(cp.A.toarray().astype(int))):
+        plain = canon.ConeProgram(c=cp.c, A=A, b=cp.b, cones=cp.cones)
+        assert isinstance(plain.A, linalg.SparseMatrix)
+        assert canon.export_json(plain, vmap) == want
+
+
+def test_cone_program_canonicalizes_its_matrix():
+    # a stored zero, and the rows of the one column out of order
+    A = linalg.SparseMatrix(([0.0, 1.0], [1, 0], [0, 2]), shape=(2, 1))
+    cp = canon.ConeProgram(c=[1.0], A=A, b=[1.0, 0.0],
+                           cones=canon.ConeSpec(nonneg=2))
+    assert list(cp.A.rowidx) == [0] and list(cp.A.vals) == [1.0]
+    assert list(A.rowidx) == [1, 0]          # the input is left as it was
+    text = canon.export_json(cp, canon.VariableMap(n=1, m=2, vars=[],
+                                                   constrs=[]))
+    back, _ = canon.import_json(text)
+    assert np.array_equal(back.A.toarray(), [[1.0], [0.0]])
+
+
+@pytest.mark.parametrize("A", [np.eye(2), [[1.0, 0.0], [0.0, 1.0]], None])
+def test_cone_program_rejects_a_non_sparse_matrix(A):
+    with pytest.raises(InputError, match="A must be a SciPy sparse matrix"):
+        canon.ConeProgram(c=np.zeros(2), A=A, b=np.zeros(2),
+                          cones=canon.ConeSpec(nonneg=2))
+
+
 def test_lowering_is_linear_in_size():
     # catenary adds one second-order block per link; lowering it must not
     # cost per-block work that grows with the model (O(k^2) in total)

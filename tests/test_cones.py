@@ -313,12 +313,18 @@ def test_project_dual_moreau_full_vector():
     spec = make_spec()
     dim = spec_dim(spec)
     rng = SplitMix64(111)
+    layout = cones.layout(spec)
+    assert cones.layout(layout) is layout
+    assert layout.total_dim == dim
     for _ in range(200):
         v = rng.normals(dim) * 2.0
         pk = cones.project(spec, v)
         pstar = cones.project_dual(spec, -v)
         assert np.linalg.norm(v - (pk - pstar)) <= 1e-10 * (1.0 + np.linalg.norm(v))
         assert cones.in_cone(spec, pk, tol=1e-8)
+        # the layout a solver reads once gives the same projections
+        assert np.array_equal(cones.project(layout, v), pk)
+        assert np.array_equal(cones.project_dual(layout, -v), pstar)
 
 
 def test_zero_cone_dual_is_free():
@@ -341,5 +347,6 @@ def test_self_dual_blocks_agree():
 
 def test_project_size_mismatch():
     spec = make_spec()
-    with pytest.raises(ShapeError):
-        cones.project(spec, np.zeros(spec_dim(spec) + 1))
+    for layout in (spec, cones.layout(spec)):
+        with pytest.raises(ShapeError):
+            cones.project(layout, np.zeros(spec_dim(spec) + 1))

@@ -7,7 +7,8 @@ from conedsl.canon import ConeProgram, ConeSpec
 from conedsl.errors import InputError
 from conedsl.linalg import from_dense
 from conedsl.rng import SplitMix64
-from conedsl.solver import SolverSettings, diagnostics, solve_cone_program
+from conedsl.solver import (_ACCEL_MEMORY, SolverSettings, _AndersonMemory,
+                            diagnostics, solve_cone_program)
 
 from oracles import make_cone_blocks
 
@@ -190,6 +191,97 @@ def test_determinism():
     assert ha == hb
 
 
+def test_anderson_counts_are_deterministic():
+    cp, _, _, _ = constructed_program(4, ("zero", "soc", "psd"))
+    a = solve_cone_program(cp, SETTINGS)
+    b = solve_cone_program(cp, SETTINGS)
+    assert a.status == "optimal"
+    assert a.anderson == b.anderson
+    assert set(a.anderson) == {"accepted", "rejected", "resets"}
+    assert a.anderson["accepted"] > 0
+    # every extrapolation is accepted or resets the memory, and only an
+    # accepted point can be rejected later
+    assert a.anderson["accepted"] + a.anderson["resets"] <= a.iterations
+    assert a.anderson["rejected"] <= a.anderson["accepted"]
+    assert a.iterations == b.iterations
+    assert np.array_equal(a.x, b.x)
+    assert np.array_equal(a.y, b.y)
+    assert np.array_equal(a.s, b.s)
+    assert [h["fp_res"] for h in a.history] == [h["fp_res"] for h in b.history]
+
+
+def _fill_memory(diffs_s, diffs_y, memory=None):
+    """An Anderson memory fed the pairs whose successive differences are
+    the given rows, and the last pair (w, g)."""
+    dim = diffs_s.shape[1]
+    memory = memory if memory is not None else _AndersonMemory(dim)
+    w, g = np.zeros(dim), np.zeros(dim)
+    memory.push(w, g)
+    for ds, dy in zip(diffs_s, diffs_y):
+        w, g = w + ds, g + dy
+        memory.push(w, g)
+    return memory, w, g
+
+
+def test_anderson_memory_keeps_the_gram_matrix_of_its_live_rows():
+    rng = SplitMix64(41)
+    dim = 30
+    memory = _AndersonMemory(dim)
+    w, g = rng.normals(dim), rng.normals(dim)
+    memory.push(w, g)
+    assert memory.count == 0
+    pushed = []
+    for step in range(1, 3 * _ACCEL_MEMORY):
+        if step == 17:
+            memory.clear()
+            assert memory.count == 0
+            pushed = []
+        ds, dy = rng.normals(dim), rng.normals(dim) * 10.0 ** (step % 4)
+        w, g = w + ds, g + dy
+        memory.push(w, g)
+        if step != 17:
+            pushed.append((ds, dy))
+        k = memory.count
+        assert k == min(len(pushed), _ACCEL_MEMORY)
+        if k == 0:
+            continue
+        Y = memory.Y[:k]
+        ref = Y @ Y.T
+        assert np.abs(memory.G[:k, :k] - ref).max() \
+            <= 1e-12 * np.abs(ref).max()
+        # the live rows are the last k differences pushed, in ring order
+        for _, dy in pushed[-k:]:
+            gap = np.abs(Y - dy).max(axis=1).min()
+            assert gap <= 1e-12 * np.abs(g).max()
+
+
+def test_anderson_extrapolation_matches_least_squares():
+    rng = SplitMix64(42)
+    dim = 50
+    for k in (1, 4, _ACCEL_MEMORY):
+        S, Y = rng.normals(k, dim), rng.normals(k, dim)
+        memory, _, g = _fill_memory(S, Y)
+        assert memory.count == k
+        w_plain = rng.normals(dim)
+        gamma = np.linalg.lstsq(Y.T, g, rcond=None)[0]
+        want = w_plain - (S + Y).T @ gamma
+        got = memory.extrapolate(w_plain, g)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_anderson_extrapolation_on_rank_deficient_memory():
+    rng = SplitMix64(43)
+    dim = 20
+    S, Y = rng.normals(4, dim), rng.normals(4, dim)
+    S[3], Y[3] = S[1], Y[1]          # one difference stored twice
+    memory, _, g = _fill_memory(S, Y)
+    cand = memory.extrapolate(rng.normals(dim), g)
+    assert cand is None or np.all(np.isfinite(cand))
+    # with every residual difference zero the system is singular: no point
+    memory, _, g = _fill_memory(S, np.zeros((4, dim)))
+    assert memory.extrapolate(rng.normals(dim), g) is None
+
+
 def test_scaling_invariance_of_verdict():
     cp, x_star, _, _ = constructed_program(9, ("zero", "nonneg", "soc"))
     base = solve_cone_program(cp, SETTINGS)
@@ -350,6 +442,10 @@ def test_diagnostics_rendering():
     text = diagnostics(res.solution)
     assert "status: optimal" in text
     assert "iterations" in text and "pres" in text
+    aa = res.solution.anderson
+    assert (f"anderson: {aa['accepted']} accepted, {aa['rejected']} "
+            f"rejected, {aa['resets']} resets") in text
+    assert res.metrics["anderson"] == aa
 
     infeas = cd.solve(cd.Problem(cd.Minimize(x), [x >= 1, x <= 0]))
     text = diagnostics(infeas.solution)
