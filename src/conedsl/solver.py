@@ -7,8 +7,11 @@ ADMM applied to the homogeneous self-dual embedding of
 so a single iteration stream yields either an optimal primal-dual pair or
 an infeasibility certificate.  The embedding variable is u = (x, y, tau)
 with companion v = (0, s, kappa); each iteration solves one quasidefinite
-linear system (factorized once) and projects onto R^n x K* x R+, with K's
-layout read once per solve.
+linear system and projects onto R^n x K* x R+.
+
+As SCS keeps ScsWork, a solve sets up a _Workspace once (equilibration,
+factorization, buffers, K's layout) and its run() iterates.  check() is the
+one exit, so k iterations cost k + 1 KKT solves and k projections.
 
 The fixed-point map on w = u - v is accelerated by type-II Anderson
 acceleration (Zhang, O'Donoghue and Boyd, SIAM J. Optim. 2020): the last
@@ -24,6 +27,8 @@ Deterministic: no random state anywhere in the loop.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -57,10 +62,16 @@ class SolverSettings:
     eps_rel: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise InputError("max_iters must be positive")
-        if self.eps_abs < 0 or self.eps_rel < 0:
-            raise InputError("tolerances must be nonnegative")
+        if (not isinstance(self.max_iters, numbers.Integral)
+                or isinstance(self.max_iters, bool) or self.max_iters < 1):
+            raise InputError(f"max_iters must be an integer >= 1, "
+                             f"got {self.max_iters!r}")
+        for name in ("eps_abs", "eps_rel"):
+            val = getattr(self, name)
+            if (not isinstance(val, numbers.Real) or not math.isfinite(val)
+                    or val < 0):
+                raise InputError(f"{name} must be a finite number >= 0, "
+                                 f"got {val!r}")
 
 
 @dataclass
@@ -133,8 +144,12 @@ class _AndersonMemory:
         self.count = 0
         self._next = 0          # the row the next difference overwrites
         self._has_prev = False
+        # the steps of a solve, as Solution.anderson reports them
+        self.counts = {"accepted": 0, "rejected": 0, "resets": 0}
 
-    def clear(self):
+    def clear(self, why: str):
+        """Empty the memory, counting the step as `why` (rejected, resets)."""
+        self.counts[why] += 1
         self.count = 0
         self._next = 0
         self._has_prev = False
@@ -171,199 +186,183 @@ class _AndersonMemory:
         return cand if np.all(np.isfinite(cand)) else None
 
 
+class _Workspace:
+    """A solve's setup: the equilibration diag(d) A diag(e) with the scales
+    sigma of b and rho of c, the factorized KKT matrix, the buffers of the
+    embedding's linear solve, the norms of b and c, and K's layout."""
+
+    def __init__(self, cp: ConeProgram):
+        self.t0 = time.perf_counter()
+        self.cp = cp
+        n, m = self.n, self.m = cp.n, cp.m
+        d, e = self.d, self.e = _equilibrate(cp.A, cp.cones)
+        As = sp.csc_matrix(sp.diags(d) @ cp.A @ sp.diags(e))
+        bs, cs = d * cp.b, e * cp.c
+        self.sigma = 1.0 / max(np.linalg.norm(bs), _MIN_SCALE)
+        self.rho = 1.0 / max(np.linalg.norm(cs), _MIN_SCALE)
+        bs, cs = self.sigma * bs, self.rho * cs
+        kkt = sp.bmat([[sp.eye(n), As.T], [As, -sp.eye(m)]], format="csc")
+        self.fac = QuasidefSolver(kkt)
+        g = self.fac.solve(np.concatenate([cs, -bs]))
+        self.denom = 1.0 + cs @ g[:n] + bs @ g[n:]
+        if not np.isfinite(self.denom) or self.denom <= 0:
+            raise NumericError("homogeneous embedding system is singular")
+        self.cb = np.concatenate([cs, bs])
+        self.g_ext = np.append(g, -1.0)    # [g; -1]
+        self.rhs = np.empty(n + m)
+        self.norm_b, self.norm_c = np.linalg.norm(cp.b), np.linalg.norm(cp.c)
+        self.layout = cone_ops.layout(cp.cones)
+
+    def embed_solve(self, w):
+        """The embedding's linear step: a KKT solve plus a rank-one term."""
+        n, rhs = self.n, self.rhs
+        rhs[:n] = w[:n]
+        np.negative(w[n:-1], out=rhs[n:])
+        h = self.fac.solve(rhs)
+        zt = (w[-1] + self.cb @ h) / self.denom
+        out = self.g_ext * -zt
+        out[:-1] += h
+        return out
+
+    def proj(self, w):
+        """The projection of w onto R^n x K* x R+."""
+        out = w.copy()
+        out[self.n:-1] = cone_ops.project_dual(self.layout, w[self.n:-1])
+        out[-1] = max(out[-1], 0.0)
+        return out
+
+    def unscale(self, u, v):
+        """The raw directions (x, y, s) of the embedding in the problem's
+        own scale; the point they give divided by sigma * tau (x, s) and
+        rho * tau (y); its residuals (primal, dual, gap); and the scale
+        |c'x| + |b'y| of the gap."""
+        cp, n, tau = self.cp, self.n, max(u[-1], _TAU_FLOOR)
+        dirs = xdir, ydir, sdir = (self.e * u[:n], self.d * u[n:-1],
+                                   v[n:-1] / self.d)
+        x = xdir / (self.sigma * tau)
+        y = ydir / (self.rho * tau)
+        s = sdir / (self.sigma * tau)
+        ctx, bty = cp.c @ x, cp.b @ y
+        resid = (np.linalg.norm(cp.A @ x + s - cp.b),
+                 np.linalg.norm(cp.A.T @ y + cp.c), abs(ctx + bty))
+        return dirs, (x, y, s), resid, abs(ctx) + abs(bty)
+
+    def check(self, it, u, v, settings, fp_res, history):
+        """Append the history record of iteration `it`, and return the end
+        of the solve, (status, x, y, s, residuals, certificate), if it ends
+        here: optimal, infeasible, or at the last iteration."""
+        cp, n, m, tau = self.cp, self.n, self.m, u[-1]
+        (xdir, ydir, sdir), point, resid, gap_scale = self.unscale(u, v)
+        nan3 = (float("nan"),) * 3
+        # NaN, which fails every test below, while tau is at its floor
+        pres, dres, gap = resid if tau > _TAU_FLOOR else nan3
+        history.append({"iter": it, "pres": pres, "dres": dres, "gap": gap,
+                        "tau": tau, "kappa": v[-1], "fp_res": fp_res})
+        eps_abs, eps_rel = settings.eps_abs, settings.eps_rel
+        if (pres <= eps_abs + eps_rel * self.norm_b
+                and dres <= eps_abs + eps_rel * self.norm_c
+                and gap <= eps_abs + eps_rel * gap_scale):
+            return "optimal", *point, resid, None
+
+        # the certificates use the raw directions (no division by tau)
+        bty_dir = cp.b @ ydir
+        if bty_dir < 0 and self.norm_b > 0:
+            res = np.linalg.norm(cp.A.T @ ydir)
+            if res <= eps_abs * -bty_dir / self.norm_b:
+                y = ydir / (-bty_dir)
+                return ("primal_infeasible", np.full(n, np.nan), y,
+                        np.full(m, np.nan), nan3,
+                        {"kind": "primal", "b_dot_y": -1.0,
+                         "residual": float(np.linalg.norm(cp.A.T @ y))})
+        ctx_dir = cp.c @ xdir
+        if ctx_dir < 0 and self.norm_c > 0:
+            res = np.linalg.norm(cp.A @ xdir + sdir)
+            if res <= eps_abs * -ctx_dir / self.norm_c:
+                scale = 1.0 / (-ctx_dir)
+                return ("dual_infeasible", xdir * scale, np.full(m, np.nan),
+                        sdir * scale, nan3,
+                        {"kind": "dual", "c_dot_x": -1.0,
+                         "residual": float(res * scale)})
+        if it == settings.max_iters:
+            return "max_iters_reached", *point, resid, None
+        return None
+
+    def run(self, settings: SolverSettings) -> Solution:
+        """Iterate from the conventional start (u, v) = (e_tau, e_kappa)
+        until check() ends the solve, which it does by the last iteration."""
+        u = np.zeros(self.n + self.m + 1)
+        u[-1] = 1.0
+        v = u         # e_kappa: the same vector as e_tau
+        # After this first step the pair is projection-consistent, so the
+        # iteration is a fixed-point map on the single vector w = u - v,
+        # with u = proj(w) and v = u - w; this is the form the Anderson
+        # accelerator works on.
+        w = _ALPHA * self.embed_solve(u + v) + (1.0 - _ALPHA) * u - v
+
+        accel_on = True
+        w_scale = float(np.linalg.norm(w))
+        memory = _AndersonMemory(w.size)
+        history = []
+        # after an Anderson step: the plain step and the residual norm of
+        # the point it was extrapolated from
+        fallback = None
+        gnorm = float("nan")
+
+        for it in range(1, settings.max_iters + 1):
+            u = self.proj(w)
+            v = u - w
+            if it % _CHECK_INTERVAL == 0 or it == settings.max_iters:
+                end = self.check(it, u, v, settings, gnorm, history)
+                if end is not None:
+                    status, x, y, s, residuals, certificate = end
+                    objective = (float(self.cp.c @ x) if status == "optimal"
+                                 else float("nan"))
+                    return Solution(status, x, y, s, objective, residuals, it,
+                                    time.perf_counter() - self.t0, history,
+                                    certificate, memory.counts)
+
+            # the fixed-point residual g = F(w) - w of the plain step
+            w_plain = w + _ALPHA * (self.embed_solve(2.0 * u - w) - u)
+            g = w_plain - w
+            gnorm = float(np.linalg.norm(g))
+            if not accel_on:
+                w = w_plain
+                continue
+
+            # Anderson step on g, with a safeguard: an accelerated point
+            # whose residual is larger than the residual it was extrapolated
+            # from is rejected, and the iteration resumes from the plain
+            # step of that point with an empty memory.
+            last, fallback = fallback, None
+            if not np.isfinite(gnorm) or (last is not None
+                                          and gnorm > last[1]):
+                w = w_plain if last is None else last[0]
+                memory.clear("resets" if last is None else "rejected")
+                continue
+            memory.push(w, g)
+            if memory.count:
+                cand = memory.extrapolate(w_plain, g)
+                if cand is not None:
+                    if np.linalg.norm(cand) >= _ACCEL_NORM_FLOOR * w_scale:
+                        fallback = (w_plain, gnorm)
+                        w = cand
+                        memory.counts["accepted"] += 1
+                        continue
+                    # the candidate collapsed toward w = 0, a trivial fixed
+                    # point of the homogeneous map that encodes no solution
+                    # and no certificate; acceleration is attracted to it,
+                    # so stop accelerating and let the plain iteration finish
+                    accel_on = False
+                memory.clear("resets")
+            w = w_plain
+
+
 def solve_cone_program(cp: ConeProgram, settings: SolverSettings | None = None) -> Solution:
     if settings is None:
         settings = SolverSettings()
     if not isinstance(cp, ConeProgram):
         raise InputError("solve_cone_program expects a ConeProgram")
-    t0 = time.perf_counter()
-    n, m = cp.n, cp.m
-    d, e = _equilibrate(cp.A, cp.cones)
-    As = sp.csc_matrix(sp.diags(d) @ cp.A @ sp.diags(e))
-    bs = d * cp.b
-    cs = e * cp.c
-    sigma = 1.0 / max(np.linalg.norm(bs), _MIN_SCALE)
-    rho = 1.0 / max(np.linalg.norm(cs), _MIN_SCALE)
-    bs = sigma * bs
-    cs = rho * cs
-
-    kkt = sp.bmat([[sp.eye(n), As.T], [As, -sp.eye(m)]], format="csc")
-    fac = QuasidefSolver(kkt)
-    g = fac.solve(np.concatenate([cs, -bs]))
-    denom = 1.0 + cs @ g[:n] + bs @ g[n:]
-    if not np.isfinite(denom) or denom <= 0:
-        raise NumericError("homogeneous embedding system is singular")
-
-    cb = np.concatenate([cs, bs])
-    g_ext = np.append(g, -1.0)    # [g; -1]
-    rhs = np.empty(n + m)
-
-    def embed_solve(w):
-        rhs[:n] = w[:n]
-        np.negative(w[n:n + m], out=rhs[n:])
-        h = fac.solve(rhs)
-        zt = (w[-1] + cb @ h) / denom
-        out = g_ext * -zt
-        out[:-1] += h
-        return out
-
-    norm_b = np.linalg.norm(cp.b)
-    norm_c = np.linalg.norm(cp.c)
-    history = []
-    status = "max_iters_reached"
-    certificate = None
-    x = y = s_vec = None
-    residuals = (float("nan"),) * 3
-    it = 0
-
-    def directions(uu, vv):
-        """(x, y, s) of the embedding in the problem's own scale, before
-        the division by sigma * tau (x, s) or rho * tau (y)."""
-        return e * uu[:n], d * uu[n:n + m], vv[n:n + m] / d
-
-    def unscale(uu, vv):
-        """(x, y, s) in the problem's own scale, their residuals (primal,
-        dual, gap) and the scale |c'x| + |b'y| of the gap."""
-        tau = max(uu[-1], _TAU_FLOOR)
-        xdir, ydir, sdir = directions(uu, vv)
-        xv = xdir / (sigma * tau)
-        yv = ydir / (rho * tau)
-        sv = sdir / (sigma * tau)
-        pres = np.linalg.norm(cp.A @ xv + sv - cp.b)
-        dres = np.linalg.norm(cp.A.T @ yv + cp.c)
-        ctx = cp.c @ xv
-        bty = cp.b @ yv
-        return xv, yv, sv, (pres, dres, abs(ctx + bty)), abs(ctx) + abs(bty)
-
-    layout = cone_ops.layout(cp.cones)
-
-    def proj(wv):
-        out = wv.copy()
-        out[n:n + m] = cone_ops.project_dual(layout, wv[n:n + m])
-        out[-1] = max(out[-1], 0.0)
-        return out
-
-    # First step from the conventional start (u, v) = (e_tau, e_kappa).
-    # From then on the pair is projection-consistent, so the iteration is a
-    # fixed-point map on the single vector w = u - v, with u = proj(w) and
-    # v = u - w; this is the form the Anderson accelerator works on.
-    u = np.zeros(n + m + 1)
-    v = np.zeros(n + m + 1)
-    u[-1] = 1.0
-    v[-1] = 1.0
-    w = _ALPHA * embed_solve(u + v) + (1.0 - _ALPHA) * u - v
-
-    accel_on = True
-    w_scale = float(np.linalg.norm(w))
-    memory = _AndersonMemory(n + m + 1)
-    accepted = rejected = resets = 0
-    # after an Anderson step: the plain step and the residual norm of the
-    # point it was extrapolated from
-    fallback = None
-    last_gnorm = float("nan")
-
-    for it in range(1, settings.max_iters + 1):
-        u = proj(w)
-        v = u - w
-
-        if it % _CHECK_INTERVAL == 0 or it == settings.max_iters:
-            tau = u[-1]
-            resid = (float("nan"),) * 3
-            if tau > _TAU_FLOOR:
-                xv, yv, sv, resid, gap_scale = unscale(u, v)
-            pres, dres, gap = resid
-            history.append({"iter": it, "pres": pres, "dres": dres,
-                            "gap": gap, "tau": tau, "kappa": v[-1],
-                            "fp_res": last_gnorm})
-            if (tau > _TAU_FLOOR
-                    and pres <= settings.eps_abs + settings.eps_rel * norm_b
-                    and dres <= settings.eps_abs + settings.eps_rel * norm_c
-                    and gap <= settings.eps_abs + settings.eps_rel * gap_scale):
-                status = "optimal"
-                x, y, s_vec, residuals = xv, yv, sv, resid
-                break
-
-            # certificate checks use the raw directions (no tau division)
-            xdir, ydir, sdir = directions(u, v)
-            bty_dir = cp.b @ ydir
-            if bty_dir < 0 and norm_b > 0:
-                res = np.linalg.norm(cp.A.T @ ydir)
-                if res <= settings.eps_abs * (-bty_dir) / norm_b:
-                    ycert = ydir / (-bty_dir)
-                    status = "primal_infeasible"
-                    certificate = {
-                        "kind": "primal", "b_dot_y": -1.0,
-                        "residual": float(np.linalg.norm(cp.A.T @ ycert)),
-                    }
-                    x = np.full(n, np.nan)
-                    s_vec = np.full(m, np.nan)
-                    y = ycert
-                    break
-            ctx_dir = cp.c @ xdir
-            if ctx_dir < 0 and norm_c > 0:
-                res = np.linalg.norm(cp.A @ xdir + sdir)
-                if res <= settings.eps_abs * (-ctx_dir) / norm_c:
-                    scale = 1.0 / (-ctx_dir)
-                    status = "dual_infeasible"
-                    certificate = {
-                        "kind": "dual", "c_dot_x": -1.0,
-                        "residual": float(res * scale),
-                    }
-                    x = xdir * scale
-                    s_vec = sdir * scale
-                    y = np.full(m, np.nan)
-                    break
-
-        w_plain = w + _ALPHA * (embed_solve(2.0 * u - w) - u)
-        if not accel_on:
-            w = w_plain
-            continue
-
-        # Anderson step on the fixed-point residual g = F(w) - w, with a
-        # safeguard: an accelerated point whose residual is larger than the
-        # residual it was extrapolated from is rejected, and the iteration
-        # resumes from the plain step of that point with an empty memory.
-        g = w_plain - w
-        gnorm = float(np.linalg.norm(g))
-        last_gnorm = gnorm
-        if not np.isfinite(gnorm) or (fallback is not None
-                                      and gnorm > fallback[1]):
-            if fallback is None:
-                w = w_plain
-                resets += 1
-            else:
-                w = fallback[0]
-                rejected += 1
-            fallback = None
-            memory.clear()
-            continue
-        fallback = None
-        memory.push(w, g)
-        if memory.count:
-            cand = memory.extrapolate(w_plain, g)
-            if cand is not None:
-                if np.linalg.norm(cand) >= _ACCEL_NORM_FLOOR * w_scale:
-                    fallback = (w_plain, gnorm)
-                    w = cand
-                    accepted += 1
-                    continue
-                # the candidate collapsed toward w = 0, a trivial fixed
-                # point of the homogeneous map that encodes no solution and
-                # no certificate; acceleration is attracted to it, so stop
-                # accelerating and let the plain iteration finish
-                accel_on = False
-            memory.clear()
-            resets += 1
-        w = w_plain
-
-    if x is None:
-        x, y, s_vec, residuals, _ = unscale(u, v)
-
-    objective = float(cp.c @ x) if status == "optimal" else float("nan")
-    return Solution(status, x, y, s_vec, objective, residuals, it,
-                    time.perf_counter() - t0, history, certificate,
-                    {"accepted": accepted, "rejected": rejected,
-                     "resets": resets})
+    return _Workspace(cp).run(settings)
 
 
 def diagnostics(sol: Solution) -> str:

@@ -182,6 +182,14 @@ def test_unknown_option_rejected():
         cd.solve(prob, warp_factor=9)
 
 
+def test_bad_option_value_names_the_option():
+    prob, _ = simple_problem()
+    with pytest.raises(InputError, match="max_iters"):
+        cd.solve(prob, max_iters="10")
+    with pytest.raises(InputError, match="eps_rel"):
+        cd.solve(prob, eps_rel=float("inf"))
+
+
 def test_settings_must_be_settings_object():
     prob, _ = simple_problem()
     with pytest.raises(InputError):

@@ -176,6 +176,16 @@ def test_solve_iteration_cap_exit_code(tmp_path, capsys):
     assert json.loads(out)["status"] == "max_iters_reached"
 
 
+def test_solve_nan_tolerance_is_bad_input(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, ["export", "ols", "--out",
+                                  str(tmp_path / "p.json")])
+    assert code == 0
+    code, out, err = run_cli(capsys, ["solve", str(tmp_path / "p.json"),
+                                      "--eps", "nan"])
+    assert code == 4
+    assert "eps_abs" in err and out == ""
+
+
 def test_dcp_rejection_exit_code(capsys, monkeypatch):
     def build(params, rng):
         x = cd.Variable(name="x")

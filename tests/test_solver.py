@@ -3,6 +3,7 @@ import pytest
 
 import conedsl as cd
 from conedsl import cones as cone_ops
+from conedsl import solver as solver_mod
 from conedsl.canon import ConeProgram, ConeSpec
 from conedsl.errors import InputError
 from conedsl.linalg import from_dense
@@ -137,22 +138,12 @@ def test_primal_infeasible_certificate():
 
 
 def test_primal_infeasible_constructed():
-    rng = SplitMix64(77)
-    m, n = 8, 5
-    y0 = np.abs(rng.normals(m)) + 0.1          # interior of the orthant
-    G = rng.normals(m, n)
-    # columns orthogonal to y0 so that A'y0 = 0
-    A = G - np.outer(y0, y0 @ G) / (y0 @ y0)
-    b = rng.normals(m)
-    b = b - (b @ y0 + 1.0) / (y0 @ y0) * y0    # forces b'y0 = -1 < 0
-    cp = ConeProgram(c=np.zeros(n), A=from_dense(A), b=b,
-                     cones=ConeSpec(zero=0, nonneg=m, soc=[], psd=[], ep=0),
-                     offset=0.0, flipped=False)
+    cp = farkas_program()
     sol = solve_cone_program(cp, SETTINGS)
     assert sol.status == "primal_infeasible"
     y = sol.y
     assert cp.b @ y < 0
-    assert np.linalg.norm(A.T @ y) <= 1e-6 * (-(cp.b @ y))
+    assert np.linalg.norm(cp.A.T @ y) <= 1e-6 * (-(cp.b @ y))
     # certificate direction lies in the dual cone
     assert np.min(y) >= -1e-8 * np.linalg.norm(y)
 
@@ -177,18 +168,112 @@ def test_dual_infeasible_soc():
     assert res.status == "dual_infeasible"
 
 
-def test_determinism():
-    cp, _, _, _ = constructed_program(5, ("nonneg", "soc", "exp"))
-    a = solve_cone_program(cp, SETTINGS)
-    b = solve_cone_program(cp, SETTINGS)
-    assert a.iterations == b.iterations
-    assert np.array_equal(a.x, b.x)
-    assert np.array_equal(a.y, b.y)
-    assert np.array_equal(a.s, b.s)
-    assert a.objective == b.objective
-    ha = [(h["iter"], h["pres"], h["dres"]) for h in a.history]
-    hb = [(h["iter"], h["pres"], h["dres"]) for h in b.history]
-    assert ha == hb
+def farkas_program():
+    """An 8 x 5 nonnegative-orthant program with a known Farkas ray y0:
+    A'y0 = 0 and b'y0 = -1."""
+    rng = SplitMix64(77)
+    m, n = 8, 5
+    y0 = np.abs(rng.normals(m)) + 0.1          # interior of the orthant
+    G = rng.normals(m, n)
+    # columns orthogonal to y0 so that A'y0 = 0
+    A = G - np.outer(y0, y0 @ G) / (y0 @ y0)
+    b = rng.normals(m)
+    b = b - (b @ y0 + 1.0) / (y0 @ y0) * y0    # forces b'y0 = -1 < 0
+    return ConeProgram(c=np.zeros(n), A=from_dense(A), b=b,
+                       cones=ConeSpec(zero=0, nonneg=m, soc=[], psd=[], ep=0),
+                       offset=0.0, flipped=False)
+
+
+def unbounded_soc_program():
+    """min -t subject to ||x|| <= t: unbounded along the cone's axis."""
+    return ConeProgram(c=np.array([-1.0, 0.0, 0.0]), A=from_dense(-np.eye(3)),
+                       b=np.zeros(3),
+                       cones=ConeSpec(zero=0, nonneg=0, soc=[3], psd=[], ep=0),
+                       offset=0.0, flipped=False)
+
+
+# one program for each way a solve ends, with the settings that end it so
+ENDS = {
+    "optimal": lambda: (constructed_program(5, ("nonneg", "soc", "exp"))[0],
+                        SETTINGS),
+    "primal_infeasible": lambda: (farkas_program(), SETTINGS),
+    "dual_infeasible": lambda: (unbounded_soc_program(), SETTINGS),
+    "max_iters_reached": lambda: (
+        constructed_program(11, ("nonneg", "soc", "psd"))[0],
+        SolverSettings(eps_abs=EPS, eps_rel=EPS, max_iters=60)),
+}
+
+
+def assert_same_solution(a, b):
+    """Everything but the solve time equal, with NaN equal to NaN."""
+    assert (a.status, a.iterations) == (b.status, b.iterations)
+    assert (a.certificate, a.anderson) == (b.certificate, b.anderson)
+    for va, vb in ((a.x, b.x), (a.y, b.y), (a.s, b.s),
+                   (a.residuals, b.residuals), (a.objective, b.objective)):
+        assert np.array_equal(va, vb, equal_nan=True)
+    assert [list(h) for h in a.history] == [list(h) for h in b.history]
+    for ha, hb in zip(a.history, b.history):
+        assert np.array_equal(list(ha.values()), list(hb.values()),
+                              equal_nan=True)
+
+
+@pytest.mark.parametrize("end", list(ENDS))
+def test_determinism(end):
+    cp, settings = ENDS[end]()
+    a = solve_cone_program(cp, settings)
+    b = solve_cone_program(cp, settings)
+    assert a.status == end
+    assert_same_solution(a, b)
+
+
+@pytest.mark.parametrize("end", list(ENDS))
+def test_solve_calls_the_traced_names(end, monkeypatch):
+    # perfbench/tracing.py times these module attributes by replacing
+    # them; a solve must look each one up when it calls it
+    calls = {"factor": 0, "kkt_solve": 0, "project_dual": 0,
+             "project_block": 0, "project_exp_many": 0}
+
+    class CountingQuasidefSolver(solver_mod.QuasidefSolver):
+        def __init__(self, M):
+            calls["factor"] += 1
+            super().__init__(M)
+
+        def solve(self, rhs):
+            calls["kkt_solve"] += 1
+            return super().solve(rhs)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    cp, settings = ENDS[end]()
+    monkeypatch.setattr(solver_mod, "QuasidefSolver", CountingQuasidefSolver)
+    for name in ("project_dual", "project_block", "project_exp_many"):
+        monkeypatch.setattr(cone_ops, name,
+                            counting(name, getattr(cone_ops, name)))
+    kinds = [kind for kind, *_ in cp.cones.kinds()]
+    sol = solve_cone_program(cp, settings)
+    assert sol.status == end
+    k = sol.iterations
+    assert calls == {"factor": 1, "kkt_solve": k + 1, "project_dual": k,
+                     "project_block": k * sum(kd != "exp" for kd in kinds),
+                     "project_exp_many": k * kinds.count("exp")}
+
+
+def test_history_fp_res_after_the_collapse_guard():
+    # acceleration collapses toward w = 0 near iteration 60 of this solve
+    # (its one reset), and the plain iteration finishes it; the residual
+    # of an averaged operator's plain steps cannot grow, and each record
+    # carries the residual of its own iteration
+    cp, _, _, _ = constructed_program(1000, MIXES[0])
+    sol = solve_cone_program(cp, SETTINGS)
+    assert sol.status == "optimal"
+    assert sol.anderson["resets"] == 1
+    fp = [h["fp_res"] for h in sol.history if h["iter"] >= 75]
+    assert len(fp) >= 3
+    assert all(later < earlier for earlier, later in zip(fp, fp[1:]))
 
 
 def test_anderson_counts_are_deterministic():
@@ -233,8 +318,10 @@ def test_anderson_memory_keeps_the_gram_matrix_of_its_live_rows():
     pushed = []
     for step in range(1, 3 * _ACCEL_MEMORY):
         if step == 17:
-            memory.clear()
+            memory.clear("resets")
             assert memory.count == 0
+            assert memory.counts == {"accepted": 0, "rejected": 0,
+                                     "resets": 1}
             pushed = []
         ds, dy = rng.normals(dim), rng.normals(dim) * 10.0 ** (step % 4)
         w, g = w + ds, g + dy
@@ -330,10 +417,22 @@ def test_accelerated_solve_survives_one_ulp_nudge(k):
 
 
 def test_settings_validation():
-    with pytest.raises(InputError):
-        SolverSettings(max_iters=0)
-    with pytest.raises(InputError):
-        SolverSettings(eps_abs=-1e-9)
+    # each bad value fails at construction, with the field in the message
+    for field, value in [
+            ("max_iters", 0), ("max_iters", 2.5), ("max_iters", True),
+            ("max_iters", "10"), ("max_iters", None),
+            ("eps_abs", -1e-9), ("eps_abs", float("nan")),
+            ("eps_abs", float("inf")), ("eps_abs", "1e-6"),
+            ("eps_rel", -1.0), ("eps_rel", float("nan")),
+            ("eps_rel", float("inf"))]:
+        with pytest.raises(InputError, match=field):
+            SolverSettings(**{field: value})
+
+
+def test_settings_accept_numpy_scalars():
+    s = SolverSettings(max_iters=np.int64(7), eps_abs=np.float64(0.0),
+                       eps_rel=1)
+    assert s.max_iters == 7
 
 
 def test_settings_defaults():
