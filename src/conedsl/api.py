@@ -158,5 +158,6 @@ def solve(problem: Problem, solver: str | None = None, settings=None,
     metrics = {"iterations": sol.iterations,
                "solve_time": sol.solve_time,
                "residuals": sol.residuals,
-               "anderson": sol.anderson}
+               "anderson": sol.anderson,
+               "scale": sol.scale}
     return Result(problem, sol.status, value, sol, vmap, cp, metrics)

@@ -82,6 +82,7 @@ def _cmd_solve(args):
         "residuals": sol.residuals,
         "iterations": sol.iterations,
         "anderson": sol.anderson,
+        "scale": sol.scale,
         "solve_time": sol.solve_time,
     })
     print(json.dumps(record, indent=2))

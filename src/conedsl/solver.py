@@ -9,9 +9,33 @@ an infeasibility certificate.  The embedding variable is u = (x, y, tau)
 with companion v = (0, s, kappa); each iteration solves one quasidefinite
 linear system and projects onto R^n x K* x R+.
 
+The splitting runs in the metric R = diag(I, I / scale, 1), as in SCS 3
+(O'Donoghue, "Operator splitting for a homogeneous embedding of the linear
+complementarity problem", SIAM J. Optim. 2021): its linear step is
+(R + Q)^-1 R, which factorizes [[I, As'], [As, -R_y]] with R_y = I / scale.
+R is one number on each block of K, so the projection is unchanged.  The
+iterate is kept in R^1/2 coordinates (y times R_y^1/2, s times R_y^-1/2),
+where the splitting's map is nonexpansive in the plain 2-norm that the
+Anderson step and its safeguard measure; in unweighted coordinates the
+safeguard rejects hundreds of points on worst_cov's tie-break solve.  b is
+normalised to norm 1 and c to norm sqrt(_SCALE_START).
+
+The scale starts at _SCALE_START.  At each convergence check the ratio of
+the relative primal residual ||As x + s - bs tau|| / max(||As x||, ||s||,
+||bs tau||) to the relative dual residual ||As'y + cs tau|| / max(||As'y||,
+||cs tau||) joins a geometric mean taken since the last update; a larger
+scale weights y less and lowers the primal residual faster.  Once
+_SCALE_MIN_ITERS iterations have passed since the last update and the mean
+moves the scale by a factor of _SCALE_STEP or more, the scale is
+multiplied by it (within a factor _SCALE_RANGE of the start), the KKT
+matrix is refactorized, u and v are mapped to the same point in the new
+metric and the Anderson memory is emptied.  A solve refactors at most
+_MAX_REFACTORS times.  These are constants, not settings.
+
 As SCS keeps ScsWork, a solve sets up a _Workspace once (equilibration,
 factorization, buffers, K's layout) and its run() iterates.  check() is the
-one exit, so k iterations cost k + 1 KKT solves and k projections.
+one exit, so k iterations with r refactors cost 1 + r factorizations,
+k + 1 + r KKT solves and k projections.
 
 The fixed-point map on w = u - v is accelerated by type-II Anderson
 acceleration (Zhang, O'Donoghue and Boyd, SIAM J. Optim. 2020): the last
@@ -53,9 +77,16 @@ _ACCEL_MEMORY = 10    # Anderson differences kept
 # least squares; 1e-10 gives worst_cov's tie-break solve 800 (not 775),
 # and 1e-8 gives quantile_reg 1,325 (not 1,250).
 _AA_REG = 1e-14
+# The KKT metric R = diag(I, I / scale, 1) and its scale rule (see the
+# module docstring); the values were measured on the gallery.
+_SCALE_START = 3.0
+_SCALE_STEP = 1.5       # the least step, up or down, that refactors
+_SCALE_MIN_ITERS = 100  # iterations from one update to the next
+_MAX_REFACTORS = 5
+_SCALE_RANGE = 10.0     # the scale stays within this factor of the start
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverSettings:
     max_iters: int = 50000
     eps_abs: float = 1e-6
@@ -91,6 +122,9 @@ class Solution:
     # emptied for another cause: a singular or non-finite extrapolation,
     # the collapse guard, or a non-finite residual)
     anderson: dict = field(default_factory=dict)
+    # the scale of the KKT metric: its start and final values and the
+    # number of refactors that moved it
+    scale: dict = field(default_factory=dict)
 
 
 def _equilibrate(A: sp.csc_matrix, cones):
@@ -147,9 +181,11 @@ class _AndersonMemory:
         # the steps of a solve, as Solution.anderson reports them
         self.counts = {"accepted": 0, "rejected": 0, "resets": 0}
 
-    def clear(self, why: str):
-        """Empty the memory, counting the step as `why` (rejected, resets)."""
-        self.counts[why] += 1
+    def clear(self, why: str | None = None):
+        """Empty the memory, counting the step as `why` (rejected, resets)
+        if given."""
+        if why is not None:
+            self.counts[why] += 1
         self.count = 0
         self._next = 0
         self._has_prev = False
@@ -187,41 +223,58 @@ class _AndersonMemory:
 
 
 class _Workspace:
-    """A solve's setup: the equilibration diag(d) A diag(e) with the scales
-    sigma of b and rho of c, the factorized KKT matrix, the buffers of the
-    embedding's linear solve, the norms of b and c, and K's layout."""
+    """A solve's setup and the state of its scale: the equilibration
+    diag(d) A diag(e) with the scales sigma of b and rho of c, the KKT
+    matrix factorized at the current scale, the buffers of the embedding's
+    linear solve, the norms of b and c, K's layout, and the residual
+    ratios averaged since the last refactor."""
 
     def __init__(self, cp: ConeProgram):
         self.t0 = time.perf_counter()
         self.cp = cp
         n, m = self.n, self.m = cp.n, cp.m
         d, e = self.d, self.e = _equilibrate(cp.A, cp.cones)
-        As = sp.csc_matrix(sp.diags(d) @ cp.A @ sp.diags(e))
+        self.As = sp.csc_matrix(sp.diags(d) @ cp.A @ sp.diags(e))
         bs, cs = d * cp.b, e * cp.c
+        # b to norm 1 and c to norm sqrt(_SCALE_START), so that the first
+        # iteration is SCS 1's on A, b and c times sqrt(_SCALE_START)
         self.sigma = 1.0 / max(np.linalg.norm(bs), _MIN_SCALE)
-        self.rho = 1.0 / max(np.linalg.norm(cs), _MIN_SCALE)
-        bs, cs = self.sigma * bs, self.rho * cs
-        kkt = sp.bmat([[sp.eye(n), As.T], [As, -sp.eye(m)]], format="csc")
+        self.rho = math.sqrt(_SCALE_START) / max(np.linalg.norm(cs),
+                                                 _MIN_SCALE)
+        self.bs, self.cs = self.sigma * bs, self.rho * cs
+        self.cb = np.concatenate([self.cs, self.bs])
+        self.rhs = np.empty(n + m)
+        self.norm_b, self.norm_c = np.linalg.norm(cp.b), np.linalg.norm(cp.c)
+        self.layout = cone_ops.layout(cp.cones)
+        self.refactors = self.last_update = self.log_count = 0
+        self.log_sum = 0.0
+        self.factor(_SCALE_START)
+
+    def factor(self, scale):
+        """Factorize [[I, As'], [As, -R_y]] with R_y = I / scale, and solve
+        it for g, the embedding's rank-one direction."""
+        n, cs, bs = self.n, self.cs, self.bs
+        self.scale, self.sqrt_r = scale, math.sqrt(1.0 / scale)
+        kkt = sp.bmat([[sp.eye(n), self.As.T],
+                       [self.As, sp.eye(self.m) / -scale]], format="csc")
         self.fac = QuasidefSolver(kkt)
         g = self.fac.solve(np.concatenate([cs, -bs]))
         self.denom = 1.0 + cs @ g[:n] + bs @ g[n:]
         if not np.isfinite(self.denom) or self.denom <= 0:
             raise NumericError("homogeneous embedding system is singular")
-        self.cb = np.concatenate([cs, bs])
         self.g_ext = np.append(g, -1.0)    # [g; -1]
-        self.rhs = np.empty(n + m)
-        self.norm_b, self.norm_c = np.linalg.norm(cp.b), np.linalg.norm(cp.c)
-        self.layout = cone_ops.layout(cp.cones)
 
     def embed_solve(self, w):
-        """The embedding's linear step: a KKT solve plus a rank-one term."""
-        n, rhs = self.n, self.rhs
+        """The embedding's linear step R^1/2 (R + Q)^-1 R^1/2 w: a KKT
+        solve plus a rank-one term."""
+        n, rhs, sr = self.n, self.rhs, self.sqrt_r
         rhs[:n] = w[:n]
-        np.negative(w[n:-1], out=rhs[n:])
+        np.multiply(w[n:-1], -sr, out=rhs[n:])
         h = self.fac.solve(rhs)
         zt = (w[-1] + self.cb @ h) / self.denom
         out = self.g_ext * -zt
         out[:-1] += h
+        out[n:-1] *= sr
         return out
 
     def proj(self, w):
@@ -233,12 +286,13 @@ class _Workspace:
 
     def unscale(self, u, v):
         """The raw directions (x, y, s) of the embedding in the problem's
-        own scale; the point they give divided by sigma * tau (x, s) and
-        rho * tau (y); its residuals (primal, dual, gap); and the scale
-        |c'x| + |b'y| of the gap."""
-        cp, n, tau = self.cp, self.n, max(u[-1], _TAU_FLOOR)
-        dirs = xdir, ydir, sdir = (self.e * u[:n], self.d * u[n:-1],
-                                   v[n:-1] / self.d)
+        own scale, with y = R_y^-1/2 u_y and s = R_y^1/2 v_y; the point they
+        give divided by sigma * tau (x, s) and rho * tau (y); its residuals
+        (primal, dual, gap); and the scale |c'x| + |b'y| of the gap."""
+        cp, n, sr = self.cp, self.n, self.sqrt_r
+        tau = max(u[-1], _TAU_FLOOR)
+        dirs = xdir, ydir, sdir = (self.e * u[:n], self.d * u[n:-1] / sr,
+                                   sr * v[n:-1] / self.d)
         x = xdir / (self.sigma * tau)
         y = ydir / (self.rho * tau)
         s = sdir / (self.sigma * tau)
@@ -287,6 +341,40 @@ class _Workspace:
             return "max_iters_reached", *point, resid, None
         return None
 
+    def retune(self, it, u, v):
+        """Fold this check's ratio of the relative primal to the relative
+        dual residual of the equilibrated data into their geometric mean
+        since the last update. Refactor at scale * mean (within a factor
+        _SCALE_RANGE of the start) when that moves the scale by a factor
+        of _SCALE_STEP or more, at least _SCALE_MIN_ITERS iterations after
+        the last update, and at most _MAX_REFACTORS times. A refactor maps
+        u and v in place to the same x, y, s, tau and kappa in the new
+        metric; return whether one happened."""
+        n, tau, sr, norm = self.n, u[-1], self.sqrt_r, np.linalg.norm
+        s = sr * v[n:-1]
+        ax, aty = self.As @ u[:n], self.As.T @ u[n:-1] / sr
+        btau, ctau = tau * self.bs, tau * self.cs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (norm(ax + s - btau) * max(norm(aty), norm(ctau))
+                     / (norm(aty + ctau) * max(norm(ax), norm(s), norm(btau))))
+        if np.isfinite(ratio) and ratio > 0:
+            self.log_sum += math.log(ratio)
+            self.log_count += 1
+        if (self.refactors == _MAX_REFACTORS or not self.log_count
+                or it - self.last_update < _SCALE_MIN_ITERS):
+            return False
+        step = math.exp(self.log_sum / self.log_count)
+        scale = min(max(self.scale * step, _SCALE_START / _SCALE_RANGE),
+                    _SCALE_START * _SCALE_RANGE)
+        if 1.0 / _SCALE_STEP < scale / self.scale < _SCALE_STEP:
+            return False
+        self.factor(scale)
+        self.refactors += 1
+        self.last_update, self.log_sum, self.log_count = it, 0.0, 0
+        u[n:-1] *= self.sqrt_r / sr
+        v[n:-1] *= sr / self.sqrt_r
+        return True
+
     def run(self, settings: SolverSettings) -> Solution:
         """Iterate from the conventional start (u, v) = (e_tau, e_kappa)
         until check() ends the solve, which it does by the last iteration."""
@@ -319,7 +407,16 @@ class _Workspace:
                                  else float("nan"))
                     return Solution(status, x, y, s, objective, residuals, it,
                                     time.perf_counter() - self.t0, history,
-                                    certificate, memory.counts)
+                                    certificate, memory.counts,
+                                    {"start": _SCALE_START,
+                                     "final": self.scale,
+                                     "refactors": self.refactors})
+                if self.retune(it, u, v):
+                    # the memory and the safeguard's fallback hold points
+                    # of the old metric
+                    w = u - v
+                    memory.clear()
+                    fallback = None
 
             # the fixed-point residual g = F(w) - w of the plain step
             w_plain = w + _ALPHA * (self.embed_solve(2.0 * u - w) - u)
@@ -374,6 +471,10 @@ def diagnostics(sol: Solution) -> str:
         aa = sol.anderson
         lines.append(f"anderson: {aa['accepted']} accepted, "
                      f"{aa['rejected']} rejected, {aa['resets']} resets")
+    if sol.scale:
+        sc = sol.scale
+        lines.append(f"scale: {sc['start']:.4g} -> {sc['final']:.4g}, "
+                     f"{sc['refactors']} refactors")
     if sol.status == "optimal":
         lines.append(f"objective: {sol.objective:.10g}")
         pres, dres, gap = sol.residuals

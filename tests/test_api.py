@@ -27,6 +27,8 @@ def test_solve_returns_result():
     assert res.solution is not None
     assert "iterations" in res.metrics and "residuals" in res.metrics
     assert res.metrics["anderson"] == res.solution.anderson
+    assert res.metrics["scale"] == res.solution.scale
+    assert set(res.metrics["scale"]) == {"start", "final", "refactors"}
     assert "optimal" in repr(res)
 
 

@@ -94,6 +94,7 @@ def test_export_then_solve_round_trip(tmp_path, capsys):
     assert record["status"] == "optimal"
     assert set(record["anderson"]) == {"accepted", "rejected", "resets"}
     assert record["anderson"]["accepted"] > 0
+    assert set(record["scale"]) == {"start", "final", "refactors"}
 
     ref_code, ref_out, _ = run_cli(capsys, ["example", "ols"])
     assert ref_code == 0
@@ -224,7 +225,7 @@ def test_solve_reports_offset_and_flip_in_user_sense(tmp_path, capsys):
     assert code == 0
     record = json.loads(out)
     assert list(record) == ["file", "status", "objective", "residuals",
-                            "iterations", "anderson", "solve_time"]
+                            "iterations", "anderson", "scale", "solve_time"]
     direct = cd.solve(prob, eps_abs=1e-9, eps_rel=1e-9)
     assert np.isclose(record["objective"], 5.0, rtol=0, atol=1e-6)
     assert np.isclose(record["objective"], direct.value, rtol=0, atol=1e-9)

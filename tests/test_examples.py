@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from conedsl import api
 from conedsl.errors import InputError
 from conedsl.examples import (EXAMPLES, ExampleConfig, example_names,
                               run_example)
+from conedsl.solver import solve_cone_program
 
 ALL_NAMES = example_names()
 
@@ -23,6 +25,38 @@ def test_example_runs_optimal(name):
     assert record.feasibility <= 1e-6, (name, record.feasibility)
     assert record.iterations > 0
     assert record.runtime > 0
+
+
+# Iterations of every solve an example makes at its defaults (worst_cov
+# adds its tie-break solve), at the counts of the adaptive KKT scale. A
+# change that needs more iterations on a model fails here.
+ITERATION_CEILINGS = {
+    "calibration": 75, "catenary": 550, "channel_capacity": 25,
+    "elastic_net": 100, "fmmc": 75, "huber_reg": 100, "isotonic": 100,
+    "kelly": 125, "logconcave_mle": 50, "logistic_reg": 200,
+    "near_convex": 125, "near_iso": 100, "ols": 25, "portfolio": 50,
+    "quantile_reg": 700, "saturating_hinges": 100, "sparse_inv_cov": 75,
+    "worst_cov": 100 + 625,
+}
+
+
+def test_iteration_ceilings_cover_the_gallery():
+    assert sorted(ITERATION_CEILINGS) == ALL_NAMES
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_example_iterations_within_ceiling(name, monkeypatch):
+    iterations = []
+
+    def counting(cp, settings=None):
+        sol = solve_cone_program(cp, settings)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(api, "solve_cone_program", counting)
+    record = run_example(ExampleConfig(name))
+    assert record.status == "optimal"
+    assert sum(iterations) <= ITERATION_CEILINGS[name], iterations
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from conedsl import cones as cone_ops
 from conedsl import solver as solver_mod
 from conedsl.canon import ConeProgram, ConeSpec
 from conedsl.errors import InputError
+from conedsl.examples import ExampleConfig, build_example
 from conedsl.linalg import from_dense
 from conedsl.rng import SplitMix64
 from conedsl.solver import (_ACCEL_MEMORY, SolverSettings, _AndersonMemory,
@@ -226,7 +229,13 @@ def test_determinism(end):
     assert_same_solution(a, b)
 
 
-@pytest.mark.parametrize("end", list(ENDS))
+# the four ends, plus a solve that refactors five times before max_iters
+TRACED = {**ENDS, "refactoring": lambda: (
+    constructed_program(47, MIXES[1])[0],
+    SolverSettings(eps_abs=EPS, eps_rel=EPS, max_iters=800))}
+
+
+@pytest.mark.parametrize("end", list(TRACED))
 def test_solve_calls_the_traced_names(end, monkeypatch):
     # perfbench/tracing.py times these module attributes by replacing
     # them; a solve must look each one up when it calls it
@@ -248,32 +257,62 @@ def test_solve_calls_the_traced_names(end, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    cp, settings = ENDS[end]()
+    cp, settings = TRACED[end]()
     monkeypatch.setattr(solver_mod, "QuasidefSolver", CountingQuasidefSolver)
     for name in ("project_dual", "project_block", "project_exp_many"):
         monkeypatch.setattr(cone_ops, name,
                             counting(name, getattr(cone_ops, name)))
     kinds = [kind for kind, *_ in cp.cones.kinds()]
     sol = solve_cone_program(cp, settings)
-    assert sol.status == end
-    k = sol.iterations
-    assert calls == {"factor": 1, "kkt_solve": k + 1, "project_dual": k,
+    assert sol.status == end if end in ENDS else sol.scale["refactors"] > 0
+    k, r = sol.iterations, sol.scale["refactors"]
+    # each factorization also solves for the embedding's rank-one direction
+    assert calls == {"factor": 1 + r, "kkt_solve": k + 1 + r,
+                     "project_dual": k,
                      "project_block": k * sum(kd != "exp" for kd in kinds),
                      "project_exp_many": k * kinds.count("exp")}
 
 
 def test_history_fp_res_after_the_collapse_guard():
-    # acceleration collapses toward w = 0 near iteration 60 of this solve
+    # acceleration collapses toward w = 0 near iteration 20 of this solve
     # (its one reset), and the plain iteration finishes it; the residual
-    # of an averaged operator's plain steps cannot grow, and each record
-    # carries the residual of its own iteration
-    cp, _, _, _ = constructed_program(1000, MIXES[0])
+    # of an averaged operator's plain steps cannot grow while the metric
+    # stays (no refactor), and each record carries the residual of its
+    # own iteration
+    cp, _, _, _ = constructed_program(370, MIXES[3])
     sol = solve_cone_program(cp, SETTINGS)
     assert sol.status == "optimal"
     assert sol.anderson["resets"] == 1
-    fp = [h["fp_res"] for h in sol.history if h["iter"] >= 75]
+    assert sol.scale["refactors"] == 0
+    fp = [h["fp_res"] for h in sol.history if h["iter"] >= 25]
     assert len(fp) >= 3
     assert all(later < earlier for earlier, later in zip(fp, fp[1:]))
+
+
+def test_determinism_across_a_refactor():
+    # catenary's scale moves during its solve; the rule reads only the
+    # iterate, so a second solve repeats the first bit for bit
+    prob = build_example(ExampleConfig("catenary")).problem
+    cp, _ = cd.canonicalize(prob)
+    a = solve_cone_program(cp, SETTINGS)
+    b = solve_cone_program(cp, SETTINGS)
+    assert a.status == "optimal"
+    assert a.scale["refactors"] >= 1
+    assert a.scale == b.scale
+    assert_same_solution(a, b)
+
+
+def test_refactor_cap_holds_to_max_iters(monkeypatch):
+    cp, settings = TRACED["refactoring"]()
+    sol = solve_cone_program(cp, settings)
+    assert sol.status == "max_iters_reached"
+    assert sol.scale["refactors"] == solver_mod._MAX_REFACTORS
+    assert sol.scale["start"] == solver_mod._SCALE_START
+    assert sol.scale["final"] != sol.scale["start"]
+    # without the cap the same solve refactors more often
+    monkeypatch.setattr(solver_mod, "_MAX_REFACTORS", 100)
+    uncapped = solve_cone_program(cp, settings)
+    assert uncapped.scale["refactors"] > sol.scale["refactors"]
 
 
 def test_anderson_counts_are_deterministic():
@@ -435,6 +474,16 @@ def test_settings_accept_numpy_scalars():
     assert s.max_iters == 7
 
 
+def test_settings_are_frozen():
+    # an assignment would skip the checks made at construction
+    s = SolverSettings()
+    for name, bad in (("max_iters", 2.5), ("eps_abs", float("nan")),
+                      ("eps_rel", 1e-3)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, bad)
+    assert s == SolverSettings()
+
+
 def test_settings_defaults():
     s = SolverSettings()
     assert s.max_iters == 50000
@@ -545,6 +594,9 @@ def test_diagnostics_rendering():
     assert (f"anderson: {aa['accepted']} accepted, {aa['rejected']} "
             f"rejected, {aa['resets']} resets") in text
     assert res.metrics["anderson"] == aa
+    sc = res.solution.scale
+    assert (f"scale: {sc['start']:.4g} -> {sc['final']:.4g}, "
+            f"{sc['refactors']} refactors") in text
 
     infeas = cd.solve(cd.Problem(cd.Minimize(x), [x >= 1, x <= 0]))
     text = diagnostics(infeas.solution)
