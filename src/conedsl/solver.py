@@ -11,14 +11,13 @@ linear system and projects onto R^n x K* x R+.
 
 The splitting runs in the metric R = diag(I, I / scale, 1), as in SCS 3
 (O'Donoghue, "Operator splitting for a homogeneous embedding of the linear
-complementarity problem", SIAM J. Optim. 2021): its linear step is
-(R + Q)^-1 R, which factorizes [[I, As'], [As, -R_y]] with R_y = I / scale.
-R is one number on each block of K, so the projection is unchanged.  The
-iterate is kept in R^1/2 coordinates (y times R_y^1/2, s times R_y^-1/2),
-where the splitting's map is nonexpansive in the plain 2-norm that the
-Anderson step and its safeguard measure; in unweighted coordinates the
-safeguard rejects hundreds of points on worst_cov's tie-break solve.  b is
-normalised to norm 1 and c to norm sqrt(_SCALE_START).
+complementarity problem", SIAM J. Optim. 2021).  In R^1/2 coordinates its
+step is SCS 1's step on the same data with A and b times sqrt(scale), and
+K does not change under a positive scalar; so the metric is a factor
+sqrt(scale) in the row equilibration, d = sqrt(scale) d_ruiz, and the
+linear step factorizes [[I, As'], [As, -I]].  The Anderson step and its
+safeguard then measure the metric's own norm.  b is normalised to norm
+sqrt(scale) and c to norm sqrt(_SCALE_START).
 
 The scale starts at _SCALE_START.  At each convergence check the ratio of
 the relative primal residual ||As x + s - bs tau|| / max(||As x||, ||s||,
@@ -27,9 +26,9 @@ the relative primal residual ||As x + s - bs tau|| / max(||As x||, ||s||,
 scale weights y less and lowers the primal residual faster.  Once
 _SCALE_MIN_ITERS iterations have passed since the last update and the mean
 moves the scale by a factor of _SCALE_STEP or more, the scale is
-multiplied by it (within a factor _SCALE_RANGE of the start), the KKT
-matrix is refactorized, u and v are mapped to the same point in the new
-metric and the Anderson memory is emptied.  A solve refactors at most
+multiplied by it (within a factor _SCALE_RANGE of the start), As, bs and
+the KKT matrix are rebuilt, u and v are mapped to the same point in the
+new metric and the Anderson memory is emptied.  A solve refactors at most
 _MAX_REFACTORS times.  These are constants, not settings.
 
 As SCS keeps ScsWork, a solve sets up a _Workspace once (equilibration,
@@ -119,8 +118,8 @@ class Solution:
     certificate: dict | None = None
     # Anderson steps: accepted (the accelerated point was taken), rejected
     # (the safeguard reverted an accepted point) and resets (the memory was
-    # emptied for another cause: a singular or non-finite extrapolation,
-    # the collapse guard, or a non-finite residual)
+    # emptied for another cause: a non-finite residual, or an extrapolation
+    # that was singular, non-finite or collapsed toward w = 0)
     anderson: dict = field(default_factory=dict)
     # the scale of the KKT metric: its start and final values and the
     # number of refactors that moved it
@@ -223,26 +222,25 @@ class _AndersonMemory:
 
 
 class _Workspace:
-    """A solve's setup and the state of its scale: the equilibration
-    diag(d) A diag(e) with the scales sigma of b and rho of c, the KKT
-    matrix factorized at the current scale, the buffers of the embedding's
-    linear solve, the norms of b and c, K's layout, and the residual
-    ratios averaged since the last refactor."""
+    """A solve's setup and the state of its scale: the Ruiz scales d_ruiz
+    and e with the scales sigma of b and rho of c, the equilibration
+    diag(d) A diag(e) with d = sqrt(scale) d_ruiz and its KKT matrix
+    factorized, the buffers of the embedding's linear solve, the norms of
+    b and c, K's layout, and the residual ratios averaged since the last
+    refactor."""
 
     def __init__(self, cp: ConeProgram):
         self.t0 = time.perf_counter()
         self.cp = cp
         n, m = self.n, self.m = cp.n, cp.m
-        d, e = self.d, self.e = _equilibrate(cp.A, cp.cones)
-        self.As = sp.csc_matrix(sp.diags(d) @ cp.A @ sp.diags(e))
-        bs, cs = d * cp.b, e * cp.c
-        # b to norm 1 and c to norm sqrt(_SCALE_START), so that the first
+        self.d_ruiz, self.e = _equilibrate(cp.A, cp.cones)
+        cs = self.e * cp.c
+        # b to norm sqrt(scale) and c to norm sqrt(_SCALE_START): the first
         # iteration is SCS 1's on A, b and c times sqrt(_SCALE_START)
-        self.sigma = 1.0 / max(np.linalg.norm(bs), _MIN_SCALE)
+        self.sigma = 1.0 / max(np.linalg.norm(self.d_ruiz * cp.b), _MIN_SCALE)
         self.rho = math.sqrt(_SCALE_START) / max(np.linalg.norm(cs),
                                                  _MIN_SCALE)
-        self.bs, self.cs = self.sigma * bs, self.rho * cs
-        self.cb = np.concatenate([self.cs, self.bs])
+        self.cs = self.rho * cs
         self.rhs = np.empty(n + m)
         self.norm_b, self.norm_c = np.linalg.norm(cp.b), np.linalg.norm(cp.c)
         self.layout = cone_ops.layout(cp.cones)
@@ -251,12 +249,17 @@ class _Workspace:
         self.factor(_SCALE_START)
 
     def factor(self, scale):
-        """Factorize [[I, As'], [As, -R_y]] with R_y = I / scale, and solve
+        """Set the row scale d = sqrt(scale) d_ruiz, rebuild As, bs and cb
+        from the problem's data, factorize [[I, As'], [As, -I]], and solve
         it for g, the embedding's rank-one direction."""
-        n, cs, bs = self.n, self.cs, self.bs
-        self.scale, self.sqrt_r = scale, math.sqrt(1.0 / scale)
-        kkt = sp.bmat([[sp.eye(n), self.As.T],
-                       [self.As, sp.eye(self.m) / -scale]], format="csc")
+        cp, n, cs = self.cp, self.n, self.cs
+        self.scale = scale
+        d = self.d = math.sqrt(scale) * self.d_ruiz
+        self.As = sp.csc_matrix(sp.diags(d) @ cp.A @ sp.diags(self.e))
+        bs = self.bs = self.sigma * d * cp.b
+        self.cb = np.concatenate([cs, bs])
+        kkt = sp.bmat([[sp.eye(n), self.As.T], [self.As, -sp.eye(self.m)]],
+                      format="csc")
         self.fac = QuasidefSolver(kkt)
         g = self.fac.solve(np.concatenate([cs, -bs]))
         self.denom = 1.0 + cs @ g[:n] + bs @ g[n:]
@@ -265,16 +268,15 @@ class _Workspace:
         self.g_ext = np.append(g, -1.0)    # [g; -1]
 
     def embed_solve(self, w):
-        """The embedding's linear step R^1/2 (R + Q)^-1 R^1/2 w: a KKT
-        solve plus a rank-one term."""
-        n, rhs, sr = self.n, self.rhs, self.sqrt_r
+        """The embedding's linear step (I + Q)^-1 w: a KKT solve plus a
+        rank-one term."""
+        n, rhs = self.n, self.rhs
         rhs[:n] = w[:n]
-        np.multiply(w[n:-1], -sr, out=rhs[n:])
+        np.negative(w[n:-1], out=rhs[n:])
         h = self.fac.solve(rhs)
         zt = (w[-1] + self.cb @ h) / self.denom
         out = self.g_ext * -zt
         out[:-1] += h
-        out[n:-1] *= sr
         return out
 
     def proj(self, w):
@@ -286,13 +288,13 @@ class _Workspace:
 
     def unscale(self, u, v):
         """The raw directions (x, y, s) of the embedding in the problem's
-        own scale, with y = R_y^-1/2 u_y and s = R_y^1/2 v_y; the point they
-        give divided by sigma * tau (x, s) and rho * tau (y); its residuals
-        (primal, dual, gap); and the scale |c'x| + |b'y| of the gap."""
-        cp, n, sr = self.cp, self.n, self.sqrt_r
+        own scale; the point they give divided by sigma * tau (x, s) and
+        rho * tau (y); its residuals (primal, dual, gap); and the scale
+        |c'x| + |b'y| of the gap."""
+        cp, n = self.cp, self.n
         tau = max(u[-1], _TAU_FLOOR)
-        dirs = xdir, ydir, sdir = (self.e * u[:n], self.d * u[n:-1] / sr,
-                                   sr * v[n:-1] / self.d)
+        dirs = xdir, ydir, sdir = (self.e * u[:n], self.d * u[n:-1],
+                                   v[n:-1] / self.d)
         x = xdir / (self.sigma * tau)
         y = ydir / (self.rho * tau)
         s = sdir / (self.sigma * tau)
@@ -350,9 +352,9 @@ class _Workspace:
         the last update, and at most _MAX_REFACTORS times. A refactor maps
         u and v in place to the same x, y, s, tau and kappa in the new
         metric; return whether one happened."""
-        n, tau, sr, norm = self.n, u[-1], self.sqrt_r, np.linalg.norm
-        s = sr * v[n:-1]
-        ax, aty = self.As @ u[:n], self.As.T @ u[n:-1] / sr
+        n, tau, norm = self.n, u[-1], np.linalg.norm
+        s = v[n:-1]
+        ax, aty = self.As @ u[:n], self.As.T @ u[n:-1]
         btau, ctau = tau * self.bs, tau * self.cs
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = (norm(ax + s - btau) * max(norm(aty), norm(ctau))
@@ -368,11 +370,13 @@ class _Workspace:
                     _SCALE_START * _SCALE_RANGE)
         if 1.0 / _SCALE_STEP < scale / self.scale < _SCALE_STEP:
             return False
+        # y and s keep their values: u_y scales as 1 / d, v_y as d
+        shrink = math.sqrt(self.scale / scale)
         self.factor(scale)
         self.refactors += 1
         self.last_update, self.log_sum, self.log_count = it, 0.0, 0
-        u[n:-1] *= self.sqrt_r / sr
-        v[n:-1] *= sr / self.sqrt_r
+        u[n:-1] *= shrink
+        v[n:-1] /= shrink
         return True
 
     def run(self, settings: SolverSettings) -> Solution:
@@ -387,7 +391,6 @@ class _Workspace:
         # accelerator works on.
         w = _ALPHA * self.embed_solve(u + v) + (1.0 - _ALPHA) * u - v
 
-        accel_on = True
         w_scale = float(np.linalg.norm(w))
         memory = _AndersonMemory(w.size)
         history = []
@@ -422,9 +425,6 @@ class _Workspace:
             w_plain = w + _ALPHA * (self.embed_solve(2.0 * u - w) - u)
             g = w_plain - w
             gnorm = float(np.linalg.norm(g))
-            if not accel_on:
-                w = w_plain
-                continue
 
             # Anderson step on g, with a safeguard: an accelerated point
             # whose residual is larger than the residual it was extrapolated
@@ -439,17 +439,15 @@ class _Workspace:
             memory.push(w, g)
             if memory.count:
                 cand = memory.extrapolate(w_plain, g)
-                if cand is not None:
-                    if np.linalg.norm(cand) >= _ACCEL_NORM_FLOOR * w_scale:
-                        fallback = (w_plain, gnorm)
-                        w = cand
-                        memory.counts["accepted"] += 1
-                        continue
-                    # the candidate collapsed toward w = 0, a trivial fixed
-                    # point of the homogeneous map that encodes no solution
-                    # and no certificate; acceleration is attracted to it,
-                    # so stop accelerating and let the plain iteration finish
-                    accel_on = False
+                # a candidate that collapsed toward w = 0, a trivial fixed
+                # point of the homogeneous map that encodes no solution and
+                # no certificate, is dropped like a singular one
+                if (cand is not None and np.linalg.norm(cand)
+                        >= _ACCEL_NORM_FLOOR * w_scale):
+                    fallback = (w_plain, gnorm)
+                    w = cand
+                    memory.counts["accepted"] += 1
+                    continue
                 memory.clear("resets")
             w = w_plain
 

@@ -229,10 +229,9 @@ def test_determinism(end):
     assert_same_solution(a, b)
 
 
-# the four ends, plus a solve that refactors five times before max_iters
+# the four ends, plus an optimal solve that refactors twice
 TRACED = {**ENDS, "refactoring": lambda: (
-    constructed_program(47, MIXES[1])[0],
-    SolverSettings(eps_abs=EPS, eps_rel=EPS, max_iters=800))}
+    constructed_program(2, MIXES[3])[0], SETTINGS)}
 
 
 @pytest.mark.parametrize("end", list(TRACED))
@@ -273,20 +272,40 @@ def test_solve_calls_the_traced_names(end, monkeypatch):
                      "project_exp_many": k * kinds.count("exp")}
 
 
-def test_history_fp_res_after_the_collapse_guard():
-    # acceleration collapses toward w = 0 near iteration 20 of this solve
-    # (its one reset), and the plain iteration finishes it; the residual
-    # of an averaged operator's plain steps cannot grow while the metric
-    # stays (no refactor), and each record carries the residual of its
-    # own iteration
-    cp, _, _, _ = constructed_program(370, MIXES[3])
+@pytest.mark.parametrize("seed, mix, most",
+                         [(1031, MIXES[1], 100), (2, MIXES[3], 300)],
+                         ids=["1031-nonneg-soc", "2-nonneg-exp"])
+def test_collapsed_extrapolation_is_dropped(seed, mix, most, monkeypatch):
+    # an Anderson point that collapses toward w = 0 (norm below
+    # _ACCEL_NORM_FLOOR times that of the first iterate, which is the
+    # first one pushed) is dropped with a reset, and later points are
+    # still taken; left to the plain iteration after their first
+    # collapse, these solves need over 10,000 iterations
+    first_norm, cand_norms = [], []
+    push, extrapolate = _AndersonMemory.push, _AndersonMemory.extrapolate
+
+    def recording_push(self, w, g):
+        if not first_norm:
+            first_norm.append(np.linalg.norm(w))
+        push(self, w, g)
+
+    def recording_extrapolate(self, w_plain, g):
+        cand = extrapolate(self, w_plain, g)
+        cand_norms.append(np.inf if cand is None else np.linalg.norm(cand))
+        return cand
+
+    monkeypatch.setattr(_AndersonMemory, "push", recording_push)
+    monkeypatch.setattr(_AndersonMemory, "extrapolate", recording_extrapolate)
+    cp, _, _, _ = constructed_program(seed, mix)
     sol = solve_cone_program(cp, SETTINGS)
     assert sol.status == "optimal"
-    assert sol.anderson["resets"] == 1
-    assert sol.scale["refactors"] == 0
-    fp = [h["fp_res"] for h in sol.history if h["iter"] >= 25]
-    assert len(fp) >= 3
-    assert all(later < earlier for earlier, later in zip(fp, fp[1:]))
+    assert sol.iterations <= most
+    floor = solver_mod._ACCEL_NORM_FLOOR * first_norm[0]
+    collapsed = [i for i, norm in enumerate(cand_norms) if norm < floor]
+    assert collapsed
+    assert sol.anderson["resets"] >= len(collapsed)
+    assert any(floor <= norm < np.inf
+               for norm in cand_norms[collapsed[0] + 1:])
 
 
 def test_determinism_across_a_refactor():
@@ -302,10 +321,13 @@ def test_determinism_across_a_refactor():
     assert_same_solution(a, b)
 
 
-def test_refactor_cap_holds_to_max_iters(monkeypatch):
-    cp, settings = TRACED["refactoring"]()
+def test_refactor_cap_holds(monkeypatch):
+    # with updates allowed every 25 iterations this solve refactors 14
+    # times; the cap stops it at 5
+    monkeypatch.setattr(solver_mod, "_SCALE_MIN_ITERS", 25)
+    cp, _, _, _ = constructed_program(50, MIXES[1])
+    settings = SolverSettings(eps_abs=EPS, eps_rel=EPS, max_iters=800)
     sol = solve_cone_program(cp, settings)
-    assert sol.status == "max_iters_reached"
     assert sol.scale["refactors"] == solver_mod._MAX_REFACTORS
     assert sol.scale["start"] == solver_mod._SCALE_START
     assert sol.scale["final"] != sol.scale["start"]
@@ -313,6 +335,28 @@ def test_refactor_cap_holds_to_max_iters(monkeypatch):
     monkeypatch.setattr(solver_mod, "_MAX_REFACTORS", 100)
     uncapped = solve_cone_program(cp, settings)
     assert uncapped.scale["refactors"] > sol.scale["refactors"]
+
+
+def test_refactor_keeps_the_point():
+    # a refactor moves the row scale d and maps u_y and v_y to match, so
+    # the point the iterate stands for does not move
+    cp, _, _, _ = constructed_program(47, MIXES[1])
+    ws = solver_mod._Workspace(cp)
+    w = SplitMix64(7).normals(ws.n + ws.m + 1)
+    w[-1] = 1.0
+    u = ws.proj(w)
+    v = u - w
+    _, before, _, _ = ws.unscale(u, v)
+    tau, kappa = u[-1], v[-1]
+    # a mean log ratio near 50 asks for the largest scale allowed
+    ws.log_sum, ws.log_count = 100.0, 1
+    assert ws.retune(solver_mod._SCALE_MIN_ITERS, u, v)
+    assert ws.refactors == 1
+    assert ws.scale == solver_mod._SCALE_START * solver_mod._SCALE_RANGE
+    _, after, _, _ = ws.unscale(u, v)
+    for a, b in zip(after, before):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+    assert (u[-1], v[-1]) == (tau, kappa)
 
 
 def test_anderson_counts_are_deterministic():
