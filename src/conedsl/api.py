@@ -159,5 +159,6 @@ def solve(problem: Problem, solver: str | None = None, settings=None,
                "solve_time": sol.solve_time,
                "residuals": sol.residuals,
                "anderson": sol.anderson,
-               "scale": sol.scale}
+               "scale": sol.scale,
+               "refined_solves": sol.refined_solves}
     return Result(problem, sol.status, value, sol, vmap, cp, metrics)

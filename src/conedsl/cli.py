@@ -83,6 +83,7 @@ def _cmd_solve(args):
         "iterations": sol.iterations,
         "anderson": sol.anderson,
         "scale": sol.scale,
+        "refined_solves": sol.refined_solves,
         "solve_time": sol.solve_time,
     })
     print(json.dumps(record, indent=2))

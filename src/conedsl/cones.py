@@ -29,18 +29,33 @@ from .linalg import svec, svec_dim, unsvec
 
 # -- second-order and semidefinite cones, batched over blocks ------------------
 
-def _segment_starts(sizes, total):
-    """First row of each of the consecutive blocks with the given sizes."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    ends = np.add.accumulate(sizes)
-    if ends.size == 0 or ends[-1] != total:
+class Blocks(NamedTuple):
+    """Consecutive blocks of one cone kind, converted and checked once:
+    their SOC sizes or PSD sides as int64, the first row of each, and the
+    number of rows they tile."""
+    sizes: np.ndarray
+    starts: np.ndarray
+    dim: int
+
+
+def blocks(kind: str, meta, dim: int) -> Blocks:
+    """The Blocks of meta (SOC sizes or PSD sides, one int, or Blocks
+    already) over `dim` rows; ShapeError if they do not tile them."""
+    if isinstance(meta, Blocks):
+        if meta.dim != dim:
+            raise ShapeError("cone block sizes do not match vector length")
+        return meta
+    sizes = np.atleast_1d(np.asarray(meta, dtype=np.int64))
+    rows = svec_dim(sizes) if kind == "psd" else sizes
+    ends = np.add.accumulate(rows)
+    if ends.size == 0 or ends[-1] != dim:
         raise ShapeError("cone block sizes do not match vector length")
-    return sizes, ends - sizes
+    return Blocks(sizes, ends - rows, dim)
 
 
-def _project_soc(v, sizes):
+def _project_soc(v, blk):
     """Project consecutive SOC blocks (t, x), t first, in one pass."""
-    sizes, starts = _segment_starts(sizes, v.size)
+    sizes, starts = blk.sizes, blk.starts
     t = v[starts]
     sq = v * v
     sq[starts] = 0.0
@@ -55,10 +70,9 @@ def _project_soc(v, sizes):
     return out
 
 
-def _project_psd(v, sides):
+def _project_psd(v, blk):
     """Project consecutive svec PSD blocks: one batched eigh per side."""
-    sides = np.asarray(sides, dtype=np.int64)
-    _, starts = _segment_starts(svec_dim(sides), v.size)
+    sides, starts = blk.sizes, blk.starts
     out = np.empty_like(v)
     for side in np.unique(sides).tolist():
         rows = starts[sides == side][:, None] + np.arange(svec_dim(side))
@@ -238,17 +252,18 @@ def project_exp_many(V: np.ndarray) -> np.ndarray:
 
 def project_block(kind: str, v: np.ndarray, meta=None) -> np.ndarray:
     """Project v, the rows of one cone kind: meta is the list of SOC block
-    sizes or PSD sides, or one int (or None, SOC) for a single block."""
+    sizes or PSD sides, one int (or None, SOC) for a single block, or
+    their Blocks as a Layout holds them."""
     v = np.asarray(v, dtype=float).ravel()
     if kind == "zero":
         return np.zeros_like(v)
     if kind == "nonneg":
         return np.maximum(v, 0.0)
     if kind == "soc":
-        return _project_soc(v, [v.size] if meta is None
-                            else np.atleast_1d(meta))
+        return _project_soc(v, blocks(kind, v.size if meta is None else meta,
+                                      v.size))
     if kind == "psd":
-        return _project_psd(v, np.atleast_1d(meta))
+        return _project_psd(v, blocks(kind, meta, v.size))
     if kind == "exp":
         return project_exp_many(v.reshape(-1, 3)).ravel()
     raise ShapeError(f"unknown cone kind {kind!r}")
@@ -272,7 +287,7 @@ def in_cone_block(kind: str, v: np.ndarray, meta=None, tol: float = 1e-9) -> boo
 class Layout(NamedTuple):
     """K's rows as the projections read them: the total dimension and one
     (kind, start, stop, meta) per cone kind present, as ConeSpec.kinds()
-    gives them."""
+    gives them, with the SOC and PSD metas as their Blocks."""
     total_dim: int
     kinds: tuple
 
@@ -280,10 +295,14 @@ class Layout(NamedTuple):
 def layout(cones) -> Layout:
     """The Layout of a ConeSpec, read once; a Layout is returned as it is.
     A solver passes it to project_dual on every iteration, so that the
-    spec's table is not rebuilt per call."""
+    spec's table is not rebuilt and the SOC and PSD block sizes are not
+    converted and checked per call."""
     if isinstance(cones, Layout):
         return cones
-    return Layout(cones.total_dim, tuple(cones.kinds()))
+    return Layout(cones.total_dim, tuple(
+        (kind, start, stop, blocks(kind, meta, stop - start)
+         if kind in ("soc", "psd") else meta)
+        for kind, start, stop, meta in cones.kinds()))
 
 
 def project(cones, v: np.ndarray) -> np.ndarray:

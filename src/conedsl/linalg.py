@@ -4,6 +4,12 @@ The canonicalizer hands the solver and the JSON interchange a SciPy CSC
 matrix in canonical form. Factorization is delegated to SciPy; this
 module pins down the contracts the rest of the package relies on
 (duplicate handling, residual bounds, the svec layout).
+
+A quasidefinite solve is one SuperLU solve. Its residual bound is not
+checked on every call, which would cost a product with the matrix and
+two norms, about as much as the solve itself: the caller checks it with
+`QuasidefSolver.refine` where it chooses, and a miss switches on iterative
+refinement for every later solve of that factorization.
 """
 from __future__ import annotations
 
@@ -60,11 +66,17 @@ _MAX_REFINE = 5
 
 
 class QuasidefSolver:
-    """Cached factorization of a symmetric quasidefinite matrix.
+    """Cached factorization of a symmetric quasidefinite matrix M.
 
     The factorization is computed once per instance and reused for every
-    right-hand side. Solves are followed by iterative refinement until the
-    residual satisfies ||M z - rhs|| <= 1e-9 * (1 + ||rhs||).
+    right-hand side. `solve` is one SuperLU solve and a check that the
+    result is finite; it makes no product with M. The residual bound
+    ||M z - rhs|| <= 1e-9 * (1 + ||rhs||) is checked by `refine`, on the
+    solves a caller chooses: the embedded solver checks the first solve of
+    each factorization and the last solve before each convergence check.
+    A miss is refined to the bound by iterative refinement, and from then
+    on every `solve` of this factorization is refined in the same way.
+    `refined` counts the solves that took a refinement step.
     """
 
     def __init__(self, M):
@@ -76,24 +88,36 @@ class QuasidefSolver:
             self._lu = spla.splu(csc)
         except RuntimeError as e:
             raise FactorizationError(f"factorization failed: {e}") from e
+        self._refine_each = False
+        self.refined = 0
 
     def solve(self, rhs) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float).ravel()
         if rhs.size != self._csc.shape[0]:
             raise ShapeError("rhs length does not match matrix")
-        A = self._csc
         z = self._lu.solve(rhs)
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise FactorizationError("solve produced non-finite values (singular matrix?)")
+        return self.refine(rhs, z) if self._refine_each else z
+
+    def refine(self, rhs, z) -> np.ndarray:
+        """z, a solve of rhs, if it meets the residual bound; otherwise z
+        refined until it does, after which every later solve is refined
+        too. Raises NumericError when _MAX_REFINE steps do not reach it."""
+        rhs = np.asarray(rhs, dtype=float).ravel()
+        A = self._csc
         bound = _RESID_RTOL * (1.0 + np.linalg.norm(rhs))
+        r = rhs - A @ z
+        if np.linalg.norm(r) <= bound:
+            return z
+        self._refine_each = True
+        self.refined += 1
         for _ in range(_MAX_REFINE):
+            z = z + self._lu.solve(r)
             r = rhs - A @ z
             if np.linalg.norm(r) <= bound:
                 return z
-            z = z + self._lu.solve(r)
-        if np.linalg.norm(rhs - A @ z) > bound:
-            raise NumericError("iterative refinement failed to reach residual tolerance")
-        return z
+        raise NumericError("iterative refinement failed to reach residual tolerance")
 
 
 # Symmetric vectorization. Lower triangle stacked column by column with

@@ -34,7 +34,20 @@ _MAX_REFACTORS times.  These are constants, not settings.
 As SCS keeps ScsWork, a solve sets up a _Workspace once (equilibration,
 factorization, buffers, K's layout) and its run() iterates.  check() is the
 one exit, so k iterations with r refactors cost 1 + r factorizations,
-k + 1 + r KKT solves and k projections.
+k + 1 + r KKT solves and k projections.  The CSC pattern of the KKT matrix
+is built once per solve from A's indptr and indices, as OSQP keeps its KKT
+pattern; a factorization only refills its values, As = (a d) e entry by
+entry and the same values scattered into the transposed block, which
+gives bit for bit what SciPy's diag(d) A diag(e) and bmat give.
+
+A KKT solve is one SuperLU solve.  Its residual bound is checked on the
+rank-one direction g of each factorization and on the last solve before
+each convergence check that goes on; a miss refines that solve, and every
+later solve of the factorization is refined per call (linalg).  No status
+rests on that bound: check() decides optimality and the certificates from
+residuals it computes on the problem's own A, b and c, so a less accurate
+KKT solve can slow convergence but cannot make a status claim more than
+the iterate proves.  Solution.refined_solves counts the refined solves.
 
 The fixed-point map on w = u - v is accelerated by type-II Anderson
 acceleration (Zhang, O'Donoghue and Boyd, SIAM J. Optim. 2020): the last
@@ -124,39 +137,98 @@ class Solution:
     # the scale of the KKT metric: its start and final values and the
     # number of refactors that moved it
     scale: dict = field(default_factory=dict)
+    # KKT solves that missed the residual bound and were refined
+    refined_solves: int = 0
 
 
-def _equilibrate(A: sp.csc_matrix, cones):
+def _runs(counts):
+    """The runs of the given lengths that are not empty, and the first
+    position of each."""
+    full = np.flatnonzero(counts)
+    return full, (np.cumsum(counts) - counts)[full]
+
+
+def _equilibrate(A: sp.csc_matrix, cones, cols, by_row):
     """Ruiz-style alternating row/col scaling; returns (d, e) with the
     scaled matrix being diag(d) A diag(e).  Rows inside a single SOC, PSD
     or EXP block receive one common factor (geometric mean) so cone
-    membership is preserved under the scaling."""
+    membership is preserved under the scaling.  cols holds the column of
+    each of A's stored entries and by_row puts them in row order; the row
+    and column maxima are taken over the entries in row order and in A's
+    own order."""
     m, n = A.shape
     d = np.ones(m)
     e = np.ones(n)
     if A.nnz == 0:
         return d, e
-    coo = A.tocoo()
-    rows, cols, vals = coo.row, coo.col, np.abs(coo.data)
+    rows, vals = A.indices, np.abs(A.data)
+    rows_r, cols_r, vals_r = rows[by_row], cols[by_row], vals[by_row]
+    full_rows, row_starts = _runs(np.bincount(rows, minlength=m))
+    full_cols, col_starts = _runs(np.diff(A.indptr))
     # the SOC, PSD and EXP blocks tile the rows from `lo` to the end
     lo, sizes = cones.cone_blocks()
     sizes = np.array(sizes, dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
     for _ in range(_RUIZ_SWEEPS):
-        cur = vals * d[rows] * e[cols]
         rmax = np.zeros(m)
-        np.maximum.at(rmax, rows, cur)
+        rmax[full_rows] = np.maximum.reduceat(vals_r * d[rows_r] * e[cols_r],
+                                              row_starts)
         rmax[rmax == 0] = 1.0
         if sizes.size:
             logs = np.add.reduceat(np.log(rmax[lo:]), starts)
             rmax[lo:] = np.repeat(np.exp(logs / sizes), sizes)
         d /= np.sqrt(rmax)
-        cur = vals * d[rows] * e[cols]
         cmax = np.zeros(n)
-        np.maximum.at(cmax, cols, cur)
+        cmax[full_cols] = np.maximum.reduceat(vals * d[rows] * e[cols],
+                                              col_starts)
         cmax[cmax == 0] = 1.0
         e /= np.sqrt(cmax)
     return d, e
+
+
+class _KKTPattern:
+    """The CSC pattern of K = [[I, A'], [A, -I]], laid out as sp.bmat lays
+    it out, built once per solve from A's indptr and indices.  Column j < n
+    holds the 1 at row j and then column j of A; column n + i holds row i
+    of A and then the -1 at row n + i.  So A's entry k sits at k + cols[k]
+    + 1, and the t-th entry in row order at nnz + n + row + t."""
+
+    def __init__(self, A: sp.csc_matrix, cols, by_row):
+        m, n = A.shape
+        nnz = A.nnz
+        self.shape = (n + m, n + m)
+        counts = np.concatenate([np.diff(A.indptr),
+                                 np.bincount(A.indices, minlength=m)]) + 1
+        indptr = np.zeros(n + m + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        k = np.arange(nnz)
+        # where each of A's entries sits, in A's order: in the lower block
+        # and in the transposed block
+        self.at_a = k + cols + 1
+        self.at_t = np.empty(nnz, dtype=np.int64)
+        self.at_t[by_row] = k + nnz + n + A.indices[by_row]
+        top, bottom = indptr[:n], indptr[n + 1:] - 1
+        indices = np.empty(indptr[-1], dtype=np.int64)
+        indices[top] = np.arange(n)
+        indices[bottom] = np.arange(n, n + m)
+        indices[self.at_a] = A.indices + n
+        indices[self.at_t] = cols
+        self.template = np.empty(indptr[-1])
+        self.template[top] = 1.0
+        self.template[bottom] = -1.0
+        # the index arrays in the dtype SciPy chooses, so that refills
+        # share them without a conversion
+        base = sp.csc_matrix((self.template, indices, indptr),
+                             shape=self.shape)
+        self.indices, self.indptr = base.indices, base.indptr
+
+    def matrix(self, as_data):
+        """K with As, whose stored values in A's order are as_data."""
+        data = self.template.copy()
+        data[self.at_a] = as_data
+        data[self.at_t] = as_data
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
 
 
 class _AndersonMemory:
@@ -225,15 +297,22 @@ class _Workspace:
     """A solve's setup and the state of its scale: the Ruiz scales d_ruiz
     and e with the scales sigma of b and rho of c, the equilibration
     diag(d) A diag(e) with d = sqrt(scale) d_ruiz and its KKT matrix
-    factorized, the buffers of the embedding's linear solve, the norms of
-    b and c, K's layout, and the residual ratios averaged since the last
-    refactor."""
+    factorized, the KKT pattern that each factorization refills, the
+    buffers of the embedding's linear solve, the norms of b and c, K's
+    layout, the refined KKT solves, and the residual ratios averaged since
+    the last refactor."""
 
     def __init__(self, cp: ConeProgram):
         self.t0 = time.perf_counter()
         self.cp = cp
         n, m = self.n, self.m = cp.n, cp.m
-        self.d_ruiz, self.e = _equilibrate(cp.A, cp.cones)
+        # the column of each stored entry, and the entries in row order (by
+        # column within a row)
+        cols = np.repeat(np.arange(n), np.diff(cp.A.indptr))
+        by_row = np.argsort(cp.A.indices, kind="stable")
+        self.d_ruiz, self.e = _equilibrate(cp.A, cp.cones, cols, by_row)
+        self.e_cols = self.e[cols]
+        self.kkt = _KKTPattern(cp.A, cols, by_row)
         cs = self.e * cp.c
         # b to norm sqrt(scale) and c to norm sqrt(_SCALE_START): the first
         # iteration is SCS 1's on A, b and c times sqrt(_SCALE_START)
@@ -245,23 +324,28 @@ class _Workspace:
         self.norm_b, self.norm_c = np.linalg.norm(cp.b), np.linalg.norm(cp.c)
         self.layout = cone_ops.layout(cp.cones)
         self.refactors = self.last_update = self.log_count = 0
+        self.refined = 0     # refined KKT solves of earlier factorizations
         self.log_sum = 0.0
         self.factor(_SCALE_START)
 
     def factor(self, scale):
         """Set the row scale d = sqrt(scale) d_ruiz, rebuild As, bs and cb
-        from the problem's data, factorize [[I, As'], [As, -I]], and solve
-        it for g, the embedding's rank-one direction."""
-        cp, n, cs = self.cp, self.n, self.cs
+        from the problem's data, factorize [[I, As'], [As, -I]] (its values
+        refilled in the pattern of the solve), and solve it for g, the
+        embedding's rank-one direction, refined if it misses the residual
+        bound."""
+        cp, n, cs, A = self.cp, self.n, self.cs, self.cp.A
         self.scale = scale
         d = self.d = math.sqrt(scale) * self.d_ruiz
-        self.As = sp.csc_matrix(sp.diags(d) @ cp.A @ sp.diags(self.e))
+        # (a d) e, the order in which diag(d) A diag(e) rounds
+        as_data = A.data * d[A.indices] * self.e_cols
+        self.As = sp.csc_matrix((as_data, A.indices, A.indptr),
+                                shape=A.shape)
         bs = self.bs = self.sigma * d * cp.b
         self.cb = np.concatenate([cs, bs])
-        kkt = sp.bmat([[sp.eye(n), self.As.T], [self.As, -sp.eye(self.m)]],
-                      format="csc")
-        self.fac = QuasidefSolver(kkt)
-        g = self.fac.solve(np.concatenate([cs, -bs]))
+        self.fac = QuasidefSolver(self.kkt.matrix(as_data))
+        rhs = np.concatenate([cs, -bs])
+        g = self.fac.refine(rhs, self.fac.solve(rhs))
         self.denom = 1.0 + cs @ g[:n] + bs @ g[n:]
         if not np.isfinite(self.denom) or self.denom <= 0:
             raise NumericError("homogeneous embedding system is singular")
@@ -273,7 +357,7 @@ class _Workspace:
         n, rhs = self.n, self.rhs
         rhs[:n] = w[:n]
         np.negative(w[n:-1], out=rhs[n:])
-        h = self.fac.solve(rhs)
+        h = self.h = self.fac.solve(rhs)
         zt = (w[-1] + self.cb @ h) / self.denom
         out = self.g_ext * -zt
         out[:-1] += h
@@ -372,6 +456,7 @@ class _Workspace:
             return False
         # y and s keep their values: u_y scales as 1 / d, v_y as d
         shrink = math.sqrt(self.scale / scale)
+        self.refined += self.fac.refined
         self.factor(scale)
         self.refactors += 1
         self.last_update, self.log_sum, self.log_count = it, 0.0, 0
@@ -391,7 +476,7 @@ class _Workspace:
         # accelerator works on.
         w = _ALPHA * self.embed_solve(u + v) + (1.0 - _ALPHA) * u - v
 
-        w_scale = float(np.linalg.norm(w))
+        w_scale = math.sqrt(w @ w)
         memory = _AndersonMemory(w.size)
         history = []
         # after an Anderson step: the plain step and the residual norm of
@@ -413,7 +498,13 @@ class _Workspace:
                                     certificate, memory.counts,
                                     {"start": _SCALE_START,
                                      "final": self.scale,
-                                     "refactors": self.refactors})
+                                     "refactors": self.refactors},
+                                    self.refined + self.fac.refined)
+                # the KKT solve that made this iterate meets its residual
+                # bound, or this factorization's solves are refined from
+                # here on; the status above is checked on cp.A whatever
+                # the accuracy of the solves
+                self.fac.refine(self.rhs, self.h)
                 if self.retune(it, u, v):
                     # the memory and the safeguard's fallback hold points
                     # of the old metric
@@ -424,7 +515,7 @@ class _Workspace:
             # the fixed-point residual g = F(w) - w of the plain step
             w_plain = w + _ALPHA * (self.embed_solve(2.0 * u - w) - u)
             g = w_plain - w
-            gnorm = float(np.linalg.norm(g))
+            gnorm = math.sqrt(g @ g)
 
             # Anderson step on g, with a safeguard: an accelerated point
             # whose residual is larger than the residual it was extrapolated
@@ -442,7 +533,7 @@ class _Workspace:
                 # a candidate that collapsed toward w = 0, a trivial fixed
                 # point of the homogeneous map that encodes no solution and
                 # no certificate, is dropped like a singular one
-                if (cand is not None and np.linalg.norm(cand)
+                if (cand is not None and math.sqrt(cand @ cand)
                         >= _ACCEL_NORM_FLOOR * w_scale):
                     fallback = (w_plain, gnorm)
                     w = cand
@@ -473,6 +564,7 @@ def diagnostics(sol: Solution) -> str:
         sc = sol.scale
         lines.append(f"scale: {sc['start']:.4g} -> {sc['final']:.4g}, "
                      f"{sc['refactors']} refactors")
+    lines.append(f"kkt: {sol.refined_solves} refined solves")
     if sol.status == "optimal":
         lines.append(f"objective: {sol.objective:.10g}")
         pres, dres, gap = sol.residuals

@@ -225,7 +225,9 @@ def test_solve_reports_offset_and_flip_in_user_sense(tmp_path, capsys):
     assert code == 0
     record = json.loads(out)
     assert list(record) == ["file", "status", "objective", "residuals",
-                            "iterations", "anderson", "scale", "solve_time"]
+                            "iterations", "anderson", "scale",
+                            "refined_solves", "solve_time"]
+    assert record["refined_solves"] == 0
     direct = cd.solve(prob, eps_abs=1e-9, eps_rel=1e-9)
     assert np.isclose(record["objective"], 5.0, rtol=0, atol=1e-6)
     assert np.isclose(record["objective"], direct.value, rtol=0, atol=1e-9)

@@ -309,6 +309,27 @@ def test_project_block_takes_block_lists():
         cones.project_block("soc", v, [2, 2])
 
 
+def test_layout_holds_checked_int64_blocks():
+    # a Layout converts and checks the SOC sizes and PSD sides once, and
+    # the projections take its Blocks as they take the lists
+    spec = ConeSpec(nonneg=2, soc=[3, 4], psd=[2, 3], ep=1)
+    metas = {kind: (start, stop, meta)
+             for kind, start, stop, meta in cones.layout(spec).kinds}
+    assert metas["nonneg"][2] is None and metas["exp"][2] is None
+    rng = SplitMix64(116)
+    for kind, sizes, starts in (("soc", [3, 4], [0, 3]),
+                                ("psd", [2, 3], [0, 3])):
+        start, stop, blk = metas[kind]
+        assert isinstance(blk, cones.Blocks) and blk.dim == stop - start
+        assert blk.sizes.dtype == np.int64 and blk.starts.dtype == np.int64
+        assert blk.sizes.tolist() == sizes and blk.starts.tolist() == starts
+        v = rng.normals(blk.dim) * 2.0
+        assert np.array_equal(cones.project_block(kind, v, blk),
+                              cones.project_block(kind, v, sizes))
+        with pytest.raises(ShapeError):
+            cones.project_block(kind, v[:-1], blk)
+
+
 def test_project_dual_moreau_full_vector():
     spec = make_spec()
     dim = spec_dim(spec)

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conedsl import linalg
+from conedsl.errors import FactorizationError, NumericError
 from conedsl.lin import svec_map
 from conedsl.rng import SplitMix64
 
@@ -94,6 +95,80 @@ def test_quasidef_solver_accepts_scipy():
     solver = linalg.QuasidefSolver(sp.csc_matrix(M))
     rhs = rng.normals(7)
     assert np.linalg.norm(M @ solver.solve(rhs) - rhs) < 1e-9
+
+
+def badly_scaled_system(seed):
+    """An 8 + 5 quasidefinite system whose rows and columns are scaled by
+    powers of ten spread over up to 4 decades, and a right-hand side."""
+    rng = SplitMix64(seed)
+    M = quasidef_matrix(rng, 8, 5)
+    spread = 1.0 + 3.0 * rng.uniform()
+    s = 10.0 ** (spread * rng.normals(13))
+    return s[:, None] * M * s, rng.normals(13)
+
+
+class CountingMatrix:
+    """A matrix that counts the products taken with it."""
+
+    def __init__(self, M):
+        self.M, self.shape, self.products = M, M.shape, 0
+
+    def __matmul__(self, z):
+        self.products += 1
+        return self.M @ z
+
+
+def bound_ratio(M, rhs, z):
+    """||rhs - M z|| over the solver's bound 1e-9 (1 + ||rhs||)."""
+    return np.linalg.norm(rhs - M @ z) / (1e-9 * (1.0 + np.linalg.norm(rhs)))
+
+
+def test_solve_makes_no_product_with_the_matrix():
+    rng = SplitMix64(8)
+    M = quasidef_matrix(rng, 8, 5)
+    solver = linalg.QuasidefSolver(linalg.from_dense(M))
+    solver._csc = counting = CountingMatrix(solver._csc)
+    rhs = rng.normals(13)
+    for _ in range(3):
+        z = solver.solve(rhs)
+    assert counting.products == 0
+    # a solve that meets the bound comes back from refine as it is
+    assert solver.refine(rhs, z) is z
+    assert counting.products == 1 and solver.refined == 0
+    assert bound_ratio(M, rhs, z) <= 1.0
+
+
+def test_refinement_on_demand():
+    # the first solve misses the bound ~19-fold; refinement reaches it
+    M, rhs = badly_scaled_system(5103)
+    solver = linalg.QuasidefSolver(linalg.from_dense(M))
+    K = solver._csc
+    first = solver.solve(rhs)
+    assert bound_ratio(K, rhs, first) > 10.0
+    refined = solver.refine(rhs, first)
+    assert bound_ratio(K, rhs, refined) <= 0.1
+    assert solver.refined == 1
+    # from the miss on, every solve of this factorization is refined
+    again = solver.solve(rhs)
+    assert np.array_equal(again, refined)
+    assert solver.refined == 2
+
+
+def test_refinement_that_cannot_reach_the_bound_raises():
+    M, rhs = badly_scaled_system(25)
+    solver = linalg.QuasidefSolver(linalg.from_dense(M))
+    z = solver.solve(rhs)
+    with pytest.raises(NumericError):
+        solver.refine(rhs, z)
+    # and so does every later solve, now refined per call
+    with pytest.raises(NumericError):
+        solver.solve(rhs)
+
+
+def test_non_finite_solve_raises():
+    solver = linalg.QuasidefSolver(linalg.from_dense([[1e-300]]))
+    with pytest.raises(FactorizationError):
+        solver.solve([1e300])
 
 
 def test_svec_unsvec_round_trip():

@@ -2,13 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import conedsl as cd
+from conedsl import api
 from conedsl import cones as cone_ops
+from conedsl import linalg
 from conedsl import solver as solver_mod
 from conedsl.canon import ConeProgram, ConeSpec
 from conedsl.errors import InputError
-from conedsl.examples import ExampleConfig, build_example
+from conedsl.examples import (ExampleConfig, build_example, example_names,
+                              run_example)
 from conedsl.linalg import from_dense
 from conedsl.rng import SplitMix64
 from conedsl.solver import (_ACCEL_MEMORY, SolverSettings, _AndersonMemory,
@@ -359,6 +363,133 @@ def test_refactor_keeps_the_point():
     assert (u[-1], v[-1]) == (tau, kappa)
 
 
+def equilibrate_at(A, cones):
+    """The Ruiz scaling of solver._equilibrate with its row and column
+    maxima taken by np.maximum.at over A's entries in COO order."""
+    m, n = A.shape
+    d, e = np.ones(m), np.ones(n)
+    if A.nnz == 0:
+        return d, e
+    coo = A.tocoo()
+    rows, cols, vals = coo.row, coo.col, np.abs(coo.data)
+    lo, sizes = cones.cone_blocks()
+    sizes = np.array(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    for _ in range(solver_mod._RUIZ_SWEEPS):
+        rmax = np.zeros(m)
+        np.maximum.at(rmax, rows, vals * d[rows] * e[cols])
+        rmax[rmax == 0] = 1.0
+        if sizes.size:
+            logs = np.add.reduceat(np.log(rmax[lo:]), starts)
+            rmax[lo:] = np.repeat(np.exp(logs / sizes), sizes)
+        d /= np.sqrt(rmax)
+        cmax = np.zeros(n)
+        np.maximum.at(cmax, cols, vals * d[rows] * e[cols])
+        cmax[cmax == 0] = 1.0
+        e /= np.sqrt(cmax)
+    return d, e
+
+
+def assert_same_csc(got, want):
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def gallery_program(name):
+    return cd.canonicalize(build_example(ExampleConfig(name)).problem)[0]
+
+
+def with_empty_lines():
+    """A constructed program with one column and one row of A zeroed."""
+    cp = constructed_program(3, MIXES[1])[0]
+    A = cp.A.toarray()
+    A[:, 1] = 0.0
+    A[2, :] = 0.0
+    return ConeProgram(c=cp.c, A=from_dense(A), b=cp.b, cones=cp.cones)
+
+
+SETUP_CASES = ([(name, lambda name=name: gallery_program(name))
+                for name in example_names()]
+               + [(f"constructed-mix{i}",
+                   lambda i=i: constructed_program(i, MIXES[i])[0])
+                  for i in range(len(MIXES))]
+               + [("empty-row-and-column", with_empty_lines),
+                  ("zero-A", lambda: program([1.0, -1.0], [1.0, 0.0, 2.0],
+                                             FEASIBILITY[2][0]))])
+
+
+@pytest.mark.parametrize("make", [make for _, make in SETUP_CASES],
+                         ids=[name for name, _ in SETUP_CASES])
+def test_setup_matches_the_sparse_products_bit_for_bit(make, monkeypatch):
+    # the KKT matrix is refilled in a pattern built once per solve; it and
+    # As must equal SciPy's diag(d) A diag(e) and bmat assembly exactly,
+    # and the scales the np.maximum.at equilibration
+    factored = []
+
+    class Recording(solver_mod.QuasidefSolver):
+        def __init__(self, M):
+            factored.append(M)
+            super().__init__(M)
+
+    monkeypatch.setattr(solver_mod, "QuasidefSolver", Recording)
+    cp = make()
+    ws = solver_mod._Workspace(cp)
+    d, e = equilibrate_at(cp.A, cp.cones)
+    assert np.array_equal(ws.d_ruiz, d) and np.array_equal(ws.e, e)
+    for scale in (solver_mod._SCALE_START, 7.0):
+        if scale != ws.scale:
+            ws.factor(scale)
+        As = sp.csc_matrix(sp.diags(ws.d) @ cp.A @ sp.diags(ws.e))
+        assert_same_csc(ws.As, As)
+        kkt = sp.bmat([[sp.eye(cp.n), As.T], [As, -sp.eye(cp.m)]],
+                      format="csc")
+        assert_same_csc(factored[-1], kkt)
+    assert len(factored) == 2
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_kkt_residuals_stay_far_inside_their_bound(name, monkeypatch):
+    # the residual of a KKT solve is checked only at the first solve of
+    # each factorization and at each convergence check that goes on; on
+    # the gallery every one of them is within 1e-3 of its bound, so no
+    # solve is refined
+    ratios, solutions = [], []
+    refine = linalg.QuasidefSolver.refine
+
+    def measuring(self, rhs, z):
+        bound = 1e-9 * (1.0 + np.linalg.norm(rhs))
+        ratios.append(np.linalg.norm(rhs - self._csc @ z) / bound)
+        return refine(self, rhs, z)
+
+    def recording(cp, settings=None):
+        sol = solve_cone_program(cp, settings)
+        solutions.append(sol)
+        return sol
+
+    monkeypatch.setattr(linalg.QuasidefSolver, "refine", measuring)
+    monkeypatch.setattr(api, "solve_cone_program", recording)
+    assert run_example(ExampleConfig(name)).status == "optimal"
+    # 1 + r factorizations and every check but the last
+    assert len(ratios) == sum(1 + sol.scale["refactors"] + len(sol.history)
+                              - 1 for sol in solutions)
+    assert max(ratios) <= 1e-3
+    assert all(sol.refined_solves == 0 for sol in solutions)
+
+
+def test_refined_solves_add_up_over_refactors(monkeypatch):
+    # every solve the residual is checked on counts once if refined,
+    # whichever factorization made it
+    def refine_all(self, rhs, z):
+        self.refined += 1
+        return z
+
+    monkeypatch.setattr(linalg.QuasidefSolver, "refine", refine_all)
+    cp, settings = TRACED["refactoring"]()
+    sol = solve_cone_program(cp, settings)
+    assert sol.scale["refactors"] > 0
+    assert sol.refined_solves == sol.scale["refactors"] + len(sol.history)
+
+
 def test_anderson_counts_are_deterministic():
     cp, _, _, _ = constructed_program(4, ("zero", "soc", "psd"))
     a = solve_cone_program(cp, SETTINGS)
@@ -641,6 +772,8 @@ def test_diagnostics_rendering():
     sc = res.solution.scale
     assert (f"scale: {sc['start']:.4g} -> {sc['final']:.4g}, "
             f"{sc['refactors']} refactors") in text
+    assert "kkt: 0 refined solves" in text
+    assert res.metrics["refined_solves"] == res.solution.refined_solves == 0
 
     infeas = cd.solve(cd.Problem(cd.Minimize(x), [x >= 1, x <= 0]))
     text = diagnostics(infeas.solution)
