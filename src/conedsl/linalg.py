@@ -117,7 +117,8 @@ class QuasidefSolver:
             r = rhs - A @ z
             if np.linalg.norm(r) <= bound:
                 return z
-        raise NumericError("iterative refinement failed to reach residual tolerance")
+        raise NumericError("iterative refinement failed to reach residual "
+                           "tolerance")
 
 
 # Symmetric vectorization. Lower triangle stacked column by column with
