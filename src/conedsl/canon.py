@@ -445,14 +445,14 @@ def export_json(cp: ConeProgram, vmap: VariableMap) -> str:
         "version": 1,
         "n": int(cp.n),
         "m": int(cp.m),
-        "c": [float(v) for v in cp.c],
-        "b": [float(v) for v in cp.b],
+        "c": np.asarray(cp.c, dtype=float).tolist(),
+        "b": np.asarray(cp.b, dtype=float).tolist(),
         "offset": float(cp.offset),
         "flipped": bool(cp.flipped),
         "A": {
-            "colptr": [int(v) for v in cp.A.colptr],
-            "rowidx": [int(v) for v in cp.A.rowidx],
-            "vals": [float(v) for v in cp.A.vals],
+            "colptr": np.asarray(cp.A.colptr, dtype=np.int64).tolist(),
+            "rowidx": np.asarray(cp.A.rowidx, dtype=np.int64).tolist(),
+            "vals": np.asarray(cp.A.vals, dtype=float).tolist(),
         },
         "cones": {
             "z": int(cp.cones.zero),

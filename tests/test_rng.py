@@ -75,3 +75,36 @@ def test_spawn_gives_distinct_streams():
 
 def test_seed_sensitivity():
     assert SplitMix64(1).next_u64() != SplitMix64(2).next_u64()
+
+
+# The block methods work in chunks of 2**16 draws, which is 2**15 normals
+# (two draws each) or 2**16 uniforms; an int n below stands for the shape
+# (n chunks + 1,).
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("shape", [(), (0, 3), (1,), (3, 4), 1, 2],
+                         ids=["none", "0x3", "1", "3x4", "chunk+1",
+                              "2chunks+1"])
+@pytest.mark.parametrize("block,scalar,chunk", [
+    ("normals", "normal", 2**15), ("uniforms", "uniform", 2**16)])
+def test_block_draws_equal_the_scalar_stream(seed, shape, block, scalar,
+                                             chunk):
+    if isinstance(shape, int):
+        shape = (shape * chunk + 1,)
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    got = getattr(fast, block)(*shape)
+    size = int(np.prod(shape)) if shape else 1
+    want = np.array([getattr(slow, scalar)() for _ in range(size)])
+    assert got.shape == (shape if shape else (1,))
+    assert got.tobytes() == want.tobytes()
+    assert fast.next_u64() == slow.next_u64()
+
+
+def test_block_draws_make_no_scalar_calls(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("scalar draw in a block method")
+
+    for name in ("next_u64", "normal", "uniform", "uniform_open"):
+        monkeypatch.setattr(SplitMix64, name, refuse)
+    rng = SplitMix64(1)
+    assert rng.normals(1000).shape == (1000,)
+    assert rng.uniforms(1000).shape == (1000,)
