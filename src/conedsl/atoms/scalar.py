@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import DCPError, ShapeError, UnsupportedAtomError
 from ..expr import (AtomExpr, Curvature, Monotonicity, Shape, Sign,
@@ -122,7 +121,7 @@ def _log_det_graph(ctx, forms, params):
     pos[n:, n:] = n + strict + np.arange(n * n).reshape(n, n, order="F")
     ctx.psd(LinForm.concat([z, zlow, x]).select(pos.ravel(order="F")), 2 * n)
     ctx.exp_batch(u, _ones(n), z)
-    return u.left_mul(sp.csr_matrix(np.ones((1, n))))
+    return u.left_mul(np.ones((1, n)))
 
 
 def _pd_sample(rng, shapes, params):
@@ -162,7 +161,7 @@ def _lse_graph(ctx, forms, params):
     t = ctx.aux(1)
     u = ctx.aux(n)
     ctx.exp_batch(x - t.broadcast_to(n), _ones(n), u)
-    ctx.nonneg(LinForm.constant([1.0]) - u.left_mul(sp.csr_matrix(np.ones((1, n)))))
+    ctx.nonneg(LinForm.constant([1.0]) - u.left_mul(np.ones((1, n))))
     return t
 
 
@@ -246,7 +245,7 @@ def _norm_graph(ctx, forms, params):
         w = ctx.aux(n)
         ctx.nonneg(w - x)
         ctx.nonneg(w + x)
-        return w.left_mul(sp.csr_matrix(np.ones((1, n))))
+        return w.left_mul(np.ones((1, n)))
     if kind == 2:
         t = ctx.aux(1)
         ctx.soc([t, x])
@@ -331,11 +330,11 @@ def _quad_form_graph(ctx, forms, params):
     mode = params["mode"]
     if mode == "const_x":
         c = params["c"].ravel()
-        row = sp.csr_matrix(np.outer(c, c).ravel(order="F")[None, :])
+        row = np.outer(c, c).ravel(order="F")[None, :]
         return pf.left_mul(row)
     R = params["R"]  # symmetric square root of P (or of -P when nsd)
     n = R.shape[0]
-    Rx = xf.left_mul(sp.csr_matrix(R))
+    Rx = xf.left_mul(R)
     t = ctx.aux(1)
     one = LinForm.constant([1.0])
     ctx.soc([one + t, one - t, 2.0 * Rx])

@@ -115,9 +115,9 @@ class ConeProgram:
         if not linalg.is_canonical(self.A):
             self.A = linalg.from_scipy(self.A)
         for name, vec in (("c", self.c), ("b", self.b), ("A.vals", self.A.vals)):
-            bad = np.flatnonzero(~np.isfinite(vec))
-            if bad.size:
-                raise InputError(f"{name}[{bad[0]}] is {vec[bad[0]]}; cone "
+            if not np.isfinite(vec).all():
+                bad = np.flatnonzero(~np.isfinite(vec))[0]
+                raise InputError(f"{name}[{bad}] is {vec[bad]}; cone "
                                  f"program data must be finite")
         if self.A.shape != (self.b.size, self.c.size):
             raise ShapeError("A dimensions disagree with c / b")
@@ -318,6 +318,17 @@ def _entry_positions(e: AtomExpr) -> np.ndarray:
     return out.ravel(order="F").astype(np.int64) - 1
 
 
+def _assemble(G: LinForm, col_of) -> linalg.SparseMatrix:
+    """-G's coefficients, column j moved to col_of[j], as the canonical CSC
+    matrix `linalg.from_scipy` makes: rows ascending within each column and
+    no stored zeros. A form stores no (row, column) twice, so no entry of A
+    sums two terms."""
+    A = linalg.SparseMatrix((-G.data, (G.entry_rows(), col_of[G.indices])),
+                            shape=(G.size, col_of.size))
+    A.eliminate_zeros()
+    return A
+
+
 def canonicalize(problem):
     """Check a problem against the ruleset and lower it to
     (ConeProgram, VariableMap); raise DCPError if the ruleset rejects it."""
@@ -378,9 +389,12 @@ def canonicalize(problem):
     # A = -coefficients, b = constants, rows in the order of K's kinds
     G = LinForm.concat([f for forms in ctx.forms.values() for f in forms])
     m = G.size
-    A = linalg.from_scipy(-G.widened(n)[:, perm])
+    col_of = np.empty(n, dtype=np.int64)
+    col_of[perm] = np.arange(n)
+    A = _assemble(G, col_of)
     b = G.const
-    c = obj_form.widened(n).toarray().ravel()[perm]
+    c = np.zeros(n)  # added into, so a stored -0.0 gives +0.0 as toarray did
+    c[col_of[obj_form.indices]] += obj_form.data
     offset = float(obj_form.const[0])
 
     # a constraint's rows start at its kind's first row plus the rows of

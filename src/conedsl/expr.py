@@ -322,9 +322,8 @@ class ConstantExpr(Expression):
         arr = _as_2d(values)
         if arr.ndim != 2:
             raise ShapeError("constants must be at most 2-dimensional")
-        bad = np.argwhere(~np.isfinite(arr))
-        if bad.size:
-            i, j = bad[0]
+        if not np.isfinite(arr).all():
+            i, j = np.argwhere(~np.isfinite(arr))[0]
             raise InputError(f"constant has non-finite entry {arr[i, j]} "
                              f"at index ({i}, {j})")
         super().__init__(make_shape(*arr.shape))

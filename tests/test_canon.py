@@ -444,3 +444,67 @@ def test_lowering_is_linear_in_size():
     elapsed = time.perf_counter() - t0
     assert len(cp.cones.soc) == 399
     assert elapsed < 3.0, f"lowering took {elapsed:.2f}s, budget 3s"
+
+
+def one_row_constraints(k):
+    xs = [cd.Variable(name=f"x{i}") for i in range(k)]
+    return cd.Problem(cd.Minimize(xs[0]), [x >= 0 for x in xs])
+
+
+def test_lowering_one_row_constraints_within_budget():
+    # each constraint is a few form operations on one row, so a fixed cost
+    # per operation shows here; the budget is 5x a first call on a 2-core
+    # machine (about 0.3 s, the ruleset check included)
+    prob = one_row_constraints(4000)
+    t0 = time.perf_counter()
+    cp, _ = canon.canonicalize(prob)
+    elapsed = time.perf_counter() - t0
+    assert cp.cones.nonneg == 4000 and cp.A.nnz == 4000
+    assert elapsed < 1.5, f"lowering took {elapsed:.2f}s, budget 1.5s"
+
+
+def count_sparse_constructions(monkeypatch, fn):
+    """Run fn, counting the scipy sparse matrices built: all kinds, and
+    compressed (CSR/CSC) ones."""
+    from scipy.sparse import _base, _compressed
+    counts = {"all": 0, "compressed": 0}
+    for cls, key in ((_base._spbase, "all"), (_compressed._cs_matrix,
+                                              "compressed")):
+        def counted(self, *args, _init=cls.__init__, _key=key, **kw):
+            counts[_key] += 1
+            _init(self, *args, **kw)
+        monkeypatch.setattr(cls, "__init__", counted)
+    fn()
+    monkeypatch.undo()
+    return counts
+
+
+def test_lowering_builds_sparse_matrices_independent_of_size(monkeypatch):
+    # the forms are numpy arrays; scipy builds A once, whatever the size
+    def counts(prob):
+        return count_sparse_constructions(
+            monkeypatch, lambda: canon.canonicalize(prob))
+
+    def catenary(m):
+        return build_example(ExampleConfig(
+            "catenary", params={"m": str(m)})).problem
+
+    small, large = counts(catenary(51)), counts(catenary(401))
+    assert small == large and small["compressed"] == 1
+    small = counts(one_row_constraints(100))
+    large = counts(one_row_constraints(2000))
+    assert small == large and small["compressed"] == 1
+
+
+@pytest.mark.parametrize("field", ["c", "b", "A.vals"])
+def test_cone_program_names_the_first_nonfinite_entry(field):
+    prob, _ = small_lp()
+    cp, _ = canon.canonicalize(prob)
+    data = {"c": cp.c.copy(), "b": cp.b.copy(), "A.vals": cp.A.vals.copy()}
+    data[field][0] = np.nan
+    data[field][-1] = np.inf
+    A = linalg.SparseMatrix((data["A.vals"], cp.A.rowidx, cp.A.colptr),
+                            shape=(cp.m, cp.n))
+    with pytest.raises(InputError, match=re.escape(
+            f"{field}[0] is nan; cone program data must be finite")):
+        canon.ConeProgram(c=data["c"], A=A, b=data["b"], cones=cp.cones)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import conedsl as cd
 from conedsl.atoms import REGISTRY
 from conedsl.expr import (AtomExpr, Curvature, Monotonicity, Sign,
                           resolve_monotonicity, violation_path)
-from conedsl.errors import DCPError, ShapeError
+from conedsl.errors import DCPError, InputError, ShapeError
 from conedsl.rng import SplitMix64
 
 
@@ -493,3 +495,11 @@ def test_violation_path_follows_first_clause_then_first_argument():
     assert violation_path(e, "convex") == [("+", U), ("+", U), ("sqrt", CCV)]
     assert violation_path(e, "concave") == [("+", U), ("+", U),
                                             ("square", CVX)]
+
+
+def test_nonfinite_constant_names_its_first_bad_entry():
+    # row-major order: (0, 2) comes before (1, 0)
+    bad = np.array([[1.0, 2.0, -np.inf], [np.nan, 3.0, np.inf]])
+    with pytest.raises(InputError, match=re.escape(
+            "constant has non-finite entry -inf at index (0, 2)")):
+        cd.Constant(bad)
