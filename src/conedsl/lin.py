@@ -80,15 +80,10 @@ def _as_map(M) -> SparseMap:
     return SparseMap(M[rows, cols], cols, indptr, M.shape)
 
 
-def _distinct(values, bound: int) -> bool:
-    """Whether the nonnegative integers in values, all below bound, differ:
-    by sorting when they are few against bound, else by counting."""
-    if values.size < 2:
-        return True
-    if 16 * values.size < bound:
-        s = np.sort(values)
-        return not (s[1:] == s[:-1]).any()
-    return np.bincount(values).max() <= 1
+def _distinct(values) -> bool:
+    """Whether the integers in values differ, counted over their span
+    (short for a variable's columns, however wide the form)."""
+    return values.size < 2 or np.bincount(values - values.min()).max() <= 1
 
 
 class LinForm:
@@ -153,6 +148,8 @@ class LinForm:
         a, b = _broadcast_pair(self, other)
         width = max(a.width, b.width)
         const = a.const + b.const
+        # a constant operand adds no entries; operands on disjoint column
+        # ranges (two variables, say) interleave without a sort
         if not b.data.size:
             return LinForm._of(a.data, a.indices, a.indptr, width, const)
         if not a.data.size:
@@ -195,7 +192,7 @@ class LinForm:
             raise ShapeError("left_mul: inner dimensions disagree")
         # one product per entry of M and entry of the form row it meets
         lens = _lengths(self.indptr)
-        if (lens == 1).all():
+        if (lens == 1).all():  # a variable's form: M's entries, rescaled
             data = M.data * self.data[M.indices]
             cols = self.indices[M.indices]
             indptr = M.indptr
@@ -208,7 +205,7 @@ class LinForm:
             data = np.repeat(M.data, lens) * self.data[pos]
             cols = self.indices[pos]
             indptr = np.concatenate([[0], ends])[M.indptr]
-        if not _distinct(self.indices, self.width):
+        if not _distinct(self.indices):
             # products meet in one entry: sum each entry's in M's order
             rows = _entry_rows(indptr)
             keys, inv = np.unique(rows * self.width + cols,
@@ -223,15 +220,8 @@ class LinForm:
     def select(self, rows) -> "LinForm":
         """Row k is row rows[k] of this form; position -1 gives a zero row."""
         rows = np.asarray(rows, dtype=np.int64)
-        lowest = rows.min() if rows.size else 0
-        if (lowest >= 0 and self.data.size == self.size
-                and (_lengths(self.indptr) == 1).all()):
-            # one entry per row, as a variable's form has
-            return LinForm._of(self.data[rows], self.indices[rows],
-                               np.arange(rows.size + 1), self.width,
-                               self.const[rows])
         indptr, const = self.indptr, self.const
-        if lowest < 0:
+        if rows.size and rows.min() < 0:
             # append a zero row, and let -1 index it
             indptr = np.append(indptr, indptr[-1])
             const = np.append(const, 0.0)
@@ -354,7 +344,7 @@ def matmul_left_map(M, x_rows: int, x_cols: int) -> SparseMap:
     M = _as_map(M)
     if M.shape[1] != x_rows:
         raise ShapeError("matmul: inner dimensions disagree")
-    if x_cols == 1:
+    if x_cols == 1:  # A @ x for a vector x: the map is M
         return M
     nnz = M.data.size
     block = np.arange(x_cols)[:, None]
@@ -371,7 +361,7 @@ def matmul_right_map(M, x_rows: int, x_cols: int) -> SparseMap:
     if M.shape[0] != x_cols:
         raise ShapeError("matmul: inner dimensions disagree")
     MT = _as_map(M.T)
-    if x_rows == 1:
+    if x_rows == 1:  # x @ M for a row x: the map is M.T
         return MT
     out_lens = np.repeat(_lengths(MT.indptr), x_rows)
     indptr = np.zeros(out_lens.size + 1, dtype=np.int64)

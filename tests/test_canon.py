@@ -467,9 +467,11 @@ def count_sparse_constructions(monkeypatch, fn):
     """Run fn, counting the scipy sparse matrices built: all kinds, and
     compressed (CSR/CSC) ones."""
     from scipy.sparse import _base, _compressed
+    # the base class of every sparse matrix: _spbase from scipy 1.11 on,
+    # spmatrix before
+    base = getattr(_base, "_spbase", None) or _base.spmatrix
     counts = {"all": 0, "compressed": 0}
-    for cls, key in ((_base._spbase, "all"), (_compressed._cs_matrix,
-                                              "compressed")):
+    for cls, key in ((base, "all"), (_compressed._cs_matrix, "compressed")):
         def counted(self, *args, _init=cls.__init__, _key=key, **kw):
             counts[_key] += 1
             _init(self, *args, **kw)

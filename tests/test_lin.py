@@ -172,6 +172,9 @@ def draw_columns_pair(rng, size):
 def assert_same(form, oracle):
     width = max(form.width, oracle.width)
     assert form.size == oracle.size
+    # no (row, column) stored twice: toarray would sum such entries
+    keys = form.entry_rows() * width + form.indices
+    assert np.unique(keys).size == keys.size
     assert np.array_equal(form.widened(width).toarray(),
                           oracle.widened(width).toarray())
     assert np.array_equal(form.const, oracle.const)
