@@ -11,7 +11,7 @@ from .errors import (ConeDSLError, DCPError, FactorizationError, InputError,
                      NumericError, SchemaError, ShapeError,
                      UnsupportedAtomError)
 from .expr import (Constant, Constraint, Curvature, DCPReport, Expression,
-                   Semidef, Sign, Variable, dcp_check, make_variable, psd)
+                   Semidef, Sign, Variable, dcp_check, psd)
 from . import atoms
 from .atoms import *  # noqa: F401,F403 - atom factory functions
 from .atoms import atoms_table, get_atom
@@ -31,7 +31,7 @@ __all__ = [
     "ConeDSLError", "DCPError", "FactorizationError", "InputError",
     "NumericError", "SchemaError", "ShapeError", "UnsupportedAtomError",
     "Constant", "Constraint", "Curvature", "DCPReport", "Expression",
-    "Semidef", "Sign", "Variable", "dcp_check", "make_variable", "psd",
+    "Semidef", "Sign", "Variable", "dcp_check", "psd",
     "atoms", "atoms_table", "get_atom",
     "ConeProgram", "ConeSpec", "VariableMap", "canonicalize", "export_json",
     "get_problem_data", "import_json", "recover", "recover_dual",

@@ -8,6 +8,7 @@ from ..expr import (AtomExpr, Curvature, Monotonicity, Shape, Sign,
                     as_expression, constant_value)
 from ..lin import LinForm
 from .base import AtomDescriptor, const, monos, scalar_shape
+from .elementwise import _ones_form
 from .structural import _const_mono
 
 _INC = Monotonicity.INCREASING
@@ -25,10 +26,6 @@ def _square_in(shapes, params):
 
 def _symmetrize(X):
     return 0.5 * (X + X.T)
-
-
-def _ones(n):
-    return LinForm.constant(np.ones(n))
 
 
 # -- lambda_max / lambda_min ---------------------------------------------------
@@ -120,7 +117,7 @@ def _log_det_graph(ctx, forms, params):
     pos[n + i, j] = pos[j, n + i] = n + np.arange(strict)
     pos[n:, n:] = n + strict + np.arange(n * n).reshape(n, n, order="F")
     ctx.psd(LinForm.concat([z, zlow, x]).select(pos.ravel(order="F")), 2 * n)
-    ctx.exp_batch(u, _ones(n), z)
+    ctx.exp_batch(u, _ones_form(n), z)
     return u.left_mul(np.ones((1, n)))
 
 
@@ -160,7 +157,7 @@ def _lse_graph(ctx, forms, params):
     n = x.size
     t = ctx.aux(1)
     u = ctx.aux(n)
-    ctx.exp_batch(x - t.broadcast_to(n), _ones(n), u)
+    ctx.exp_batch(x - t.broadcast_to(n), _ones_form(n), u)
     ctx.nonneg(LinForm.constant([1.0]) - u.left_mul(np.ones((1, n))))
     return t
 

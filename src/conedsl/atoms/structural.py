@@ -7,9 +7,11 @@ lowering takes the source of each output entry from their evaluate.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..errors import DCPError, ShapeError
+from ..errors import DCPError, InputError, ShapeError
 from ..expr import (AtomExpr, Curvature, Monotonicity, Shape, Sign,
                     as_expression, constant_value, sign_add, sign_mul,
                     sign_neg, sign_of_values)
@@ -22,12 +24,11 @@ _DEC = Monotonicity.DECREASING
 _NONMONO = Monotonicity.NONMONOTONE
 
 
+_MONO_OF_SIGN = {Sign.ZERO: _INC, Sign.NONNEG: _INC, Sign.NONPOS: _DEC}
+
+
 def _const_mono(values) -> Monotonicity:
-    if np.all(values >= 0):
-        return _INC
-    if np.all(values <= 0):
-        return _DEC
-    return _NONMONO
+    return _MONO_OF_SIGN.get(sign_of_values(values), _NONMONO)
 
 
 # -- add / negate ------------------------------------------------------------
@@ -64,7 +65,13 @@ def negate(a):
 # -- products ------------------------------------------------------------------
 
 def _scale_params(c):
-    return {"c": float(constant_value(as_expression(c)).item())}
+    if not isinstance(c, (int, float, np.integer, np.floating)):
+        return {"c": float(constant_value(as_expression(c)).item())}
+    # a plain number needs no constant node, only the node's finiteness check
+    c = float(c)
+    if not math.isfinite(c):
+        raise InputError(f"constant has non-finite entry {c} at index (0, 0)")
+    return {"c": c}
 
 
 SCALE = AtomDescriptor(
@@ -203,8 +210,17 @@ def transpose(x):
 
 
 def _normalize_sel(key, n):
-    idx = np.arange(n)[key]
-    idx = np.atleast_1d(idx)
+    # an integer or a slice selects without numbering the whole axis, so k
+    # scalar indexes into one n-vector cost O(k), not O(k n)
+    if isinstance(key, (int, np.integer)) and not isinstance(key, bool):
+        if not -n <= key < n:
+            raise IndexError(
+                f"index {key} is out of bounds for axis 0 with size {n}")
+        idx = np.array([key % n])
+    elif isinstance(key, slice):
+        idx = np.arange(*key.indices(n))
+    else:
+        idx = np.atleast_1d(np.arange(n)[key])
     if idx.ndim != 1 or idx.size == 0:
         raise ShapeError("index selection must keep at least one entry")
     return idx.astype(np.int64)

@@ -5,9 +5,11 @@ applications. Curvature is inferred by the standard composition rule:
 f(g_1, ..., g_k) is convex when f is convex and each argument is affine,
 or convex where f is increasing, or concave where f is decreasing; the
 concave case is the mirror image. Everything that cannot be certified
-this way is reported as unknown, never guessed. `_clause_breaks` states
-this rule once, at one atom node: curvature inference keeps its result
-on the node, and the rejection path of `violation_path` reads it there.
+this way is reported as unknown, never guessed. A node's sign and
+curvature follow from its atom and its arguments alone, so each node
+infers both once, when it is built. `_clause_breaks` states the rule once,
+at one atom node; the node keeps the clauses it breaks, and the rejection
+path of `violation_path` reads them there.
 """
 from __future__ import annotations
 
@@ -75,11 +77,10 @@ def sign_mul(a: Sign, b: Sign) -> Sign:
 
 
 def sign_of_values(values: np.ndarray) -> Sign:
-    if np.all(values == 0):
-        return Sign.ZERO
-    if np.all(values >= 0):
-        return Sign.NONNEG
-    if np.all(values <= 0):
+    lo, hi = values.min(), values.max()
+    if lo >= 0:
+        return Sign.ZERO if hi == 0 else Sign.NONNEG
+    if hi <= 0:
         return Sign.NONPOS
     return Sign.UNKNOWN
 
@@ -123,44 +124,31 @@ _OPPOSITE = {"affine": "affine", "convex": "concave", "concave": "convex"}
 _CONVEX_ARG_NEED = {Monotonicity.INCREASING: "convex",
                     Monotonicity.DECREASING: "concave"}
 
+# a node's curvature from whether its convex and its concave clause hold
+_CURVATURE_OF_CLAUSES = {(True, True): Curvature.AFFINE,
+                         (True, False): Curvature.CONVEX,
+                         (False, True): Curvature.CONCAVE,
+                         (False, False): Curvature.UNKNOWN}
+
 
 _var_counter = itertools.count()
 
 
 class Expression:
-    """Base class; all nodes carry a shape and cache sign/curvature."""
+    """Base class; every node carries its shape, sign and curvature, all
+    fixed when the node is built."""
 
-    __slots__ = ("shape", "_sign", "_curvature")
+    __slots__ = ("shape", "sign", "curvature")
 
     # make numpy defer to the reflected operators below instead of
     # broadcasting into object arrays
     __array_ufunc__ = None
     __array_priority__ = 100.0
 
-    def __init__(self, shape: Shape):
+    def __init__(self, shape: Shape, sign: Sign, curvature: Curvature):
         self.shape = shape
-        self._sign = None
-        self._curvature = None
-
-    # -- inference ---------------------------------------------------------
-
-    @property
-    def sign(self) -> Sign:
-        if self._sign is None:
-            self._sign = self._compute_sign()
-        return self._sign
-
-    @property
-    def curvature(self) -> Curvature:
-        if self._curvature is None:
-            self._curvature = self._compute_curvature()
-        return self._curvature
-
-    def _compute_sign(self) -> Sign:
-        raise NotImplementedError
-
-    def _compute_curvature(self) -> Curvature:
-        raise NotImplementedError
+        self.sign = sign
+        self.curvature = curvature
 
     @property
     def size(self) -> int:
@@ -261,7 +249,7 @@ class Variable(Expression):
 
     def __init__(self, rows: int = 1, cols: int = 1, name: str | None = None,
                  attr: str = "free"):
-        super().__init__(make_shape(rows, cols))
+        super().__init__(make_shape(rows, cols), Sign.UNKNOWN, Curvature.AFFINE)
         if attr not in ("free", "psd-symmetric"):
             raise ValueError(f"unknown variable attribute: {attr!r}")
         if attr == "psd-symmetric" and rows != cols:
@@ -269,12 +257,6 @@ class Variable(Expression):
         self.vid = next(_var_counter)
         self.name = name
         self.attr = attr
-
-    def _compute_sign(self) -> Sign:
-        return Sign.UNKNOWN
-
-    def _compute_curvature(self) -> Curvature:
-        return Curvature.AFFINE
 
     def label(self) -> str:
         return f"var {self.name}" if self.name else f"var v{self.vid}"
@@ -286,11 +268,6 @@ class Variable(Expression):
                 val = np.asarray(env[key], dtype=float)
                 return to_matrix(val, self.shape)
         raise KeyError(f"no value provided for {self.label()}")
-
-
-def make_variable(shape, attr: str = "free", name: str | None = None) -> Variable:
-    rows, cols = (shape, 1) if np.isscalar(shape) else shape
-    return Variable(rows, cols, name=name, attr=attr)
 
 
 def Semidef(n: int, name: str | None = None) -> Variable:
@@ -326,14 +303,9 @@ class ConstantExpr(Expression):
             i, j = np.argwhere(~np.isfinite(arr))[0]
             raise InputError(f"constant has non-finite entry {arr[i, j]} "
                              f"at index ({i}, {j})")
-        super().__init__(make_shape(*arr.shape))
+        super().__init__(make_shape(*arr.shape), sign_of_values(arr),
+                         Curvature.CONSTANT)
         self.values = arr
-
-    def _compute_sign(self) -> Sign:
-        return sign_of_values(self.values)
-
-    def _compute_curvature(self) -> Curvature:
-        return Curvature.CONSTANT
 
     def label(self) -> str:
         if self.is_scalar:
@@ -372,26 +344,17 @@ class AtomExpr(Expression):
         self.atom = atom
         self.args = tuple(args)
         self.params = params or {}
-        self._clauses = None  # _clause_breaks, kept by curvature inference
         shape = atom.shape_out([a.shape for a in self.args], self.params)
-        super().__init__(shape)
-
-    def _compute_sign(self) -> Sign:
-        return self.atom.sign_out([a.sign for a in self.args], self.params)
-
-    def _compute_curvature(self) -> Curvature:
+        signs = [a.sign for a in self.args]
+        sign = atom.sign_out(signs, self.params)
         if all(a.curvature == Curvature.CONSTANT for a in self.args):
-            return Curvature.CONSTANT
-        self._clauses = _clause_breaks(self)
-        cvx_ok = self._clauses["convex"] == []
-        ccv_ok = self._clauses["concave"] == []
-        if cvx_ok and ccv_ok:
-            return Curvature.AFFINE
-        if cvx_ok:
-            return Curvature.CONVEX
-        if ccv_ok:
-            return Curvature.CONCAVE
-        return Curvature.UNKNOWN
+            self._clauses = None
+            curvature = Curvature.CONSTANT
+        else:
+            self._clauses = _clause_breaks(atom, self.args, self.params, signs)
+            curvature = _CURVATURE_OF_CLAUSES[self._clauses["convex"] == [],
+                                              self._clauses["concave"] == []]
+        super().__init__(shape, sign, curvature)
 
     def label(self) -> str:
         return self.atom.display
@@ -402,7 +365,7 @@ class AtomExpr(Expression):
         return to_matrix(out, self.shape)
 
 
-def _clause_breaks(e: AtomExpr) -> dict:
+def _clause_breaks(atom, args, params, signs) -> dict:
     """The composition rule at one atom node, for its two clauses.
 
     f(g_1, ..., g_k) is convex when f is convex and each g_i is convex
@@ -411,16 +374,15 @@ def _clause_breaks(e: AtomExpr) -> dict:
     Maps "convex" and "concave" to the (argument, requirement) pairs that
     break that clause, or to None when f's base curvature rules it out.
     """
-    signs = [a.sign for a in e.args]
-    base = e.atom.base_curvature(signs, e.params)
+    base = atom.base_curvature(signs, params)
     needs = [_CONVEX_ARG_NEED.get(resolve_monotonicity(m, s), "affine")
-             for m, s in zip(e.atom.monotonicity(signs, e.params), signs)]
+             for m, s in zip(atom.monotonicity(signs, params), signs)]
     out = {}
     for clause, curv in (("convex", Curvature.CONVEX),
                          ("concave", Curvature.CONCAVE)):
         out[clause] = None
         if base in (Curvature.AFFINE, curv):
-            out[clause] = [(a, n) for a, n in zip(e.args, needs)
+            out[clause] = [(a, n) for a, n in zip(args, needs)
                            if a.curvature not in _MEETS[n]]
         needs = [_OPPOSITE[n] for n in needs]
     return out
@@ -515,8 +477,8 @@ def violation_path(e: Expression, need: str):
         return None
     path = [(e.label(), e.curvature)]
     if isinstance(e, AtomExpr):
-        # a curvature that fails a need is not constant, so inference
-        # has kept the node's clauses
+        # a curvature that fails a need is not constant, so the node kept
+        # its clauses when it was built
         for clause in ("convex", "concave"):
             if need in (clause, "affine") and e._clauses[clause]:
                 child, child_need = e._clauses[clause][0]

@@ -463,6 +463,23 @@ def test_lowering_one_row_constraints_within_budget():
     assert elapsed < 1.5, f"lowering took {elapsed:.2f}s, budget 1.5s"
 
 
+def test_building_checking_and_lowering_one_row_constraints_within_budget():
+    # each row builds six atom nodes, and each node infers its sign and
+    # curvature once, when it is built; the budget is 5x building, checking
+    # and lowering on a 2-core machine (about 0.6 s)
+    k = 4000
+    t0 = time.perf_counter()
+    x = cd.Variable(k + 1, name="x")
+    prob = cd.Problem(cd.Minimize(cd.sum_entries(x)),
+                      [x[i] + 2.0 * x[i + 1] <= 1.0 for i in range(k)])
+    assert cd.dcp_check(prob).accepted
+    cp, _ = canon.canonicalize(prob)
+    elapsed = time.perf_counter() - t0
+    assert cp.cones.nonneg == k and cp.A.nnz == 2 * k
+    assert elapsed < 3.0, f"build, check and lowering took {elapsed:.2f}s, " \
+        "budget 3s"
+
+
 def count_sparse_constructions(monkeypatch, fn):
     """Run fn, counting the scipy sparse matrices built: all kinds, and
     compressed (CSR/CSC) ones."""

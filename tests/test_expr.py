@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 
 import conedsl as cd
 from conedsl.atoms import REGISTRY
+from conedsl import canon
+from conedsl.atoms.structural import _normalize_sel
 from conedsl.expr import (AtomExpr, Curvature, Monotonicity, Sign,
-                          resolve_monotonicity, violation_path)
+                          resolve_monotonicity, sign_of_values, violation_path)
 from conedsl.errors import DCPError, InputError, ShapeError
 from conedsl.rng import SplitMix64
 
@@ -223,6 +226,44 @@ def test_indexing_and_transpose():
     env = {M: np.arange(12, dtype=float).reshape(3, 4)}
     assert np.isclose(M[1, 2].value(env), 6.0)
     assert np.allclose(M.T.value(env), np.arange(12, dtype=float).reshape(3, 4).T)
+
+
+INDEX_KEYS = [0, 4, -1, -5, np.int64(2), np.int32(-3), slice(None),
+              slice(1, 4), slice(None, None, -1), slice(3, None, -2),
+              slice(-2, -6, -1), slice(10, -10, -3), slice(np.int64(1), None),
+              [0, 2, 4], [-1, 0, -1], np.array([3, 1]),
+              np.array([True, False, True, False, True])]
+
+
+@pytest.mark.parametrize("key", INDEX_KEYS, ids=repr)
+def test_index_selection_matches_numbering_the_axis(key):
+    expected = np.atleast_1d(np.arange(5)[key])
+    sel = _normalize_sel(key, 5)
+    assert sel.dtype == np.int64 and np.array_equal(sel, expected)
+    x = cd.Variable(5, name="x")
+    v = np.array([10.0, 11.0, 12.0, 13.0, 14.0])
+    assert np.array_equal(x[key].value({x: v}).ravel(), v[expected])
+    M = cd.Variable(3, 5, name="M")
+    V = np.arange(15.0).reshape(3, 5)
+    assert np.array_equal(M[1:, key].value({M: V}), V[1:][:, expected])
+
+
+@pytest.mark.parametrize("key", [5, -6, np.int64(7), True, np.True_,
+                                 slice(3, 3), slice(4, 1), [],
+                                 np.zeros(5, dtype=bool)], ids=repr)
+def test_index_selection_rejects_out_of_range_and_empty(key):
+    x = cd.Variable(5, name="x")
+    with pytest.raises(ShapeError):
+        x[key]
+
+
+def test_index_out_of_range_names_the_index_and_size():
+    x = cd.Variable(5, name="x")
+    for key in (5, np.int64(-6)):
+        with pytest.raises(ShapeError, match=re.escape(
+                f"index out of range: index {key} is out of bounds for axis 0 "
+                "with size 5")):
+            x[key]
 
 
 # -- random trees over the registered atoms -----------------------------------
@@ -482,6 +523,72 @@ def test_random_tree_curvature_consults_rules_once_per_node(monkeypatch, seed):
         atom_nodes(body, nodes)
     assert calls["base_curvature"] <= len(nodes)
     assert calls["monotonicity"] <= len(nodes)
+
+
+def test_checking_and_lowering_apply_no_atom_rule(monkeypatch):
+    # sign and curvature are fixed when a node is built; the check, its
+    # rejection paths and the lowering only read them
+    x = cd.Variable(3, name="x")
+    good = cd.Problem(cd.Minimize(cd.sum_entries(cd.square(x - 1))),
+                      [cd.p_norm(cd.exp(x), 2) <= 4, x[0] == 2.0 * x[1],
+                       cd.log(x) >= -1])
+    bad = cd.Problem(cd.Minimize(cd.sum_entries(cd.sqrt(cd.square(x - 1)))),
+                     [cd.log(x) <= 1])
+    calls = {"sign_out": 0, "base_curvature": 0, "monotonicity": 0}
+
+    def counted(name, fn):
+        def wrapper(signs, params):
+            calls[name] += 1
+            return fn(signs, params)
+        return wrapper
+
+    for desc in REGISTRY.values():
+        for name in calls:
+            monkeypatch.setattr(desc, name, counted(name, getattr(desc, name)))
+    assert cd.dcp_check(good).accepted
+    assert violation_path(good.objective.expr, "concave") is not None
+    canon.canonicalize(good)
+    assert not cd.dcp_check(bad).accepted
+    assert violation_path(bad.objective.expr, "convex") is not None
+    with pytest.raises(DCPError):
+        canon.canonicalize(bad)
+    assert calls == {"sign_out": 0, "base_curvature": 0, "monotonicity": 0}
+
+
+def three_pass_sign(values):
+    if np.all(values == 0):
+        return Sign.ZERO
+    if np.all(values >= 0):
+        return Sign.NONNEG
+    if np.all(values <= 0):
+        return Sign.NONPOS
+    return Sign.UNKNOWN
+
+
+def test_sign_of_values_matches_three_pass_definition():
+    entries = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324)
+    arrays = [np.array(c) for n in (1, 2, 3)
+              for c in itertools.product(entries, repeat=n)]
+    arrays += [a.reshape(2, 2) for a in map(np.array, itertools.product(
+        entries, repeat=4))]
+    arrays += [np.array([[-0.0]]), np.array(7.0), np.full((3, 2), -0.0)]
+    for a in arrays:
+        assert sign_of_values(a) is three_pass_sign(a), a
+
+
+@pytest.mark.parametrize("c, curvature", [
+    (np.zeros((3, 1)), Curvature.CONVEX),
+    (np.array([[0.0], [-0.0], [2.0]]), Curvature.CONVEX),
+    (np.array([[0.0], [-0.0], [-2.0]]), Curvature.CONCAVE),
+    (np.array([[1.0], [0.0], [-1.0]]), Curvature.UNKNOWN),
+], ids=["zero", "nonneg", "nonpos", "mixed"])
+def test_constant_products_are_monotone_by_the_constant_sign(c, curvature):
+    # a product with a constant increases where the constant is >= 0 and
+    # decreases where it is <= 0, an all-zero constant included
+    x = cd.Variable(3, name="x")
+    assert (c * cd.square(x)).curvature is curvature
+    assert (c.T @ cd.square(x)).curvature is curvature
+    assert (cd.square(x).T @ c).curvature is curvature
 
 
 def test_violation_path_follows_first_clause_then_first_argument():
