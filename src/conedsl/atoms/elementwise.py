@@ -5,9 +5,10 @@ import numpy as np
 
 from ..errors import DCPError, ShapeError, UnsupportedAtomError
 from ..expr import (AtomExpr, Curvature, Monotonicity, Sign, as_expression,
-                    constant_value, sign_neg)
+                    sign_neg)
 from ..lin import LinForm
 from .base import AtomDescriptor, const, monos, same_shape
+from .structural import constant_operand
 
 _INC = Monotonicity.INCREASING
 _DEC = Monotonicity.DECREASING
@@ -139,7 +140,10 @@ HUBER = AtomDescriptor(
 
 
 def huber(x, M=1.0):
-    M = float(constant_value(as_expression(M)).item())
+    M, _ = constant_operand(M)
+    if M.size != 1:
+        raise ShapeError(f"huber threshold M must be a scalar, got shape {M.shape}")
+    M = float(M.item())
     if M <= 0:
         raise DCPError("huber threshold M must be a positive constant")
     return AtomExpr(HUBER, [as_expression(x)], {"M": M})

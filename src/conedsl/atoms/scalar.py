@@ -9,7 +9,7 @@ from ..expr import (AtomExpr, Curvature, Monotonicity, Shape, Sign,
 from ..lin import LinForm
 from .base import AtomDescriptor, const, monos, scalar_shape
 from .elementwise import _ones_form
-from .structural import _const_mono
+from .structural import constant_operand
 
 _INC = Monotonicity.INCREASING
 _DEC = Monotonicity.DECREASING
@@ -299,10 +299,8 @@ def _quad_form_sign(signs, params):
         return Sign.NONNEG
     if mode == "nsd":
         return Sign.NONPOS
-    c = params["c"].ravel()
-    if np.all(c >= 0) or np.all(c <= 0):
-        return signs[1]
-    return Sign.UNKNOWN
+    # c c' is nonnegative unless c mixes signs
+    return signs[1] if params["sign"] != Sign.UNKNOWN else Sign.UNKNOWN
 
 
 def _quad_form_curv(signs, params):
@@ -311,9 +309,8 @@ def _quad_form_curv(signs, params):
 
 
 def _quad_form_monos(signs, params):
-    if params["mode"] == "const_x":
-        c = params["c"].ravel()
-        return [_NONMONO, _const_mono(np.outer(c, c))]
+    if params["mode"] == "const_x" and params["sign"] != Sign.UNKNOWN:
+        return [_NONMONO, _INC]
     return [_NONMONO, _NONMONO]
 
 
@@ -357,8 +354,9 @@ def quad_form(x, P):
     x = as_expression(x)
     P = as_expression(P)
     if x.curvature == Curvature.CONSTANT:
-        c = constant_value(x)
-        return AtomExpr(QUAD_FORM, [x, P], {"mode": "const_x", "c": c})
+        c, sign = constant_operand(x)
+        return AtomExpr(QUAD_FORM, [x, P],
+                        {"mode": "const_x", "c": c, "sign": sign})
     if P.curvature != Curvature.CONSTANT:
         raise DCPError("quad_form requires x or P to be constant")
     Pv = constant_value(P)

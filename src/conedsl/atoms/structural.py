@@ -12,9 +12,9 @@ import math
 import numpy as np
 
 from ..errors import DCPError, InputError, ShapeError
-from ..expr import (AtomExpr, Curvature, Monotonicity, Shape, Sign,
-                    as_expression, constant_value, sign_add, sign_mul,
-                    sign_neg, sign_of_values)
+from ..expr import (AtomExpr, ConstantExpr, Curvature, Expression,
+                    Monotonicity, Shape, Sign, as_expression, constant_value,
+                    make_shape, sign_add, sign_mul, sign_neg, sign_of_values)
 from ..lin import (cumsum_axis_map, diff_map, matmul_left_map,
                    matmul_right_map, sum_axis_map, trace_map)
 from .base import AtomDescriptor, const, monos, same_shape
@@ -25,10 +25,6 @@ _NONMONO = Monotonicity.NONMONOTONE
 
 
 _MONO_OF_SIGN = {Sign.ZERO: _INC, Sign.NONNEG: _INC, Sign.NONPOS: _DEC}
-
-
-def _const_mono(values) -> Monotonicity:
-    return _MONO_OF_SIGN.get(sign_of_values(values), _NONMONO)
 
 
 # -- add / negate ------------------------------------------------------------
@@ -64,50 +60,57 @@ def negate(a):
 
 # -- products ------------------------------------------------------------------
 
-def _scale_params(c):
-    if not isinstance(c, (int, float, np.integer, np.floating)):
-        return {"c": float(constant_value(as_expression(c)).item())}
-    # a plain number needs no constant node, only the node's finiteness check
-    c = float(c)
-    if not math.isfinite(c):
-        raise InputError(f"constant has non-finite entry {c} at index (0, 0)")
-    return {"c": c}
+def constant_operand(c):
+    """A constant operand's values, as a 2-D array, and their sign.
+
+    A constant node's values and sign are read off it, not classified
+    again; a plain number becomes a 1 x 1 array without a node, after the
+    node's own finiteness check."""
+    if isinstance(c, (int, float, np.integer, np.floating)):
+        c = float(c)
+        if not math.isfinite(c):
+            raise InputError(f"constant has non-finite entry {c} at index (0, 0)")
+        values = np.array([[c]])
+        return values, sign_of_values(values)
+    e = as_expression(c)
+    if isinstance(e, ConstantExpr):
+        return e.values, e.sign
+    values = constant_value(e)
+    return values, sign_of_values(values)
 
 
-SCALE = AtomDescriptor(
-    name="scale", display="*",
-    shape_out=same_shape,
-    sign_out=lambda s, p: sign_mul(
-        Sign.ZERO if p["c"] == 0 else (Sign.NONNEG if p["c"] > 0 else Sign.NONPOS),
-        s[0]),
-    base_curvature=const(Curvature.AFFINE),
-    monotonicity=lambda s, p: [_INC if p["c"] >= 0 else _DEC],
-    evaluate=lambda v, p: p["c"] * v[0],
-    graph=lambda ctx, f, p: p["c"] * f[0],
-)
+def _const_sign_rule(signs, params):
+    return sign_mul(params["sign"], signs[0])
+
+
+def _const_sign_mono(signs, params):
+    return [_MONO_OF_SIGN.get(params["sign"], _NONMONO)]
+
+
+def _mul_elemwise_graph(ctx, forms, params):
+    # a 1 x 1 constant scales every entry; a scalar expression is first
+    # repeated over the constant's shape
+    c = params["c"].ravel(order="F")
+    n = max(c.size, forms[0].size)
+    return forms[0].broadcast_to(n).scale_rows(np.broadcast_to(c, n))
+
 
 MUL_ELEMWISE = AtomDescriptor(
     name="mul_elemwise", display="*",
-    shape_out=lambda shapes, p: shapes[0],
-    sign_out=lambda s, p: sign_mul(sign_of_values(p["c"]), s[0]),
+    shape_out=lambda shapes, p: same_shape([shapes[0], Shape(*p["c"].shape)], p),
+    sign_out=_const_sign_rule,
     base_curvature=const(Curvature.AFFINE),
-    monotonicity=lambda s, p: [_const_mono(p["c"])],
+    monotonicity=_const_sign_mono,
     evaluate=lambda v, p: p["c"] * v[0],
-    graph=lambda ctx, f, p: f[0].scale_rows(p["c"].ravel(order="F")),
+    graph=_mul_elemwise_graph,
 )
-
-
-def _matmul_sign(signs, params):
-    csign = sign_of_values(params["c"])
-    return sign_mul(csign, signs[0]) if csign != Sign.UNKNOWN else Sign.UNKNOWN
-
 
 MATMUL_LEFT = AtomDescriptor(
     name="matmul_left", display="@",
     shape_out=lambda shapes, p: Shape(p["c"].shape[0], shapes[0].cols),
-    sign_out=_matmul_sign,
+    sign_out=_const_sign_rule,
     base_curvature=const(Curvature.AFFINE),
-    monotonicity=lambda s, p: [_const_mono(p["c"])],
+    monotonicity=_const_sign_mono,
     evaluate=lambda v, p: p["c"] @ v[0],
     graph=lambda ctx, f, p: f[0].left_mul(
         matmul_left_map(p["c"], p["x_rows"], p["x_cols"])),
@@ -116,47 +119,35 @@ MATMUL_LEFT = AtomDescriptor(
 MATMUL_RIGHT = AtomDescriptor(
     name="matmul_right", display="@",
     shape_out=lambda shapes, p: Shape(shapes[0].rows, p["c"].shape[1]),
-    sign_out=_matmul_sign,
+    sign_out=_const_sign_rule,
     base_curvature=const(Curvature.AFFINE),
-    monotonicity=lambda s, p: [_const_mono(p["c"])],
+    monotonicity=_const_sign_mono,
     evaluate=lambda v, p: v[0] @ p["c"],
     graph=lambda ctx, f, p: f[0].left_mul(
         matmul_right_map(p["c"], p["x_rows"], p["x_cols"])),
 )
 
 
-def scale(x, c):
-    return AtomExpr(SCALE, [as_expression(x)], _scale_params(c))
+def _is_constant(operand) -> bool:
+    return (not isinstance(operand, Expression)
+            or operand.curvature == Curvature.CONSTANT)
 
 
 def elementwise_product(a, b):
-    """R-style `*`: elementwise, requiring one constant operand; scalars
-    broadcast against any shape."""
-    a, b = as_expression(a), as_expression(b)
-    if a.curvature == Curvature.CONSTANT:
-        cexpr, x = a, b
-    elif b.curvature == Curvature.CONSTANT:
-        cexpr, x = b, a
+    """R-style `*`: elementwise, requiring one constant operand; a 1 x 1
+    operand broadcasts against any shape."""
+    if _is_constant(a):
+        c, x = a, b
+    elif _is_constant(b):
+        c, x = b, a
     else:
         raise DCPError("cannot multiply two non-constant expressions")
-    c = constant_value(cexpr)
-    if c.size == 1:
-        return scale(x, c.ravel()[0])
-    if x.is_scalar:
-        # constant vector times scalar expression: result has the constant's
-        # shape, each entry c_ij * x
-        ones_map = np.ones((c.size, 1))
-        expanded = AtomExpr(MATMUL_LEFT, [x],
-                            {"c": ones_map, "x_rows": 1, "x_cols": 1})
-        reshaped = reshape_expr(expanded, c.shape[0], c.shape[1])
-        return AtomExpr(MUL_ELEMWISE, [reshaped], {"c": c})
-    if c.shape != (x.shape.rows, x.shape.cols):
-        raise ShapeError(
-            f"elementwise product shapes {c.shape} and {tuple(x.shape)} disagree")
-    return AtomExpr(MUL_ELEMWISE, [x], {"c": c})
+    values, sign = constant_operand(c)
+    return AtomExpr(MUL_ELEMWISE, [as_expression(x)],
+                    {"c": values, "sign": sign})
 
 
-mul_elemwise = elementwise_product
+mul_elemwise = scale = elementwise_product
 
 
 def matrix_product(a, b):
@@ -164,32 +155,28 @@ def matrix_product(a, b):
     if a.is_scalar or b.is_scalar:
         return elementwise_product(a, b)
     if a.curvature == Curvature.CONSTANT:
-        c = constant_value(a)
-        if c.shape[1] != b.shape.rows:
-            raise ShapeError(
-                f"matrix product inner dimensions {c.shape[1]} and "
-                f"{b.shape.rows} disagree")
-        return AtomExpr(MATMUL_LEFT, [b],
-                        {"c": c, "x_rows": b.shape.rows, "x_cols": b.shape.cols})
-    if b.curvature == Curvature.CONSTANT:
-        c = constant_value(b)
-        if a.shape.cols != c.shape[0]:
-            raise ShapeError(
-                f"matrix product inner dimensions {a.shape.cols} and "
-                f"{c.shape[0]} disagree")
-        return AtomExpr(MATMUL_RIGHT, [a],
-                        {"c": c, "x_rows": a.shape.rows, "x_cols": a.shape.cols})
-    raise DCPError("cannot multiply two non-constant expressions")
+        atom, (c, sign), x = MATMUL_LEFT, constant_operand(a), b
+        inner = (c.shape[1], x.shape.rows)
+    elif b.curvature == Curvature.CONSTANT:
+        atom, (c, sign), x = MATMUL_RIGHT, constant_operand(b), a
+        inner = (x.shape.cols, c.shape[0])
+    else:
+        raise DCPError("cannot multiply two non-constant expressions")
+    if inner[0] != inner[1]:
+        raise ShapeError(f"matrix product inner dimensions {inner[0]} and "
+                         f"{inner[1]} disagree")
+    return AtomExpr(atom, [x], {"c": c, "sign": sign, "x_rows": x.shape.rows,
+                                "x_cols": x.shape.cols})
 
 
 def divide(x, c):
-    c = constant_value(as_expression(c))
+    c, _ = constant_operand(c)
     if c.size != 1:
         raise ShapeError("division requires a scalar constant divisor")
     c = float(c.item())
     if c == 0:
         raise ZeroDivisionError("division of an expression by zero")
-    return scale(x, 1.0 / c)
+    return elementwise_product(x, 1.0 / c)
 
 
 # -- transpose / index / reshape -------------------------------------------------
@@ -271,7 +258,7 @@ RESHAPE = AtomDescriptor(
 
 def reshape_expr(x, rows, cols):
     x = as_expression(x)
-    rows, cols = int(rows), int(cols)
+    rows, cols = make_shape(rows, cols)
     if rows * cols != x.size:
         raise ShapeError(
             f"cannot reshape {tuple(x.shape)} ({x.size} entries) to "

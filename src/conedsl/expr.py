@@ -14,6 +14,7 @@ path of `violation_path` reads them there.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -37,6 +38,9 @@ class Shape(NamedTuple):
 
 
 def make_shape(rows: int, cols: int = 1) -> Shape:
+    for d in (rows, cols):
+        if not isinstance(d, numbers.Integral) or isinstance(d, bool):
+            raise ShapeError(f"shape dimensions must be integers, got {d!r}")
     rows, cols = int(rows), int(cols)
     if rows < 1 or cols < 1:
         raise ShapeError(f"shape dimensions must be >= 1, got ({rows}, {cols})")
@@ -189,11 +193,11 @@ class Expression:
 
     def __mul__(self, other):
         from . import atoms
-        return atoms.elementwise_product(self, as_expression(other))
+        return atoms.elementwise_product(self, other)
 
     def __rmul__(self, other):
         from . import atoms
-        return atoms.elementwise_product(as_expression(other), self)
+        return atoms.elementwise_product(other, self)
 
     def __matmul__(self, other):
         from . import atoms

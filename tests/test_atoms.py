@@ -5,6 +5,8 @@ curvature/sign/monotonicity triple, and numeric spot checks of those
 claims (segment tests for curvature, bump tests for monotonicity,
 sample tests for sign).
 """
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -12,7 +14,7 @@ from scipy.special import logsumexp
 import conedsl as cd
 from conedsl.atoms import REGISTRY
 from conedsl.atoms.base import UNSUPPORTED, get_atom
-from conedsl.errors import UnsupportedAtomError
+from conedsl.errors import ShapeError, UnsupportedAtomError
 from conedsl.expr import AtomExpr, Curvature, Monotonicity, Sign, make_shape
 from conedsl.rng import SplitMix64
 
@@ -225,11 +227,12 @@ CASES = {
         ref=lambda v: v[0].reshape(2, 3, order="F"),
         curv=AFF, sign=UNK, mono=[M.INCREASING]),
     "scale": dict(
+        atom="mul_elemwise",
         shapes=[(3, 1)], facade=lambda a: 2.5 * a[0],
         ref=lambda v: 2.5 * v[0],
         curv=AFF, sign=UNK, mono=[M.INCREASING]),
     "scale[neg]": dict(
-        atom="scale",
+        atom="mul_elemwise",
         shapes=[(3, 1)], facade=lambda a: a[0] / -2.0,
         ref=lambda v: v[0] / -2.0,
         curv=AFF, sign=UNK, mono=[M.DECREASING]),
@@ -451,6 +454,14 @@ def test_power_only_square():
             cd.power(x, p)
 
 
+def test_huber_threshold_must_be_scalar():
+    x = cd.Variable(2, name="x")
+    with pytest.raises(ShapeError, match="huber threshold M"):
+        cd.huber(x, [1.0, 2.0])
+    with pytest.raises(ShapeError, match="huber threshold M"):
+        cd.huber(x, cd.Constant(np.ones((2, 2))))
+
+
 def test_p_norm_orders():
     x = cd.Variable(3, name="x")
     for p in (1, 2, "inf", np.inf, "fro"):
@@ -471,3 +482,9 @@ def test_atoms_table_lists_registry():
         assert f"| {name} |" in table
     header = table.splitlines()[0]
     assert "curvature" in header and "monotonicity" in header
+
+
+def test_readme_atom_table_is_current():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert cd.atoms_table() in readme
+    assert f"**Atoms**: {len(REGISTRY)} functions" in readme

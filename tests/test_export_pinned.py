@@ -60,6 +60,28 @@ def semidefinite():
                        X[0, 1] == X[1, 0]])
 
 
+def constant_products():
+    # a constant times an expression in every form: a number on either side
+    # and as a divisor, a matrix elementwise, a vector times a scalar
+    # expression, mul_elemwise, both matrix products, and quad_form with a
+    # constant x and a variable matrix
+    x = cd.Variable(3, name="x")
+    X = cd.Variable(2, 3, name="X")
+    t = cd.Variable(name="t")
+    P = cd.Variable(2, 2, name="P")
+    C = np.array([[1.0, -0.5, 2.0], [0.25, 1.5, -0.75]])
+    A = np.array([[0.5, 0.0, -1.0], [2.0, 0.25, 0.125]])
+    B = np.array([[1.0, -2.0], [0.0, 0.5], [-0.25, 4.0]])
+    v = np.array([[1.0], [-2.0], [0.5]])
+    w = np.array([[0.75], [0.0], [-1.5]])
+    obj = (cd.sum_entries(2.0 * x) + cd.sum_entries(x / -4.0)
+           + cd.sum_entries(C * X) + cd.sum_entries(cd.mul_elemwise(w, x))
+           + cd.quad_form(np.array([0.5, -1.0]), P))
+    return cd.Problem(cd.Minimize(obj),
+                      [A @ x <= 1.0, x.T @ B >= -1.0, v * t == x - 0.5,
+                       X >= -1.0, X <= 1.0, P >= -2.0, P <= 2.0])
+
+
 PINNED = {
     "lp_maximize": (
         lp_maximize,
@@ -73,6 +95,9 @@ PINNED = {
     "semidefinite": (
         semidefinite,
         "ab596d625c1330dfb323a6d570c4be1f8a90df2bc67d1583dc1480dc8bfa5b9e"),
+    "constant_products": (
+        constant_products,
+        "6f70e93e8707eca5703eb30f080b7b4f24c5c55c2464e2c420c7f09365dc688f"),
 }
 
 

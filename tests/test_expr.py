@@ -591,6 +591,75 @@ def test_constant_products_are_monotone_by_the_constant_sign(c, curvature):
     assert (cd.square(x).T @ c).curvature is curvature
 
 
+def test_constant_products_classify_each_constant_once(monkeypatch):
+    from conedsl import expr as expr_mod
+    from conedsl.atoms import structural
+    classified, constants = [], []
+    real_sign, real_init = expr_mod.sign_of_values, expr_mod.ConstantExpr.__init__
+
+    def counting_sign(values):
+        classified.append(values.shape)
+        return real_sign(values)
+
+    def counting_init(self, values):
+        constants.append(values)
+        real_init(self, values)
+
+    for mod in (expr_mod, structural):
+        monkeypatch.setattr(mod, "sign_of_values", counting_sign)
+    monkeypatch.setattr(expr_mod.ConstantExpr, "__init__", counting_init)
+    A = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
+    x, t = cd.Variable(3, name="x"), cd.Variable(name="t")
+    # the matrix is classified once, when it becomes a constant node, and
+    # its sign is read from there by the product's sign and monotonicity
+    assert (A @ x).sign is Sign.UNKNOWN
+    assert classified == [(2, 3)]
+    # a plain number never becomes a constant node
+    constants.clear()
+    e = 2.0 * t
+    assert constants == [] and e.sign is Sign.UNKNOWN
+    # a constant vector times a scalar expression is one node over it
+    v = np.array([[1.0], [-2.0], [0.5]])
+    e = v * t
+    assert isinstance(e, AtomExpr) and e.args == (t,)
+    assert e.atom.name == "mul_elemwise" and e.shape == (3, 1)
+    assert np.array_equal(e.value({t: 4.0}), 4.0 * v)
+
+
+def test_product_with_a_zero_factor_is_zero():
+    # sign_mul gives ZERO when either factor is zero, a mixed-sign
+    # constant matrix included
+    A = np.array([[1.0, -2.0], [0.5, 3.0]])
+    z = 0.0 * cd.Variable(2, name="x")
+    assert z.sign is Sign.ZERO
+    assert (A @ z).sign is Sign.ZERO
+    assert (z.T @ A).sign is Sign.ZERO
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: cd.Variable(2.5),
+    lambda x: cd.Variable(2, 1.0),
+    lambda x: cd.Variable(np.float64(3.0)),
+    lambda x: cd.Variable(True),
+    lambda x: cd.Variable(2, np.True_),
+    lambda x: cd.reshape_expr(x, 3.7, 1),
+    lambda x: cd.reshape_expr(x, 3, 1.0),
+    lambda x: cd.reshape_expr(x, True, 3),
+], ids=["var-2.5", "var-cols-1.0", "var-float64", "var-True", "var-np.True_",
+        "reshape-3.7", "reshape-cols-1.0", "reshape-True"])
+def test_non_integral_dimensions_rejected(build):
+    # a float or bool dimension is refused, not truncated
+    x = cd.Variable(3, name="x")
+    with pytest.raises(ShapeError, match="must be integers"):
+        build(x)
+
+
+def test_numpy_integer_dimensions_accepted():
+    assert cd.Variable(np.int64(2), np.int32(3)).shape == (2, 3)
+    x = cd.Variable(6, name="x")
+    assert cd.reshape_expr(x, np.int64(2), np.int8(3)).shape == (2, 3)
+
+
 def test_violation_path_follows_first_clause_then_first_argument():
     x = cd.Variable(2, name="x")
     y = cd.Variable(2, name="y")
