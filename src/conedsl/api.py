@@ -155,10 +155,4 @@ def solve(problem: Problem, solver: str | None = None, settings=None,
     # only an optimal iterate has an objective (NaN otherwise); the last
     # residuals of any other stay in the metrics
     value = cp.user_objective(sol.objective)
-    metrics = {"iterations": sol.iterations,
-               "solve_time": sol.solve_time,
-               "residuals": sol.residuals,
-               "anderson": sol.anderson,
-               "scale": sol.scale,
-               "refined_solves": sol.refined_solves}
-    return Result(problem, sol.status, value, sol, vmap, cp, metrics)
+    return Result(problem, sol.status, value, sol, vmap, cp, sol.metrics())

@@ -13,8 +13,9 @@ import numpy as np
 
 from ..errors import DCPError, InputError, ShapeError
 from ..expr import (AtomExpr, ConstantExpr, Curvature, Expression,
-                    Monotonicity, Shape, Sign, as_expression, constant_value,
-                    make_shape, sign_add, sign_mul, sign_neg, sign_of_values)
+                    Monotonicity, Shape, Sign, as_expression, as_int,
+                    constant_value, make_shape, sign_add, sign_mul, sign_neg,
+                    sign_of_values)
 from ..lin import (cumsum_axis_map, diff_map, matmul_left_map,
                    matmul_right_map, sum_axis_map, trace_map)
 from .base import AtomDescriptor, const, monos, same_shape
@@ -391,7 +392,8 @@ DIFF = AtomDescriptor(
 
 
 def diff(x, lag=1, differences=1):
-    lag, differences = int(lag), int(differences)
+    what = "diff lag and differences"
+    lag, differences = as_int(lag, what), as_int(differences, what)
     if lag < 1 or differences < 1:
         raise ShapeError("diff lag and differences must be >= 1")
     return AtomExpr(DIFF, [as_expression(x)],
@@ -436,6 +438,8 @@ SUM_ENTRIES = AtomDescriptor(
 
 def sum_entries(x, axis=None):
     x = as_expression(x)
+    if axis is not None:
+        axis = as_int(axis, "axes")
     return AtomExpr(SUM_ENTRIES, [x],
                     {"axis": axis, "x_rows": x.shape.rows, "x_cols": x.shape.cols})
 
@@ -489,5 +493,7 @@ CUMSUM_AXIS = AtomDescriptor(
 
 def cumsum_axis(x, axis):
     x = as_expression(x)
+    if axis is not None:
+        axis = as_int(axis, "axes")
     return AtomExpr(CUMSUM_AXIS, [x],
                     {"axis": axis, "x_rows": x.shape.rows, "x_cols": x.shape.cols})

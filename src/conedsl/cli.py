@@ -7,7 +7,9 @@ Subcommands:
     list     show example names and their parameters
 
 Exit codes: 0 solved to optimality, 1 iteration limit reached, 2 infeasible
-or unbounded, 3 composition-rule rejection, 4 bad input.
+or unbounded, 3 composition-rule rejection, 4 bad input (a malformed
+parameter or file, an impossible size, a path that cannot be read or
+written).
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ import json
 import sys
 
 from .canon import canonicalize, export_json, import_json
-from .errors import ConeDSLError, DCPError, InputError, SchemaError
+from .errors import (ConeDSLError, DCPError, InputError, SchemaError,
+                     ShapeError)
 from .examples import (ExampleConfig, _jsonify, build_example,
                        describe_examples, emit_series, run_example)
 from .solver import SolverSettings, solve_cone_program
@@ -66,26 +69,15 @@ def _cmd_export(args):
 
 
 def _cmd_solve(args):
-    try:
-        with open(args.file) as f:
-            text = f.read()
-    except OSError as e:
-        raise InputError(f"cannot read {args.file}: {e}") from e
+    with open(args.file) as f:
+        text = f.read()
     cp, _vmap = import_json(text)
     settings = SolverSettings(eps_abs=args.eps, eps_rel=args.eps,
                               max_iters=args.max_iters)
     sol = solve_cone_program(cp, settings)
-    record = _jsonify({
-        "file": args.file,
-        "status": sol.status,
-        "objective": cp.user_objective(sol.objective),
-        "residuals": sol.residuals,
-        "iterations": sol.iterations,
-        "anderson": sol.anderson,
-        "scale": sol.scale,
-        "refined_solves": sol.refined_solves,
-        "solve_time": sol.solve_time,
-    })
+    record = _jsonify({"file": args.file, "status": sol.status,
+                       "objective": cp.user_objective(sol.objective),
+                       **sol.metrics()})
     print(json.dumps(record, indent=2))
     return _STATUS_EXIT.get(sol.status, 1)
 
@@ -138,7 +130,8 @@ def main(argv=None):
     except DCPError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (InputError, SchemaError) as e:
+    # an OSError names the file it could not read or write
+    except (InputError, SchemaError, ShapeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
     except ConeDSLError as e:

@@ -5,7 +5,7 @@ embedded solver, and reports a ResultRecord (JSON-able). Synthetic data
 comes exclusively from the package's splitmix generator so records are
 reproducible bit for bit given (example, seed, params). Dataset-backed
 examples read CSV fixtures (comma separated, one header row, no quoting)
-from the package fixture directory, overridable with CONEDSL_FIXTURES.
+from the package fixture directory; an absolute file name is read as given.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -26,9 +26,6 @@ from .rng import SplitMix64
 
 
 def fixture_dir() -> str:
-    override = os.environ.get("CONEDSL_FIXTURES")
-    if override:
-        return override
     return str(resources.files(__package__).joinpath("fixtures"))
 
 
@@ -63,17 +60,7 @@ class ResultRecord:
     feasibility: float | None
 
     def to_dict(self):
-        return _jsonify({
-            "example": self.example,
-            "config": self.config,
-            "status": self.status,
-            "objective": self.objective,
-            "outputs": self.outputs,
-            "residuals": list(self.residuals),
-            "iterations": self.iterations,
-            "runtime": self.runtime,
-            "feasibility": self.feasibility,
-        })
+        return _jsonify(asdict(self))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -682,9 +669,9 @@ def _resolve(cfg: ExampleConfig):
     solver_kw.update(ex.settings)
     for key, raw in cfg.params.items():
         if key == "eps":
-            solver_kw["eps_abs"] = solver_kw["eps_rel"] = float(raw)
+            solver_kw["eps_abs"] = solver_kw["eps_rel"] = _coerce(raw, 0.0)
         elif key == "max_iters":
-            solver_kw["max_iters"] = int(raw)
+            solver_kw["max_iters"] = _coerce(raw, 0)
         elif key in params:
             params[key] = _coerce(raw, params[key])
         else:
@@ -722,8 +709,8 @@ def run_example(cfg: ExampleConfig) -> ResultRecord:
         status=result.status,
         objective=result.value,
         outputs=outputs,
-        residuals=result.metrics.get("residuals", (None,) * 3),
-        iterations=result.metrics.get("iterations", 0),
+        residuals=result.metrics["residuals"],
+        iterations=result.metrics["iterations"],
         runtime=runtime,
         feasibility=feasibility,
     )

@@ -37,11 +37,16 @@ class Shape(NamedTuple):
         return self.rows == 1 and self.cols == 1
 
 
+def as_int(value, what: str) -> int:
+    """An integer argument as an int; a float or bool is refused, not
+    truncated, and numpy integers are accepted."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ShapeError(f"{what} must be integers, got {value!r}")
+    return int(value)
+
+
 def make_shape(rows: int, cols: int = 1) -> Shape:
-    for d in (rows, cols):
-        if not isinstance(d, numbers.Integral) or isinstance(d, bool):
-            raise ShapeError(f"shape dimensions must be integers, got {d!r}")
-    rows, cols = int(rows), int(cols)
+    rows, cols = (as_int(d, "shape dimensions") for d in (rows, cols))
     if rows < 1 or cols < 1:
         raise ShapeError(f"shape dimensions must be >= 1, got ({rows}, {cols})")
     return Shape(rows, cols)

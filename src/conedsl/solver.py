@@ -66,7 +66,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -127,18 +127,26 @@ class Solution:
     residuals: tuple
     iterations: int
     solve_time: float
-    history: list = field(default_factory=list)
-    certificate: dict | None = None
+    history: list
+    certificate: dict | None
     # Anderson steps: accepted (the accelerated point was taken), rejected
     # (the safeguard reverted an accepted point) and resets (the memory was
     # emptied for another cause: a non-finite residual, or an extrapolation
     # that was singular, non-finite or collapsed toward w = 0)
-    anderson: dict = field(default_factory=dict)
+    anderson: dict
     # the scale of the KKT metric: its start and final values and the
     # number of refactors that moved it
-    scale: dict = field(default_factory=dict)
+    scale: dict
     # KKT solves that missed the residual bound and were refined
-    refined_solves: int = 0
+    refined_solves: int
+
+    def metrics(self) -> dict:
+        """The figures a solve reports, in the order of the `conedsl solve`
+        record; `Result.metrics` and that record are this dict."""
+        return {"residuals": self.residuals, "iterations": self.iterations,
+                "anderson": self.anderson, "scale": self.scale,
+                "refined_solves": self.refined_solves,
+                "solve_time": self.solve_time}
 
 
 def _runs(counts):
@@ -556,14 +564,11 @@ def diagnostics(sol: Solution) -> str:
     lines = [f"status: {sol.status}",
              f"iterations: {sol.iterations}",
              f"solve_time: {sol.solve_time:.4f} s"]
-    if sol.anderson:
-        aa = sol.anderson
-        lines.append(f"anderson: {aa['accepted']} accepted, "
-                     f"{aa['rejected']} rejected, {aa['resets']} resets")
-    if sol.scale:
-        sc = sol.scale
-        lines.append(f"scale: {sc['start']:.4g} -> {sc['final']:.4g}, "
-                     f"{sc['refactors']} refactors")
+    aa, sc = sol.anderson, sol.scale
+    lines.append(f"anderson: {aa['accepted']} accepted, "
+                 f"{aa['rejected']} rejected, {aa['resets']} resets")
+    lines.append(f"scale: {sc['start']:.4g} -> {sc['final']:.4g}, "
+                 f"{sc['refactors']} refactors")
     lines.append(f"kkt: {sol.refined_solves} refined solves")
     if sol.status == "optimal":
         lines.append(f"objective: {sol.objective:.10g}")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +62,42 @@ def test_example_unknown_param(capsys):
     code, _, err = run_cli(capsys, ["example", "ols", "--param", "zzz=1"])
     assert code == 4
     assert "error:" in err
+
+
+@pytest.mark.parametrize("pair", ["eps=abc", "max_iters=1.5"])
+def test_example_bad_solver_param(capsys, pair):
+    code, _, err = run_cli(capsys, ["example", "ols", "--param", pair])
+    assert code == 4
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "ols", "--param", "m=0"],
+    ["example", "isotonic", "--param", "m=1"],
+    ["export", "ols", "--param", "n=0", "--out", "unused.json"],
+], ids=["ols-m0", "isotonic-m1", "export-ols-n0"])
+def test_shape_error_is_bad_input(tmp_path, monkeypatch, capsys, argv):
+    # an impossible size is bad input (4), not an iteration limit (1)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, argv)
+    assert code == 4
+    assert "error:" in err
+    assert not (tmp_path / "unused.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "ols", "--out", "{missing}"],
+    ["export", "ols", "--out", "{missing}"],
+    ["example", "near_iso", "--csv", "{under_file}"],
+], ids=["example-out", "export-out", "example-csv"])
+def test_unwritable_output_is_bad_input(tmp_path, capsys, argv):
+    (tmp_path / "afile").write_text("")
+    paths = {"missing": str(tmp_path / "missing" / "x.json"),
+             "under_file": str(tmp_path / "afile" / "csv")}
+    argv = [a.format(**paths) for a in argv]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 4
+    assert err.startswith("error:") and argv[-1] in err
 
 
 def test_example_writes_record_file(tmp_path, capsys):
@@ -231,3 +268,23 @@ def test_solve_reports_offset_and_flip_in_user_sense(tmp_path, capsys):
     direct = cd.solve(prob, eps_abs=1e-9, eps_rel=1e-9)
     assert np.isclose(record["objective"], 5.0, rtol=0, atol=1e-6)
     assert np.isclose(record["objective"], direct.value, rtol=0, atol=1e-9)
+
+
+def test_solve_figures_have_one_list(tmp_path, capsys):
+    # Solution.metrics() is Result.metrics, the tail of the conedsl solve
+    # record, and what the README's res.metrics paragraph describes
+    x = cd.Variable(2, name="x")
+    prob = cd.Problem(cd.Minimize(cd.sum_entries(x)), [x >= 1])
+    res = cd.solve(prob)
+    assert res.metrics == res.solution.metrics()
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(cd.solve(prob, solver="export-only").export))
+    code, out, _ = run_cli(capsys, ["solve", str(f)])
+    assert code == 0
+    assert list(json.loads(out)) == ["file", "status", "objective",
+                                     *res.solution.metrics()]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("`res.metrics` is"):]
+    paragraph = paragraph[:paragraph.index("\n\n")]
+    for key in res.solution.metrics():
+        assert f"`{key}`" in paragraph, key

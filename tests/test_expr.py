@@ -645,8 +645,19 @@ def test_product_with_a_zero_factor_is_zero():
     lambda x: cd.reshape_expr(x, 3.7, 1),
     lambda x: cd.reshape_expr(x, 3, 1.0),
     lambda x: cd.reshape_expr(x, True, 3),
+    lambda x: cd.diff(x, lag=1.5),
+    lambda x: cd.diff(x, differences=2.7),
+    lambda x: cd.diff(x, lag=True),
+    lambda x: cd.diff(x, lag="2"),
+    lambda x: cd.sum_entries(x, axis=True),
+    lambda x: cd.sum_entries(x, axis=1.0),
+    lambda x: cd.cumsum_axis(x, True),
+    lambda x: cd.cumsum_axis(x, 2.0),
 ], ids=["var-2.5", "var-cols-1.0", "var-float64", "var-True", "var-np.True_",
-        "reshape-3.7", "reshape-cols-1.0", "reshape-True"])
+        "reshape-3.7", "reshape-cols-1.0", "reshape-True", "diff-lag-1.5",
+        "diff-differences-2.7", "diff-lag-True", "diff-lag-str",
+        "sum-axis-True", "sum-axis-1.0", "cumsum-axis-True",
+        "cumsum-axis-2.0"])
 def test_non_integral_dimensions_rejected(build):
     # a float or bool dimension is refused, not truncated
     x = cd.Variable(3, name="x")
@@ -658,6 +669,10 @@ def test_numpy_integer_dimensions_accepted():
     assert cd.Variable(np.int64(2), np.int32(3)).shape == (2, 3)
     x = cd.Variable(6, name="x")
     assert cd.reshape_expr(x, np.int64(2), np.int8(3)).shape == (2, 3)
+    assert cd.diff(x, lag=np.int64(2), differences=np.int32(2)).shape == (2, 1)
+    assert cd.sum_entries(x, axis=None).shape == (1, 1)
+    assert cd.sum_entries(x, axis=np.int64(1)).shape == (6, 1)
+    assert cd.cumsum_axis(x, np.int8(2)).shape == (6, 1)
 
 
 def test_violation_path_follows_first_clause_then_first_argument():
