@@ -21,8 +21,7 @@ from .canon import (ConeProgram, ConeSpec, VariableMap, canonicalize,
 from . import cones
 from .solver import (Solution, SolverSettings, diagnostics,
                      solve_cone_program)
-from .api import (Maximize, Minimize, Objective, Problem, Result, dual_of,
-                  installed_solvers, solve, value_of)
+from .api import Maximize, Minimize, Objective, Problem, Result, solve
 from .rng import SplitMix64
 
 __version__ = "0.1.0"
@@ -37,8 +36,7 @@ __all__ = [
     "get_problem_data", "import_json", "recover", "recover_dual",
     "cones",
     "Solution", "SolverSettings", "diagnostics", "solve_cone_program",
-    "Maximize", "Minimize", "Objective", "Problem", "Result", "dual_of",
-    "installed_solvers", "solve", "value_of",
+    "Maximize", "Minimize", "Objective", "Problem", "Result", "solve",
     "SplitMix64",
     "__version__",
 ] + list(atoms.__all__)

@@ -2,25 +2,15 @@
 
 The modeling surface is Problem(Minimize(expr) | Maximize(expr),
 constraints); solve() runs the ruleset check, lowers to a cone program,
-and dispatches to the embedded solver.  Maximization is handled here by a
+and runs the embedded solver.  Maximization is handled here by a
 sense flag; the canonicalizer always minimizes.
 """
 from __future__ import annotations
 
-import json
-
-from .canon import canonicalize, export_json, recover, recover_dual
+from .canon import canonicalize, recover, recover_dual
 from .errors import InputError, ShapeError
 from .expr import Constraint, as_expression, dcp_check
 from .solver import SolverSettings, solve_cone_program
-
-_EMBEDDED = "embedded-splitting"
-_EXPORT_ONLY = "export-only"
-
-
-def installed_solvers():
-    return [_EMBEDDED]
-
 
 class Objective:
     sense = "minimize"
@@ -66,7 +56,7 @@ class Result:
     """Outcome of a solve: status, user-sense value, and recovery handles."""
 
     def __init__(self, problem, status, value, solution, vmap, cone_program,
-                 metrics, export=None):
+                 metrics):
         self.problem = problem
         self.status = status
         self.value = value
@@ -74,16 +64,10 @@ class Result:
         self.vmap = vmap
         self.cone_program = cone_program
         self.metrics = metrics
-        self.export = export
         self._env = None
-
-    def _require_solution(self):
-        if self.solution is None:
-            raise InputError("no solution attached (export-only run)")
 
     def _environment(self):
         if self._env is None:
-            self._require_solution()
             env = {}
             for rec in self.vmap.vars:
                 if rec.vid is None:
@@ -94,7 +78,6 @@ class Result:
 
     def value_of(self, expr):
         """Numeric value of any expression over this problem's variables."""
-        self._require_solution()
         e = as_expression(expr)
         try:
             return e.value(self._environment())
@@ -103,7 +86,6 @@ class Result:
                 "expression references a variable outside this problem") from err
 
     def dual_of(self, constraint):
-        self._require_solution()
         return recover_dual(self.solution, self.vmap, constraint,
                             flipped=self.cone_program.flipped)
 
@@ -111,47 +93,18 @@ class Result:
         return f"Result(status={self.status!r}, value={self.value!r})"
 
 
-def value_of(result: Result, expr):
-    return result.value_of(expr)
-
-
-def dual_of(result: Result, constraint):
-    return result.dual_of(constraint)
-
-
-def _make_settings(settings, options):
-    if settings is not None:
-        if options:
-            raise InputError("pass either a settings object or keyword "
-                             "overrides, not both")
-        if not isinstance(settings, SolverSettings):
-            raise InputError("settings must be a SolverSettings")
-        return settings
-    try:
-        return SolverSettings(**options)
-    except TypeError as err:
-        raise InputError(f"unknown solver option: {err}") from err
-
-
-def solve(problem: Problem, solver: str | None = None, settings=None,
-          **options) -> Result:
-    """Check the ruleset, lower, and solve (or export) a problem; raises
-    DCPError (from canonicalize) if the ruleset rejects it."""
+def solve(problem: Problem, **options) -> Result:
+    """Check the ruleset, lower, and solve a problem; options are the
+    SolverSettings fields.  Raises DCPError (from canonicalize) if the
+    ruleset rejects the problem."""
     if not isinstance(problem, Problem):
         raise InputError("solve() expects a Problem")
-    name = solver if solver is not None else _EMBEDDED
-    if name not in (_EMBEDDED, _EXPORT_ONLY):
-        raise InputError(
-            f"unknown solver {name!r}; installed solvers: "
-            f"{', '.join(installed_solvers())} (plus '{_EXPORT_ONLY}')")
-
     cp, vmap = canonicalize(problem)
-    if name == _EXPORT_ONLY:
-        payload = json.loads(export_json(cp, vmap))
-        return Result(problem, "export_only", float("nan"), None, vmap, cp,
-                      {}, export=payload)
-
-    sol = solve_cone_program(cp, _make_settings(settings, options))
+    try:
+        settings = SolverSettings(**options)
+    except TypeError as err:
+        raise InputError(f"unknown solver option: {err}") from err
+    sol = solve_cone_program(cp, settings)
     # only an optimal iterate has an objective (NaN otherwise); the last
     # residuals of any other stay in the metrics
     value = cp.user_objective(sol.objective)

@@ -11,7 +11,7 @@ from .scalar import (cvxr_norm, lambda_max, lambda_min, log_det, log_sum_exp,
 from .structural import (add, cumsum_axis, diag, diff, divide,
                          elementwise_product, hstack, index, matrix_product,
                          matrix_trace, mul_elemwise, negate, reshape_expr,
-                         scale, sum_entries, transpose, vec, vstack)
+                         sum_entries, transpose, vec, vstack)
 
 abs = abs_atom  # noqa: A001 - deliberate module-level shadow, like np.abs
 
@@ -30,6 +30,5 @@ __all__ = [
     "sum_squares",
     "add", "cumsum_axis", "diag", "diff", "divide", "elementwise_product",
     "hstack", "index", "matrix_product", "matrix_trace", "mul_elemwise",
-    "negate", "reshape_expr", "scale", "sum_entries", "transpose", "vec",
-    "vstack",
+    "negate", "reshape_expr", "sum_entries", "transpose", "vec", "vstack",
 ] + list(UNSUPPORTED)

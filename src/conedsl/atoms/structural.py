@@ -148,7 +148,7 @@ def elementwise_product(a, b):
                     {"c": values, "sign": sign})
 
 
-mul_elemwise = scale = elementwise_product
+mul_elemwise = elementwise_product
 
 
 def matrix_product(a, b):

@@ -270,17 +270,25 @@ def project_block(kind: str, v: np.ndarray, meta=None) -> np.ndarray:
 
 
 def in_cone_block(kind: str, v: np.ndarray, meta=None, tol: float = 1e-9) -> bool:
+    """Whether every block of v, the rows of one cone kind, lies in its cone
+    to within tol; meta is read as project_block reads it."""
     v = np.asarray(v, dtype=float).ravel()
     if kind == "zero":
         return bool(np.max(np.abs(v), initial=0.0) <= tol)
     if kind == "nonneg":
         return bool(np.min(v, initial=0.0) >= -tol)
     if kind == "soc":
-        return bool(np.linalg.norm(v[1:]) <= v[0] + tol)
+        starts = blocks(kind, v.size if meta is None else meta, v.size).starts
+        sq = v * v
+        sq[starts] = 0.0
+        nx = np.sqrt(np.add.reduceat(sq, starts))
+        return bool(np.all(nx <= v[starts] + tol))
     if kind == "psd":
-        return bool(np.linalg.eigvalsh(unsvec(v, meta))[0] >= -tol)
+        sides, starts, _ = blocks(kind, meta, v.size)
+        return all(np.linalg.eigvalsh(unsvec(v[a:a + svec_dim(n)], n))[0]
+                   >= -tol for n, a in zip(sides.tolist(), starts.tolist()))
     if kind == "exp":
-        return bool(_in_exp_primal(v[0], v[1], v[2], tol))
+        return bool(np.all(_in_exp_primal(*v.reshape(-1, 3).T, tol)))
     raise ShapeError(f"unknown cone kind {kind!r}")
 
 
@@ -330,8 +338,11 @@ def project_dual(cones, v: np.ndarray) -> np.ndarray:
 
 
 def in_cone(cones, v: np.ndarray, tol: float = 1e-9) -> bool:
+    """Whether v lies in the product cone of a ConeSpec or its Layout to
+    within tol: one test per cone kind present."""
     v = np.asarray(v, dtype=float).ravel()
-    if v.size != cones.total_dim:
+    total_dim, kinds = layout(cones)
+    if v.size != total_dim:
         raise ShapeError("vector length does not match cone dimensions")
     return all(in_cone_block(kind, v[start:stop], meta, tol)
-               for kind, start, stop, meta in cones.blocks())
+               for kind, start, stop, meta in kinds)

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import atoms as at
 from .api import Maximize, Minimize, Problem, solve
-from .errors import InputError
-from .expr import Semidef, Variable
+from .errors import InputError, ShapeError
+from .expr import Semidef, Variable, as_int
 from .rng import SplitMix64
 
 
@@ -646,9 +646,11 @@ def _coerce(raw, default):
             return False
         raise InputError(f"expected a boolean, got {raw!r}")
     if isinstance(default, int):
+        # a string is parsed; a float or bool is refused, not truncated
         try:
-            return int(raw)
-        except ValueError as e:
+            return (int(raw) if isinstance(raw, str)
+                    else as_int(raw, "parameters"))
+        except (ValueError, ShapeError) as e:
             raise InputError(f"expected an integer, got {raw!r}") from e
     if isinstance(default, float):
         try:

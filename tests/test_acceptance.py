@@ -420,6 +420,6 @@ def test_criterion_14_generator_equivalence_and_exports():
             assert abs(res.value - ref) <= 1e-3 * (1.0 + abs(ref)), seed
 
             again, _, _, _ = build_problem(seed)
-            blob1 = json.dumps(cd.solve(prob, solver="export-only").export)
-            blob2 = json.dumps(cd.solve(again, solver="export-only").export)
+            blob1 = json.dumps(cd.get_problem_data(prob)[0])
+            blob2 = json.dumps(cd.get_problem_data(again)[0])
             assert blob1.encode() == blob2.encode(), seed

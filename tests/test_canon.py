@@ -368,6 +368,9 @@ def test_psd_variable_lowering():
 def test_get_problem_data_shapes():
     prob, _ = small_lp()
     data, vmap = canon.get_problem_data(prob)
+    assert set(data) == {"version", "n", "m", "c", "b", "offset", "flipped",
+                         "A", "cones", "vars", "constrs"}
+    assert data["version"] == 1
     assert data["n"] == 2 and data["m"] == 3
     assert np.allclose(data["c"], [1.0, 1.0])
     assert np.allclose(data["b"], [-1.0, -1.0, 5.0])

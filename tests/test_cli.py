@@ -183,9 +183,9 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
     # x >= 1 and -x >= 0 conflict; exported by hand through the library
     x = cd.Variable(name="x")
     prob = cd.Problem(cd.Minimize(x), [x >= 1, x <= 0])
-    res = cd.solve(prob, solver="export-only")
+    payload, _ = cd.get_problem_data(prob)
     f = tmp_path / "infeasible.json"
-    f.write_text(json.dumps(res.export))
+    f.write_text(json.dumps(payload))
     code, out, _ = run_cli(capsys, ["solve", str(f)])
     assert code == 2
     record = json.loads(out)
@@ -196,9 +196,9 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
 def test_solve_unbounded_exit_code(tmp_path, capsys):
     x = cd.Variable(name="x")
     prob = cd.Problem(cd.Minimize(-x), [x >= 0])
-    res = cd.solve(prob, solver="export-only")
+    payload, _ = cd.get_problem_data(prob)
     f = tmp_path / "unbounded.json"
-    f.write_text(json.dumps(res.export))
+    f.write_text(json.dumps(payload))
     code, out, _ = run_cli(capsys, ["solve", str(f)])
     assert code == 2
     assert json.loads(out)["status"] == "dual_infeasible"
@@ -254,10 +254,10 @@ def test_maximization_objective_reported_in_user_sense(tmp_path, capsys):
 def test_solve_reports_offset_and_flip_in_user_sense(tmp_path, capsys):
     x = cd.Variable(name="x")
     prob = cd.Problem(cd.Maximize(5 - cd.square(x - 3)))
-    res = cd.solve(prob, solver="export-only")
-    assert res.export["offset"] == -5.0 and res.export["flipped"]
+    payload, _ = cd.get_problem_data(prob)
+    assert payload["offset"] == -5.0 and payload["flipped"]
     f = tmp_path / "offset.json"
-    f.write_text(json.dumps(res.export))
+    f.write_text(json.dumps(payload))
     code, out, _ = run_cli(capsys, ["solve", str(f), "--eps", "1e-9"])
     assert code == 0
     record = json.loads(out)
@@ -278,7 +278,7 @@ def test_solve_figures_have_one_list(tmp_path, capsys):
     res = cd.solve(prob)
     assert res.metrics == res.solution.metrics()
     f = tmp_path / "p.json"
-    f.write_text(json.dumps(cd.solve(prob, solver="export-only").export))
+    f.write_text(json.dumps(cd.get_problem_data(prob)[0]))
     code, out, _ = run_cli(capsys, ["solve", str(f)])
     assert code == 0
     assert list(json.loads(out)) == ["file", "status", "objective",

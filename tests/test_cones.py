@@ -237,6 +237,20 @@ def test_in_cone_block_negatives():
     assert cones.in_cone_block("nonneg", np.array([0.0, 0.0]), tol=1e-9)
 
 
+@pytest.mark.parametrize("kind,v,meta", [
+    ("soc", [10.0, 1.0, 1.0, 5.0], [2, 2]),
+    ("exp", [0.0, 1.0, 2.0, 5.0, 1.0, 0.0], None),
+    ("psd", [1.0, 0.0, 1.0, 1.0, 0.0, -1.0], [2, 2]),
+], ids=["soc", "exp", "psd"])
+def test_in_cone_block_reads_every_block(kind, v, meta):
+    # the first of two blocks is in the cone and the second is not
+    v = np.array(v)
+    first = None if meta is None else meta[0]
+    assert cones.in_cone_block(kind, v[:v.size // 2], first)
+    assert not cones.in_cone_block(kind, v, meta)
+    assert cones.in_cone_block(kind, cones.project_block(kind, v, meta), meta)
+
+
 def make_spec():
     return ConeSpec(zero=2, nonneg=3, soc=[3, 4], psd=[2], ep=2)
 
@@ -343,6 +357,7 @@ def test_project_dual_moreau_full_vector():
         pstar = cones.project_dual(spec, -v)
         assert np.linalg.norm(v - (pk - pstar)) <= 1e-10 * (1.0 + np.linalg.norm(v))
         assert cones.in_cone(spec, pk, tol=1e-8)
+        assert cones.in_cone(layout, pk, tol=1e-8)
         # the layout a solver reads once gives the same projections
         assert np.array_equal(cones.project(layout, v), pk)
         assert np.array_equal(cones.project_dual(layout, -v), pstar)

@@ -178,10 +178,20 @@ def test_unknown_param_rejected():
 
 
 def test_param_coercion_follows_default_type():
-    record = run_example(ExampleConfig("ols", params={"m": "25"}))
-    assert record.config["m"] == 25
+    for m in ("25", 25, np.int64(25)):
+        record = run_example(ExampleConfig("ols", params={"m": m}))
+        assert record.config["m"] == 25
     record = run_example(ExampleConfig("huber_reg", params={"M": "2.5"}))
     assert record.config["M"] == 2.5
+
+
+@pytest.mark.parametrize("params", [
+    {"m": 20.7}, {"max_iters": 900.9}, {"m": True}, {"m": np.float64(20.0)},
+])
+def test_integer_param_refuses_float_and_bool(params):
+    # a fractional value is refused, not truncated
+    with pytest.raises(InputError, match="expected an integer"):
+        run_example(ExampleConfig("ols", params=params))
 
 
 @pytest.mark.parametrize("name,overrides", [

@@ -1,8 +1,12 @@
-"""Every name a module imports is read somewhere in that module."""
+"""Every name a module imports is read somewhere in that module, and every
+name a package exports exists."""
 import ast
 from pathlib import Path
 
 import pytest
+
+import conedsl
+import conedsl.atoms
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "conedsl"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
@@ -23,3 +27,11 @@ def test_module_reads_every_import(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in read)
     assert not unused, f"imported but never read: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("module", [conedsl, conedsl.atoms],
+                         ids=lambda m: m.__name__)
+def test_all_names_resolve(module):
+    # a stale entry would break `from conedsl import *`
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"__all__ names missing attributes: {missing}"
