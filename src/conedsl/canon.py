@@ -5,11 +5,11 @@ Standard form:
     minimize    c'x
     subject to  A x + s = b,  s in K
 
-with K a product of cones whose row layout (the order of the cone kinds,
-the rows of each block, PSD blocks in scaled-lower-triangle svec
-coordinates) `ConeSpec` states. Objective sense flips and constant
-offsets are tracked so user-facing values can be reported in the original
-sense.
+with K a product of cones whose counts `ConeSpec` holds and whose row
+layout (the order of the cone kinds, the rows of each block, PSD blocks in
+scaled-lower-triangle svec coordinates) `cones.layout` states. Objective
+sense flips and constant offsets are tracked so user-facing values can be
+reported in the original sense.
 
 The rows of each cone kind keep lowering-traversal order (objective
 first, then constraints in declaration order); symmetry and
@@ -28,65 +28,37 @@ import scipy.sparse as sp
 
 from . import linalg
 from .errors import DCPError, InputError, SchemaError, ShapeError
-from .expr import AtomExpr, Curvature, Expression, Variable, dcp_check
+from .cones import KINDS, layout
+from .expr import AtomExpr, Curvature, Expression, Variable, as_int, dcp_check
 from .lin import LinForm, flat_index, svec_map
 
 
 @dataclass
 class ConeSpec:
-    """The cone K, and the one statement of its row layout: the order of
-    the cone kinds and the row count of each block. The fields are the
-    counts the JSON `cones` keys carry (z, l, q, s, ep)."""
+    """The cone K as the counts the JSON `cones` keys carry (z, l, q, s,
+    ep): the zero and nonneg row counts, the SOC block sizes, the PSD sides
+    and the number of exponential cones. `cones.layout` places their rows."""
     zero: int = 0
     nonneg: int = 0
     soc: list = field(default_factory=list)
     psd: list = field(default_factory=list)
     ep: int = 0
 
-    def _table(self):
-        """kind -> (row count of each block, meta), in row order. Zero and
-        nonneg rows form one block each; meta is the SOC block sizes or the
-        PSD sides, as `cones.project_block` takes them."""
-        return {"zero": ([self.zero] if self.zero else [], None),
-                "nonneg": ([self.nonneg] if self.nonneg else [], None),
-                "soc": (self.soc, self.soc),
-                "psd": ([linalg.svec_dim(s) for s in self.psd], self.psd),
-                "exp": ([3] * self.ep, None)}
-
     @property
     def total_dim(self) -> int:
-        return sum(sum(sizes) for sizes, _ in self._table().values())
-
-    def blocks(self):
-        """Yield (kind, start, stop, meta) covering all rows in order; meta
-        is the block's SOC size or PSD side."""
-        r = 0
-        for kind, (sizes, meta) in self._table().items():
-            for i, size in enumerate(sizes):
-                yield (kind, r, r + size, None if meta is None else meta[i])
-                r += size
-
-    def kinds(self):
-        """Yield (kind, start, stop, meta) once per cone kind present, in
-        row order; meta is the SOC block sizes or the PSD sides."""
-        r = 0
-        for kind, (sizes, meta) in self._table().items():
-            size = sum(sizes)
-            if size:
-                yield (kind, r, r + size, meta)
-                r += size
-
-    def cone_blocks(self):
-        """(first row, row counts) of the SOC, PSD and exp blocks, which
-        follow the zero and nonneg rows (each of those a cone of its own)."""
-        table = self._table()
-        lo = sum(table.pop("zero")[0]) + sum(table.pop("nonneg")[0])
-        return lo, [size for sizes, _ in table.values() for size in sizes]
+        return layout(self).total_dim
 
     def validate(self, m: int):
-        if any(q < 1 for q in self.soc) or any(s < 1 for s in self.psd):
-            raise ShapeError("cone block sizes must be positive")
-        if self.zero < 0 or self.nonneg < 0 or self.ep < 0:
+        """ShapeError unless every count is an integer, the block sizes are
+        positive, the other counts nonnegative, and K has m rows."""
+        for sizes in (self.soc, self.psd):
+            if not isinstance(sizes, list):
+                raise ShapeError(f"cone block sizes must be a list, got "
+                                 f"{sizes!r}")
+            if any(as_int(q, "cone block sizes") < 1 for q in sizes):
+                raise ShapeError("cone block sizes must be positive")
+        if any(as_int(k, "cone dimensions") < 0
+               for k in (self.zero, self.nonneg, self.ep)):
             raise ShapeError("cone dimensions must be nonnegative")
         if self.total_dim != m:
             raise ShapeError(
@@ -121,6 +93,9 @@ class ConeProgram:
                                  f"program data must be finite")
         if self.A.shape != (self.b.size, self.c.size):
             raise ShapeError("A dimensions disagree with c / b")
+        if not isinstance(self.cones, ConeSpec):
+            raise InputError(f"cones must be a ConeSpec, got "
+                             f"{type(self.cones).__name__}")
         self.cones.validate(self.b.size)
 
     def user_objective(self, objective: float) -> float:
@@ -215,7 +190,7 @@ class GraphContext:
         self.var_cols = {}       # vid -> first column of a user variable
         self.user_vars = []      # Variables in first-encounter order
         self.cones = ConeSpec()  # K, grown as rows are registered
-        self.forms = {kind: [] for kind in self.cones._table()}
+        self.forms = {kind: [] for kind in KINDS}
 
     def _columns(self, size: int, aux: bool) -> int:
         start = self.ncols
@@ -400,7 +375,7 @@ def canonicalize(problem):
     # a constraint's rows start at its kind's first row plus the rows of
     # the forms registered before its own under that kind
     first = {kind: start + np.cumsum([0] + [f.size for f in ctx.forms[kind]])
-             for kind, start, _, _ in ctx.cones.kinds()}
+             for kind, start, _, _ in layout(ctx.cones).kinds}
     constr_records = [
         ConstrRecord(key=f"c{i}", cid=con.cid, row=int(first[kind][j]),
                      length=ctx.forms[kind][j].size, cone=kind,

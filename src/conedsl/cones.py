@@ -27,31 +27,67 @@ from .errors import NumericError, ShapeError
 from .linalg import svec, svec_dim, unsvec
 
 
-# -- second-order and semidefinite cones, batched over blocks ------------------
+# -- K's row layout and its blocks ---------------------------------------------
+
+# the cone kinds in the order of K's rows, as SCS orders its cone struct
+KINDS = ("zero", "nonneg", "soc", "psd", "exp")
+
 
 class Blocks(NamedTuple):
     """Consecutive blocks of one cone kind, converted and checked once:
-    their SOC sizes or PSD sides as int64, the first row of each, and the
-    number of rows they tile."""
+    their sizes as int64 (the SOC sizes, the PSD sides, 3 for each
+    exponential cone, and the row count of the one zero or nonneg block),
+    the first row of each, and the number of rows they tile."""
     sizes: np.ndarray
     starts: np.ndarray
     dim: int
 
 
-def blocks(kind: str, meta, dim: int) -> Blocks:
-    """The Blocks of meta (SOC sizes or PSD sides, one int, or Blocks
-    already) over `dim` rows; ShapeError if they do not tile them."""
-    if isinstance(meta, Blocks):
-        if meta.dim != dim:
-            raise ShapeError("cone block sizes do not match vector length")
-        return meta
-    sizes = np.atleast_1d(np.asarray(meta, dtype=np.int64))
-    rows = svec_dim(sizes) if kind == "psd" else sizes
-    ends = np.add.accumulate(rows)
-    if ends.size == 0 or ends[-1] != dim:
+def blocks(kind: str, meta, dim: int | None = None) -> Blocks:
+    """The Blocks of meta (the block sizes, one int for one block, or
+    Blocks already), a PSD side standing for its svec rows; ShapeError
+    unless the sizes are positive integers that tile `dim` rows, if given."""
+    if not isinstance(meta, Blocks):
+        sizes = np.atleast_1d(np.asarray(meta))
+        if (sizes.ndim != 1 or sizes.size == 0 or sizes.dtype.kind not in "iu"
+                or sizes.min() < 1):
+            raise ShapeError(f"cone block sizes must be positive integers, "
+                             f"got {meta!r}")
+        sizes = sizes.astype(np.int64)
+        rows = svec_dim(sizes) if kind == "psd" else sizes
+        ends = np.add.accumulate(rows)
+        meta = Blocks(sizes, ends - rows, int(ends[-1]))
+    if dim is not None and meta.dim != dim:
         raise ShapeError("cone block sizes do not match vector length")
-    return Blocks(sizes, ends - rows, dim)
+    return meta
 
+
+class Layout(NamedTuple):
+    """K's rows, stated once: the total dimension and one (kind, start,
+    stop, Blocks) per cone kind present, in the order of KINDS."""
+    total_dim: int
+    kinds: tuple
+
+
+def layout(cones) -> Layout:
+    """The Layout of a ConeSpec, the one place that places K's rows from
+    its five counts; a Layout is returned as it is. A solver builds it once
+    and passes it to project_dual on every iteration, so that the block
+    sizes are not converted and checked per call."""
+    if isinstance(cones, Layout):
+        return cones
+    kinds, start = [], 0
+    for kind, meta in zip(KINDS, ([cones.zero] if cones.zero else [],
+                                  [cones.nonneg] if cones.nonneg else [],
+                                  cones.soc, cones.psd, [3] * cones.ep)):
+        if len(meta):
+            blk = blocks(kind, meta)
+            kinds.append((kind, start, start + blk.dim, blk))
+            start += blk.dim
+    return Layout(start, tuple(kinds))
+
+
+# -- second-order and semidefinite cones, batched over blocks ------------------
 
 def _project_soc(v, blk):
     """Project consecutive SOC blocks (t, x), t first, in one pass."""
@@ -253,7 +289,7 @@ def project_exp_many(V: np.ndarray) -> np.ndarray:
 def project_block(kind: str, v: np.ndarray, meta=None) -> np.ndarray:
     """Project v, the rows of one cone kind: meta is the list of SOC block
     sizes or PSD sides, one int (or None, SOC) for a single block, or
-    their Blocks as a Layout holds them."""
+    their Blocks as a Layout holds them; the other kinds ignore it."""
     v = np.asarray(v, dtype=float).ravel()
     if kind == "zero":
         return np.zeros_like(v)
@@ -292,27 +328,6 @@ def in_cone_block(kind: str, v: np.ndarray, meta=None, tol: float = 1e-9) -> boo
     raise ShapeError(f"unknown cone kind {kind!r}")
 
 
-class Layout(NamedTuple):
-    """K's rows as the projections read them: the total dimension and one
-    (kind, start, stop, meta) per cone kind present, as ConeSpec.kinds()
-    gives them, with the SOC and PSD metas as their Blocks."""
-    total_dim: int
-    kinds: tuple
-
-
-def layout(cones) -> Layout:
-    """The Layout of a ConeSpec, read once; a Layout is returned as it is.
-    A solver passes it to project_dual on every iteration, so that the
-    spec's table is not rebuilt and the SOC and PSD block sizes are not
-    converted and checked per call."""
-    if isinstance(cones, Layout):
-        return cones
-    return Layout(cones.total_dim, tuple(
-        (kind, start, stop, blocks(kind, meta, stop - start)
-         if kind in ("soc", "psd") else meta)
-        for kind, start, stop, meta in cones.kinds()))
-
-
 def project(cones, v: np.ndarray) -> np.ndarray:
     """Project v onto the product cone described by a ConeSpec or its
     Layout: one pass per cone kind present."""
@@ -321,12 +336,12 @@ def project(cones, v: np.ndarray) -> np.ndarray:
     if v.size != total_dim:
         raise ShapeError("vector length does not match cone dimensions")
     out = np.empty_like(v)
-    for kind, start, stop, meta in kinds:
+    for kind, start, stop, blk in kinds:
         if kind == "exp":
             out[start:stop] = project_exp_many(
                 v[start:stop].reshape(-1, 3)).ravel()
         else:
-            out[start:stop] = project_block(kind, v[start:stop], meta)
+            out[start:stop] = project_block(kind, v[start:stop], blk)
     return out
 
 
@@ -344,5 +359,5 @@ def in_cone(cones, v: np.ndarray, tol: float = 1e-9) -> bool:
     total_dim, kinds = layout(cones)
     if v.size != total_dim:
         raise ShapeError("vector length does not match cone dimensions")
-    return all(in_cone_block(kind, v[start:stop], meta, tol)
-               for kind, start, stop, meta in kinds)
+    return all(in_cone_block(kind, v[start:stop], blk, tol)
+               for kind, start, stop, blk in kinds)

@@ -653,10 +653,13 @@ def _coerce(raw, default):
         except (ValueError, ShapeError) as e:
             raise InputError(f"expected an integer, got {raw!r}") from e
     if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError as e:
-            raise InputError(f"expected a number, got {raw!r}") from e
+        # a bool is refused, not read as 0.0 or 1.0
+        if not isinstance(raw, (bool, np.bool_)):
+            try:
+                return float(raw)
+            except (TypeError, ValueError):
+                pass
+        raise InputError(f"expected a number, got {raw!r}")
     return str(raw)
 
 

@@ -156,7 +156,7 @@ def _runs(counts):
     return full, (np.cumsum(counts) - counts)[full]
 
 
-def _equilibrate(A: sp.csc_matrix, cones, cols, by_row):
+def _equilibrate(A: sp.csc_matrix, layout, cols, by_row):
     """Ruiz-style alternating row/col scaling; returns (d, e) with the
     scaled matrix being diag(d) A diag(e).  Rows inside a single SOC, PSD
     or EXP block receive one common factor (geometric mean) so cone
@@ -173,10 +173,14 @@ def _equilibrate(A: sp.csc_matrix, cones, cols, by_row):
     rows_r, cols_r, vals_r = rows[by_row], cols[by_row], vals[by_row]
     full_rows, row_starts = _runs(np.bincount(rows, minlength=m))
     full_cols, col_starts = _runs(np.diff(A.indptr))
-    # the SOC, PSD and EXP blocks tile the rows from `lo` to the end
-    lo, sizes = cones.cone_blocks()
-    sizes = np.array(sizes, dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
+    # the SOC, PSD and EXP blocks come last in K's rows: they tile the
+    # rows from `lo` to the end
+    starts = np.concatenate([np.zeros(0, np.int64)] + [
+        start + blk.starts for kind, start, _, blk in layout.kinds
+        if kind in ("soc", "psd", "exp")])
+    lo = starts[0] if starts.size else m
+    starts -= lo
+    sizes = np.diff(starts, append=m - lo)
     for _ in range(_RUIZ_SWEEPS):
         rmax = np.zeros(m)
         rmax[full_rows] = np.maximum.reduceat(vals_r * d[rows_r] * e[cols_r],
@@ -318,7 +322,8 @@ class _Workspace:
         # column within a row)
         cols = np.repeat(np.arange(n), np.diff(cp.A.indptr))
         by_row = np.argsort(cp.A.indices, kind="stable")
-        self.d_ruiz, self.e = _equilibrate(cp.A, cp.cones, cols, by_row)
+        self.layout = cone_ops.layout(cp.cones)
+        self.d_ruiz, self.e = _equilibrate(cp.A, self.layout, cols, by_row)
         self.e_cols = self.e[cols]
         self.kkt = _KKTPattern(cp.A, cols, by_row)
         cs = self.e * cp.c
@@ -330,7 +335,6 @@ class _Workspace:
         self.cs = self.rho * cs
         self.rhs = np.empty(n + m)
         self.norm_b, self.norm_c = np.linalg.norm(cp.b), np.linalg.norm(cp.c)
-        self.layout = cone_ops.layout(cp.cones)
         self.refactors = self.last_update = self.log_count = 0
         self.refined = 0     # refined KKT solves of earlier factorizations
         self.log_sum = 0.0

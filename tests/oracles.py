@@ -223,6 +223,22 @@ def make_cone_blocks(rng, mix):
     return blocks
 
 
+def spec_blocks(spec):
+    """(kind, start, stop, meta) of each block of a ConeSpec, in row order,
+    read from its five fields alone: zero and nonneg rows one block each,
+    meta the SOC size or PSD side (None for the other kinds)."""
+    sized = ([("zero", spec.zero, None)] if spec.zero else []) \
+        + ([("nonneg", spec.nonneg, None)] if spec.nonneg else []) \
+        + [("soc", q, q) for q in spec.soc] \
+        + [("psd", _svec_dim(k), k) for k in spec.psd] \
+        + [("exp", 3, None)] * spec.ep
+    out, row = [], 0
+    for kind, size, meta in sized:
+        out.append((kind, row, row + size, meta))
+        row += size
+    return out
+
+
 def project_block_np(kind, v, k=None):
     """Reference projections (numpy only) used to build optimal pairs."""
     v = np.asarray(v, float)

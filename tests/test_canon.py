@@ -8,10 +8,12 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 import conedsl as cd
-from conedsl import canon, linalg
-from conedsl.errors import InputError, SchemaError
+from conedsl import canon, cones, linalg
+from conedsl.errors import InputError, SchemaError, ShapeError
 from conedsl.examples import ExampleConfig, build_example
 from conedsl.rng import SplitMix64
+
+from oracles import spec_blocks
 
 
 def small_lp():
@@ -44,13 +46,14 @@ def test_cone_row_ordering():
     spec = cp.cones
     assert spec.zero >= 1 and spec.nonneg >= 3 and spec.soc and spec.psd == [2]
     assert spec.ep >= 1
-    kinds = [kind for kind, _, _, _ in spec.blocks()]
-    order = {"zero": 0, "nonneg": 1, "soc": 2, "psd": 3, "exp": 4}
-    assert kinds == sorted(kinds, key=order.__getitem__)
-    starts = [start for _, start, _, _ in spec.blocks()]
-    stops = [stop for _, _, stop, _ in spec.blocks()]
-    assert starts[0] == 0 and stops[-1] == vdim(spec)
-    assert all(a == b for a, b in zip(stops[:-1], starts[1:]))
+    # the kinds in K's row order, each spanning the rows of its blocks
+    layout = cones.layout(spec)
+    assert [k[0] for k in layout.kinds] == list(cones.KINDS)
+    assert [k[1:3] for k in layout.kinds] == [
+        (min(b[1] for b in ref), max(b[2] for b in ref))
+        for ref in ([b for b in spec_blocks(spec) if b[0] == kind]
+                    for kind in cones.KINDS)]
+    assert layout.total_dim == vdim(spec) == cp.m
 
 
 def vdim(spec):
@@ -78,37 +81,29 @@ def test_cone_layout_views_tile_the_same_rows(seed):
     spec = random_spec(SplitMix64(600 + seed))
     m = vdim(spec)
     assert spec.total_dim == m
-    blocks = list(spec.blocks())
-    kinds = list(spec.kinds())
-    # blocks and kinds each tile 0..m in the one kind order
-    for views in (blocks, kinds):
-        assert [v[1] for v in views] == [0] + [v[2] for v in views[:-1]]
-        assert (views[-1][2] if views else 0) == m
-        assert all(v[2] > v[1] for v in views)
-    assert [k[0] for k in kinds] == [k for k in KIND_ORDER
-                                      if any(b[0] == k for b in blocks)]
-    # each kind spans exactly its blocks, with the kind's meta
-    for kind, start, stop, meta in kinds:
-        mine = [b for b in blocks if b[0] == kind]
-        assert (mine[0][1], mine[-1][2]) == (start, stop)
-        if kind in ("soc", "psd"):
-            assert [b[3] for b in mine] == list(meta)
-    assert [b[3] for b in blocks if b[0] == "psd"] == spec.psd
-    assert [b[2] - b[1] for b in blocks if b[0] == "psd"] == [
-        linalg.svec_dim(s) for s in spec.psd]
-    # equilibration's blocks: the SOC, PSD and exp blocks, after the rest
-    lo, sizes = spec.cone_blocks()
-    multi = [b for b in blocks if b[0] in ("soc", "psd", "exp")]
-    assert lo == spec.zero + spec.nonneg
-    assert sizes == [b[2] - b[1] for b in multi]
-    assert lo + sum(sizes) == m
+    ref = spec_blocks(spec)
+    layout = cones.layout(spec)
+    assert layout.total_dim == m
+    # the kinds tile 0..m in the one kind order, each present kind once
+    views = layout.kinds
+    assert [v[1] for v in views] == [0] + [v[2] for v in views[:-1]]
+    assert (views[-1][2] if views else 0) == m
+    assert [v[0] for v in views] == [k for k in KIND_ORDER
+                                      if any(b[0] == k for b in ref)]
+    # each kind's Blocks are exactly its reference blocks
+    for kind, start, stop, blk in views:
+        mine = [b for b in ref if b[0] == kind]
+        assert (mine[0][1], mine[-1][2]) == (start, stop) == (
+            start, start + blk.dim)
+        assert (start + blk.starts).tolist() == [b[1] for b in mine]
+        assert blk.sizes.tolist() == [
+            b[2] - b[1] if b[3] is None else b[3] for b in mine]
 
 
 def test_empty_cone_layout():
     spec = canon.ConeSpec()
     assert spec.total_dim == 0
-    assert list(spec.blocks()) == [] and list(spec.kinds()) == []
-    assert spec.cone_blocks() == (0, [])
+    assert cones.layout(spec) == cones.Layout(0, ())
 
 
 def test_constraint_records_address_their_rows():
@@ -436,6 +431,39 @@ def test_cone_program_rejects_a_non_sparse_matrix(A):
     with pytest.raises(InputError, match="A must be a SciPy sparse matrix"):
         canon.ConeProgram(c=np.zeros(2), A=A, b=np.zeros(2),
                           cones=canon.ConeSpec(nonneg=2))
+
+
+@pytest.mark.parametrize("spec", [
+    canon.ConeSpec(soc=[1.5, 1.5]), canon.ConeSpec(zero=2.5, nonneg=0.5),
+    canon.ConeSpec(nonneg=3.0), canon.ConeSpec(ep=0.5),
+    canon.ConeSpec(zero=True, nonneg=2), canon.ConeSpec(soc=[True, 2]),
+    canon.ConeSpec(psd=[np.float64(2.0)]), canon.ConeSpec(soc=(3,)),
+    canon.ConeSpec(psd=2), canon.ConeSpec(nonneg=None)],
+    ids=["soc-float", "zero-float", "nonneg-float", "ep-float", "zero-bool",
+         "soc-bool", "psd-numpy-float", "soc-tuple", "psd-int",
+         "nonneg-none"])
+def test_cone_counts_must_be_integers(spec):
+    # a count is refused, not truncated: soc=[1.5, 1.5] on 3 rows would
+    # otherwise lower, fail to broadcast in the solver and export "q":[1,1]
+    with pytest.raises(ShapeError, match="must be"):
+        canon.ConeProgram(c=np.zeros(1), A=sp.csc_matrix((3, 1)),
+                          b=np.zeros(3), cones=spec)
+
+
+def test_cone_spec_accepts_numpy_integers():
+    spec = canon.ConeSpec(zero=np.int64(1), nonneg=np.int32(1),
+                          soc=[np.int64(3)], psd=[np.int64(1)], ep=np.int64(1))
+    cp = canon.ConeProgram(c=np.zeros(1), A=sp.csc_matrix((9, 1)),
+                           b=np.zeros(9), cones=spec)
+    assert cp.cones.total_dim == 9
+
+
+@pytest.mark.parametrize("cones", [{"z": 1}, None, (0, 1, [], [], 0)],
+                         ids=["dict", "none", "tuple"])
+def test_cone_program_rejects_cones_that_are_not_a_cone_spec(cones):
+    with pytest.raises(InputError, match="cones must be a ConeSpec"):
+        canon.ConeProgram(c=np.zeros(1), A=sp.csc_matrix((1, 1)),
+                          b=np.zeros(1), cones=cones)
 
 
 def test_lowering_is_linear_in_size():

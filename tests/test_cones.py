@@ -8,7 +8,8 @@ from conedsl.canon import ConeSpec
 from conedsl.errors import ShapeError
 from conedsl.rng import SplitMix64
 
-from oracles import exp_dual_member, exp_member, project_block_np, project_exp_np
+from oracles import (exp_dual_member, exp_member, project_block_np,
+                     project_exp_np, spec_blocks)
 
 N_POINTS = 1000
 N_MEMBERS = 100
@@ -268,7 +269,7 @@ def test_stacked_project_matches_blockwise():
     for _ in range(50):
         v = rng.normals(dim) * 2.0
         full = cones.project(spec, v)
-        for kind, start, stop, meta in spec.blocks():
+        for kind, start, stop, meta in spec_blocks(spec):
             ref = project_block_np(kind, v[start:stop], meta)
             atol = 1e-8 if kind == "exp" else 1e-12
             assert np.allclose(full[start:stop], ref, atol=atol), kind
@@ -324,24 +325,42 @@ def test_project_block_takes_block_lists():
 
 
 def test_layout_holds_checked_int64_blocks():
-    # a Layout converts and checks the SOC sizes and PSD sides once, and
-    # the projections take its Blocks as they take the lists
-    spec = ConeSpec(nonneg=2, soc=[3, 4], psd=[2, 3], ep=1)
+    # a Layout converts and checks every kind's block sizes once, and the
+    # projections take its Blocks as they take the lists
+    spec = ConeSpec(nonneg=2, soc=[3, 4], psd=[2, 3], ep=2)
     metas = {kind: (start, stop, meta)
              for kind, start, stop, meta in cones.layout(spec).kinds}
-    assert metas["nonneg"][2] is None and metas["exp"][2] is None
     rng = SplitMix64(116)
-    for kind, sizes, starts in (("soc", [3, 4], [0, 3]),
-                                ("psd", [2, 3], [0, 3])):
+    for kind, sizes, starts in (("nonneg", [2], [0]),
+                                ("soc", [3, 4], [0, 3]),
+                                ("psd", [2, 3], [0, 3]),
+                                ("exp", [3, 3], [0, 3])):
         start, stop, blk = metas[kind]
         assert isinstance(blk, cones.Blocks) and blk.dim == stop - start
         assert blk.sizes.dtype == np.int64 and blk.starts.dtype == np.int64
         assert blk.sizes.tolist() == sizes and blk.starts.tolist() == starts
-        v = rng.normals(blk.dim) * 2.0
-        assert np.array_equal(cones.project_block(kind, v, blk),
-                              cones.project_block(kind, v, sizes))
-        with pytest.raises(ShapeError):
-            cones.project_block(kind, v[:-1], blk)
+        if kind in ("soc", "psd"):
+            v = rng.normals(blk.dim) * 2.0
+            assert np.array_equal(cones.project_block(kind, v, blk),
+                                  cones.project_block(kind, v, sizes))
+            with pytest.raises(ShapeError):
+                cones.project_block(kind, v[:-1], blk)
+
+
+V_BAD = np.array([3.0, 4.0, 0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("fn", [cones.project_block, cones.in_cone_block],
+                         ids=["project_block", "in_cone_block"])
+@pytest.mark.parametrize("kind,meta", [
+    ("soc", [2, -1, 4]), ("soc", [3, 2, 0]), ("soc", [3, 0, 2]),
+    ("soc", [5.0]), ("soc", [True] * 5), ("soc", []), ("soc", 0),
+    ("psd", [2, 0]), ("psd", [-2, 2]), ("psd", [[2, 1]])])
+def test_bad_block_sizes_raise_shape_error(fn, kind, meta):
+    # a nonpositive, non-integer or empty size list is refused, not read
+    # as blocks that happen to tile the rows (or fail inside numpy)
+    with pytest.raises(ShapeError, match="positive integers"):
+        fn(kind, V_BAD, meta)
 
 
 def test_project_dual_moreau_full_vector():

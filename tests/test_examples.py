@@ -194,6 +194,21 @@ def test_integer_param_refuses_float_and_bool(params):
         run_example(ExampleConfig("ols", params=params))
 
 
+@pytest.mark.parametrize("name,params", [
+    ("ols", {"eps": True}), ("ols", {"eps": np.True_}),
+    ("huber_reg", {"M": False}), ("quantile_reg", {"tau": None})])
+def test_float_param_refuses_bool(name, params):
+    # a bool is refused, not read as 1.0 or 0.0
+    with pytest.raises(InputError, match="expected a number"):
+        run_example(ExampleConfig(name, params=params))
+
+
+@pytest.mark.parametrize("raw", [1, "2.5e-1", "2", 0.5, np.float64(0.25)])
+def test_float_param_takes_ints_and_numeric_strings(raw):
+    record = run_example(ExampleConfig("huber_reg", params={"M": raw}))
+    assert record.config["M"] == float(raw) and record.status == "optimal"
+
+
 @pytest.mark.parametrize("name,overrides", [
     ("ols", {"m": "30", "n": "4"}),
     ("isotonic", {"m": "15"}),

@@ -1,6 +1,7 @@
 """Every name a module imports is read somewhere in that module, and every
 name a package exports exists."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,13 @@ def test_all_names_resolve(module):
     # a stale entry would break `from conedsl import *`
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"__all__ names missing attributes: {missing}"
+
+
+def test_readme_names_in_cones_resolve():
+    # a backticked `cones.<name>` in the README must name something the
+    # module has, so the prose cannot outlive a rename or a removal
+    readme = (SRC.parent.parent / "README.md").read_text()
+    names = set(re.findall(r"`cones\.(\w+)", readme))
+    assert names, "README names nothing in cones"
+    missing = sorted(n for n in names if not hasattr(conedsl.cones, n))
+    assert not missing, f"README names missing from cones: {missing}"

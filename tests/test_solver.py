@@ -18,7 +18,7 @@ from conedsl.rng import SplitMix64
 from conedsl.solver import (_ACCEL_MEMORY, SolverSettings, _AndersonMemory,
                             diagnostics, solve_cone_program)
 
-from oracles import make_cone_blocks
+from oracles import make_cone_blocks, spec_blocks
 
 EPS = 1e-8
 SETTINGS = SolverSettings(eps_abs=EPS, eps_rel=EPS)
@@ -265,7 +265,7 @@ def test_solve_calls_the_traced_names(end, monkeypatch):
     for name in ("project_dual", "project_block", "project_exp_many"):
         monkeypatch.setattr(cone_ops, name,
                             counting(name, getattr(cone_ops, name)))
-    kinds = [kind for kind, *_ in cp.cones.kinds()]
+    kinds = {kind for kind, *_ in spec_blocks(cp.cones)}
     sol = solve_cone_program(cp, settings)
     assert sol.status == end if end in ENDS else sol.scale["refactors"] > 0
     k, r = sol.iterations, sol.scale["refactors"]
@@ -273,7 +273,26 @@ def test_solve_calls_the_traced_names(end, monkeypatch):
     assert calls == {"factor": 1 + r, "kkt_solve": k + 1 + r,
                      "project_dual": k,
                      "project_block": k * sum(kd != "exp" for kd in kinds),
-                     "project_exp_many": k * kinds.count("exp")}
+                     "project_exp_many": k * ("exp" in kinds)}
+
+
+@pytest.mark.parametrize("end", list(TRACED))
+def test_solve_builds_its_layout_once(end, monkeypatch):
+    # K's Layout is built from the ConeSpec once per solve, whatever the
+    # iteration and refactor counts; equilibration and every projection
+    # read that one Layout
+    built = []
+    layout = cone_ops.layout
+
+    def spy(cones):
+        if not isinstance(cones, cone_ops.Layout):
+            built.append(cones)
+        return layout(cones)
+
+    cp, settings = TRACED[end]()
+    monkeypatch.setattr(cone_ops, "layout", spy)
+    sol = solve_cone_program(cp, settings)
+    assert sol.iterations >= 3 and built == [cp.cones]
 
 
 @pytest.mark.parametrize("seed, mix, most",
@@ -372,8 +391,11 @@ def equilibrate_at(A, cones):
         return d, e
     coo = A.tocoo()
     rows, cols, vals = coo.row, coo.col, np.abs(coo.data)
-    lo, sizes = cones.cone_blocks()
-    sizes = np.array(sizes, dtype=np.int64)
+    # the SOC, PSD and exp blocks, which tile the rows from lo to the end
+    multi = [(start, stop) for kind, start, stop, _ in spec_blocks(cones)
+             if kind in ("soc", "psd", "exp")]
+    lo = multi[0][0] if multi else m
+    sizes = np.array([stop - start for start, stop in multi], dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
     for _ in range(solver_mod._RUIZ_SWEEPS):
         rmax = np.zeros(m)
@@ -592,7 +614,7 @@ def test_scaling_invariance_of_verdict():
     m, n = cp.A.shape
     # per-block uniform row scaling keeps every cone invariant
     drow = np.empty(m)
-    for kind, start, stop, _ in cp.cones.blocks():
+    for kind, start, stop, _ in spec_blocks(cp.cones):
         if kind in ("zero", "nonneg"):
             drow[start:stop] = 0.5 + rng.uniforms(stop - start) * 2.0
         else:
