@@ -86,8 +86,12 @@ class Result:
                 "expression references a variable outside this problem") from err
 
     def dual_of(self, constraint):
-        return recover_dual(self.solution, self.vmap, constraint,
-                            flipped=self.cone_program.flipped)
+        """Dual multiplier of one of this problem's constraints."""
+        try:
+            return recover_dual(self.solution, self.vmap, constraint,
+                                flipped=self.cone_program.flipped)
+        except KeyError as err:
+            raise InputError("constraint is not in this problem") from err
 
     def __repr__(self):
         return f"Result(status={self.status!r}, value={self.value!r})"

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import UnsupportedAtomError
-from ..expr import Shape, Sign
+from ..expr import AtomExpr, Shape, Sign, as_expression
 
 REGISTRY: dict[str, "AtomDescriptor"] = {}
 
@@ -24,7 +24,7 @@ def _default_sample(rng, shapes, params):
     return [rng.normals(r, c) for (r, c) in shapes]
 
 
-@dataclass
+@dataclass(eq=False)
 class AtomDescriptor:
     """Metadata and behavior bundle for one atom.
 
@@ -34,6 +34,11 @@ class AtomDescriptor:
     An atom marked copies_entries has no graph: each output entry is one
     argument entry or zero, and the lowering takes which from evaluate,
     run on the argument entries numbered from 1 (0 marks a zero entry).
+
+    An atom without params is applied by calling its descriptor, which
+    takes `arity` arguments (any number when None); atoms with params
+    are applied by factories that compute them. Like a function, a
+    descriptor compares by identity and pickles by its name.
     """
 
     name: str
@@ -46,9 +51,22 @@ class AtomDescriptor:
     graph: Callable | None = None
     copies_entries: bool = False
     sample: Callable = _default_sample
+    arity: int | None = 1
 
     def __post_init__(self):
         REGISTRY[self.name] = self
+
+    def __call__(self, *args):
+        if self.arity is not None and len(args) != self.arity:
+            raise TypeError(f"{self.name}() takes {self.arity} argument"
+                            f"{'s' if self.arity != 1 else ''}, got {len(args)}")
+        return AtomExpr(self, [as_expression(a) for a in args])
+
+    def __repr__(self):
+        return f"<atom {self.name}>"
+
+    def __reduce__(self):
+        return get_atom, (self.name,)
 
 
 def get_atom(name: str) -> AtomDescriptor:

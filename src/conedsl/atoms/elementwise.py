@@ -30,7 +30,7 @@ def _abs_graph(ctx, forms, params):
     return t
 
 
-ABS = AtomDescriptor(
+abs_atom = AtomDescriptor(
     name="abs", display="abs",
     shape_out=same_shape,
     sign_out=lambda s, p: Sign.NONNEG,
@@ -39,10 +39,6 @@ ABS = AtomDescriptor(
     evaluate=lambda v, p: np.abs(v[0]),
     graph=_abs_graph,
 )
-
-
-def abs_atom(x):
-    return AtomExpr(ABS, [as_expression(x)])
 
 
 # -- entr: -x log x -----------------------------------------------------------
@@ -64,7 +60,7 @@ def _entr_graph(ctx, forms, params):
     return t
 
 
-ENTR = AtomDescriptor(
+entr = AtomDescriptor(
     name="entr", display="entr",
     shape_out=same_shape,
     sign_out=lambda s, p: Sign.UNKNOWN,
@@ -76,10 +72,6 @@ ENTR = AtomDescriptor(
 )
 
 
-def entr(x):
-    return AtomExpr(ENTR, [as_expression(x)])
-
-
 # -- exp ------------------------------------------------------------------------
 
 def _exp_graph(ctx, forms, params):
@@ -89,7 +81,7 @@ def _exp_graph(ctx, forms, params):
     return t
 
 
-EXP = AtomDescriptor(
+exp = AtomDescriptor(
     name="exp", display="exp",
     shape_out=same_shape,
     sign_out=lambda s, p: Sign.NONNEG,
@@ -98,10 +90,6 @@ EXP = AtomDescriptor(
     evaluate=lambda v, p: np.exp(v[0]),
     graph=_exp_graph,
 )
-
-
-def exp(x):
-    return AtomExpr(EXP, [as_expression(x)])
 
 
 # -- huber ---------------------------------------------------------------------
@@ -159,7 +147,7 @@ def _inv_pos_graph(ctx, forms, params):
     return t
 
 
-INV_POS = AtomDescriptor(
+inv_pos = AtomDescriptor(
     name="inv_pos", display="inv_pos",
     shape_out=same_shape,
     sign_out=lambda s, p: Sign.NONNEG,
@@ -171,10 +159,6 @@ INV_POS = AtomDescriptor(
 )
 
 
-def inv_pos(x):
-    return AtomExpr(INV_POS, [as_expression(x)])
-
-
 # -- log -------------------------------------------------------------------------
 
 def _log_graph(ctx, forms, params):
@@ -184,7 +168,7 @@ def _log_graph(ctx, forms, params):
     return t
 
 
-LOG = AtomDescriptor(
+log = AtomDescriptor(
     name="log", display="log",
     shape_out=same_shape,
     sign_out=lambda s, p: Sign.UNKNOWN,
@@ -194,10 +178,6 @@ LOG = AtomDescriptor(
     graph=_log_graph,
     sample=lambda rng, shapes, p: [rng.uniforms(*shapes[0]) * 3.0 + 0.05],
 )
-
-
-def log(x):
-    return AtomExpr(LOG, [as_expression(x)])
 
 
 # -- logistic: log(1 + e^x) ------------------------------------------------------
@@ -215,7 +195,7 @@ def _logistic_graph(ctx, forms, params):
     return t
 
 
-LOGISTIC = AtomDescriptor(
+logistic = AtomDescriptor(
     name="logistic", display="logistic",
     shape_out=same_shape,
     sign_out=lambda s, p: Sign.NONNEG,
@@ -224,10 +204,6 @@ LOGISTIC = AtomDescriptor(
     evaluate=lambda v, p: np.logaddexp(0.0, v[0]),
     graph=_logistic_graph,
 )
-
-
-def logistic(x):
-    return AtomExpr(LOGISTIC, [as_expression(x)])
 
 
 # -- max_elemwise / min_elemwise ---------------------------------------------------
@@ -277,6 +253,7 @@ MAX_ELEMWISE = AtomDescriptor(
     monotonicity=_variadic_monos(_INC),
     evaluate=lambda v, p: np.max(np.broadcast_arrays(*v), axis=0),
     graph=_max_elem_graph,
+    arity=None,
 )
 
 MIN_ELEMWISE = AtomDescriptor(
@@ -287,19 +264,20 @@ MIN_ELEMWISE = AtomDescriptor(
     monotonicity=_variadic_monos(_INC),
     evaluate=lambda v, p: np.min(np.broadcast_arrays(*v), axis=0),
     graph=_min_elem_graph,
+    arity=None,
 )
 
 
 def max_elemwise(*args):
     if len(args) < 2:
         raise ShapeError("max_elemwise needs at least two arguments")
-    return AtomExpr(MAX_ELEMWISE, [as_expression(a) for a in args])
+    return MAX_ELEMWISE(*args)
 
 
 def min_elemwise(*args):
     if len(args) < 2:
         raise ShapeError("min_elemwise needs at least two arguments")
-    return AtomExpr(MIN_ELEMWISE, [as_expression(a) for a in args])
+    return MIN_ELEMWISE(*args)
 
 
 # -- pos / neg: positive and negative parts -----------------------------------------
@@ -320,7 +298,7 @@ def _neg_graph(ctx, forms, params):
     return t
 
 
-POS = AtomDescriptor(
+pos = AtomDescriptor(
     name="pos", display="pos",
     shape_out=same_shape,
     sign_out=lambda s, p: Sign.NONNEG,
@@ -330,7 +308,7 @@ POS = AtomDescriptor(
     graph=_pos_graph,
 )
 
-NEG = AtomDescriptor(
+neg = AtomDescriptor(
     name="neg", display="neg",
     shape_out=same_shape,
     sign_out=lambda s, p: Sign.NONNEG,
@@ -339,14 +317,6 @@ NEG = AtomDescriptor(
     evaluate=lambda v, p: np.maximum(-v[0], 0.0),
     graph=_neg_graph,
 )
-
-
-def pos(x):
-    return AtomExpr(POS, [as_expression(x)])
-
-
-def neg(x):
-    return AtomExpr(NEG, [as_expression(x)])
 
 
 # -- sqrt -----------------------------------------------------------------------
@@ -363,7 +333,7 @@ def _sqrt_graph(ctx, forms, params):
     return t
 
 
-SQRT = AtomDescriptor(
+sqrt = AtomDescriptor(
     name="sqrt", display="sqrt",
     shape_out=same_shape,
     sign_out=lambda s, p: Sign.NONNEG,
@@ -373,10 +343,6 @@ SQRT = AtomDescriptor(
     graph=_sqrt_graph,
     sample=lambda rng, shapes, p: [rng.uniforms(*shapes[0]) * 4.0],
 )
-
-
-def sqrt(x):
-    return AtomExpr(SQRT, [as_expression(x)])
 
 
 # -- square / power --------------------------------------------------------------
@@ -390,7 +356,7 @@ def _square_graph(ctx, forms, params):
     return t
 
 
-SQUARE = AtomDescriptor(
+square = AtomDescriptor(
     name="square", display="square",
     shape_out=same_shape,
     sign_out=lambda s, p: Sign.NONNEG,
@@ -399,10 +365,6 @@ SQUARE = AtomDescriptor(
     evaluate=lambda v, p: v[0] ** 2,
     graph=_square_graph,
 )
-
-
-def square(x):
-    return AtomExpr(SQUARE, [as_expression(x)])
 
 
 def power(x, p):

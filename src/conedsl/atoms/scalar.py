@@ -59,7 +59,7 @@ def _sym_sample(rng, shapes, params):
     return [_symmetrize(A)]
 
 
-LAMBDA_MAX = AtomDescriptor(
+lambda_max = AtomDescriptor(
     name="lambda_max", display="lambda_max",
     shape_out=_square_in,
     sign_out=lambda s, p: Sign.UNKNOWN,
@@ -70,7 +70,7 @@ LAMBDA_MAX = AtomDescriptor(
     sample=_sym_sample,
 )
 
-LAMBDA_MIN = AtomDescriptor(
+lambda_min = AtomDescriptor(
     name="lambda_min", display="lambda_min",
     shape_out=_square_in,
     sign_out=lambda s, p: Sign.UNKNOWN,
@@ -80,14 +80,6 @@ LAMBDA_MIN = AtomDescriptor(
     graph=_lambda_min_graph,
     sample=_sym_sample,
 )
-
-
-def lambda_max(X):
-    return AtomExpr(LAMBDA_MAX, [as_expression(X)])
-
-
-def lambda_min(X):
-    return AtomExpr(LAMBDA_MIN, [as_expression(X)])
 
 
 # -- log_det ---------------------------------------------------------------------
@@ -127,7 +119,7 @@ def _pd_sample(rng, shapes, params):
     return [A @ A.T + 0.3 * np.eye(n)]
 
 
-LOG_DET = AtomDescriptor(
+log_det = AtomDescriptor(
     name="log_det", display="log_det",
     shape_out=_square_in,
     sign_out=lambda s, p: Sign.UNKNOWN,
@@ -137,10 +129,6 @@ LOG_DET = AtomDescriptor(
     graph=_log_det_graph,
     sample=_pd_sample,
 )
-
-
-def log_det(X):
-    return AtomExpr(LOG_DET, [as_expression(X)])
 
 
 # -- log_sum_exp -------------------------------------------------------------------
@@ -162,7 +150,7 @@ def _lse_graph(ctx, forms, params):
     return t
 
 
-LOG_SUM_EXP = AtomDescriptor(
+log_sum_exp = AtomDescriptor(
     name="log_sum_exp", display="log_sum_exp",
     shape_out=scalar_shape,
     sign_out=lambda s, p: Sign.UNKNOWN,
@@ -171,10 +159,6 @@ LOG_SUM_EXP = AtomDescriptor(
     evaluate=_lse_eval,
     graph=_lse_graph,
 )
-
-
-def log_sum_exp(x):
-    return AtomExpr(LOG_SUM_EXP, [as_expression(x)])
 
 
 # -- max_entries / min_entries --------------------------------------------------------
@@ -193,7 +177,7 @@ def _min_entries_graph(ctx, forms, params):
     return t
 
 
-MAX_ENTRIES = AtomDescriptor(
+max_entries = AtomDescriptor(
     name="max_entries", display="max_entries",
     shape_out=scalar_shape,
     sign_out=lambda s, p: s[0],
@@ -203,7 +187,7 @@ MAX_ENTRIES = AtomDescriptor(
     graph=_max_entries_graph,
 )
 
-MIN_ENTRIES = AtomDescriptor(
+min_entries = AtomDescriptor(
     name="min_entries", display="min_entries",
     shape_out=scalar_shape,
     sign_out=lambda s, p: s[0],
@@ -212,14 +196,6 @@ MIN_ENTRIES = AtomDescriptor(
     evaluate=lambda v, p: np.min(v[0]),
     graph=_min_entries_graph,
 )
-
-
-def max_entries(x):
-    return AtomExpr(MAX_ENTRIES, [as_expression(x)])
-
-
-def min_entries(x):
-    return AtomExpr(MIN_ENTRIES, [as_expression(x)])
 
 
 # -- norms -----------------------------------------------------------------------------
@@ -343,6 +319,7 @@ QUAD_FORM = AtomDescriptor(
     monotonicity=_quad_form_monos,
     evaluate=_quad_form_eval,
     graph=_quad_form_graph,
+    arity=2,
 )
 
 _PSD_CLASSIFY_RTOL = 1e-9
@@ -390,7 +367,7 @@ def _qol_graph(ctx, forms, params):
     return t
 
 
-QUAD_OVER_LIN = AtomDescriptor(
+quad_over_lin = AtomDescriptor(
     name="quad_over_lin", display="quad_over_lin",
     shape_out=_qol_shape,
     sign_out=lambda s, p: Sign.NONNEG,
@@ -400,11 +377,8 @@ QUAD_OVER_LIN = AtomDescriptor(
     graph=_qol_graph,
     sample=lambda rng, shapes, p: [rng.normals(*shapes[0]),
                                    rng.uniforms(1, 1) * 3.0 + 0.1],
+    arity=2,
 )
-
-
-def quad_over_lin(x, y):
-    return AtomExpr(QUAD_OVER_LIN, [as_expression(x), as_expression(y)])
 
 
 # -- sum_squares ------------------------------------------------------------------------------
@@ -417,7 +391,7 @@ def _sum_squares_graph(ctx, forms, params):
     return t
 
 
-SUM_SQUARES = AtomDescriptor(
+sum_squares = AtomDescriptor(
     name="sum_squares", display="sum_squares",
     shape_out=scalar_shape,
     sign_out=lambda s, p: Sign.NONNEG,
@@ -426,7 +400,3 @@ SUM_SQUARES = AtomDescriptor(
     evaluate=lambda v, p: float(np.sum(v[0] ** 2)),
     graph=_sum_squares_graph,
 )
-
-
-def sum_squares(x):
-    return AtomExpr(SUM_SQUARES, [as_expression(x)])

@@ -30,7 +30,7 @@ _MONO_OF_SIGN = {Sign.ZERO: _INC, Sign.NONNEG: _INC, Sign.NONPOS: _DEC}
 
 # -- add / negate ------------------------------------------------------------
 
-ADD = AtomDescriptor(
+add = AtomDescriptor(
     name="add", display="+",
     shape_out=same_shape,
     sign_out=lambda s, p: sign_add(s[0], s[1]),
@@ -38,9 +38,10 @@ ADD = AtomDescriptor(
     monotonicity=monos(_INC, _INC),
     evaluate=lambda v, p: v[0] + v[1],
     graph=lambda ctx, f, p: f[0] + f[1],
+    arity=2,
 )
 
-NEGATE = AtomDescriptor(
+negate = AtomDescriptor(
     name="negate", display="-",
     shape_out=same_shape,
     sign_out=lambda s, p: sign_neg(s[0]),
@@ -49,14 +50,6 @@ NEGATE = AtomDescriptor(
     evaluate=lambda v, p: -v[0],
     graph=lambda ctx, f, p: -f[0],
 )
-
-
-def add(a, b):
-    return AtomExpr(ADD, [as_expression(a), as_expression(b)])
-
-
-def negate(a):
-    return AtomExpr(NEGATE, [as_expression(a)])
 
 
 # -- products ------------------------------------------------------------------
@@ -182,7 +175,7 @@ def divide(x, c):
 
 # -- transpose / index / reshape -------------------------------------------------
 
-TRANSPOSE = AtomDescriptor(
+transpose = AtomDescriptor(
     name="transpose", display="t()",
     shape_out=lambda shapes, p: Shape(shapes[0].cols, shapes[0].rows),
     sign_out=lambda s, p: s[0],
@@ -191,10 +184,6 @@ TRANSPOSE = AtomDescriptor(
     evaluate=lambda v, p: v[0].T,
     copies_entries=True,
 )
-
-
-def transpose(x):
-    return AtomExpr(TRANSPOSE, [as_expression(x)])
 
 
 def _normalize_sel(key, n):
@@ -275,6 +264,8 @@ def vec(x):
 # -- stacking ----------------------------------------------------------------------
 
 def _hstack_shape(shapes, params):
+    if not shapes:
+        raise ShapeError("hstack needs at least one argument")
     rows = shapes[0].rows
     for s in shapes[1:]:
         if s.rows != rows:
@@ -283,6 +274,8 @@ def _hstack_shape(shapes, params):
 
 
 def _vstack_shape(shapes, params):
+    if not shapes:
+        raise ShapeError("vstack needs at least one argument")
     cols = shapes[0].cols
     for s in shapes[1:]:
         if s.cols != cols:
@@ -297,7 +290,7 @@ def _join_signs(signs, params):
     return out
 
 
-HSTACK = AtomDescriptor(
+hstack = AtomDescriptor(
     name="hstack", display="hstack",
     shape_out=_hstack_shape,
     sign_out=_join_signs,
@@ -305,9 +298,10 @@ HSTACK = AtomDescriptor(
     monotonicity=lambda s, p: [_INC] * len(s),
     evaluate=lambda v, p: np.hstack(v),
     copies_entries=True,
+    arity=None,
 )
 
-VSTACK = AtomDescriptor(
+vstack = AtomDescriptor(
     name="vstack", display="vstack",
     shape_out=_vstack_shape,
     sign_out=_join_signs,
@@ -315,15 +309,8 @@ VSTACK = AtomDescriptor(
     monotonicity=lambda s, p: [_INC] * len(s),
     evaluate=lambda v, p: np.vstack(v),
     copies_entries=True,
+    arity=None,
 )
-
-
-def hstack(*args):
-    return AtomExpr(HSTACK, [as_expression(a) for a in args])
-
-
-def vstack(*args):
-    return AtomExpr(VSTACK, [as_expression(a) for a in args])
 
 
 # -- diag / diff --------------------------------------------------------------------
@@ -345,7 +332,7 @@ def _diag_eval(v, p):
     return np.diag(x).reshape(-1, 1)
 
 
-DIAG = AtomDescriptor(
+diag = AtomDescriptor(
     name="diag", display="diag",
     shape_out=_diag_shape,
     sign_out=lambda s, p: s[0],
@@ -354,10 +341,6 @@ DIAG = AtomDescriptor(
     evaluate=_diag_eval,
     copies_entries=True,
 )
-
-
-def diag(x):
-    return AtomExpr(DIAG, [as_expression(x)])
 
 
 def _diff_shape(shapes, params):
@@ -451,7 +434,7 @@ def _trace_shape(shapes, params):
     return Shape(1, 1)
 
 
-MATRIX_TRACE = AtomDescriptor(
+matrix_trace = AtomDescriptor(
     name="matrix_trace", display="trace",
     shape_out=_trace_shape,
     sign_out=lambda s, p: s[0],
@@ -461,10 +444,6 @@ MATRIX_TRACE = AtomDescriptor(
     graph=lambda ctx, f, p: f[0].left_mul(
         trace_map(int(round(np.sqrt(f[0].size))))),
 )
-
-
-def matrix_trace(x):
-    return AtomExpr(MATRIX_TRACE, [as_expression(x)])
 
 
 def _cumsum_shape(shapes, params):

@@ -29,7 +29,8 @@ import scipy.sparse as sp
 from . import linalg
 from .errors import DCPError, InputError, SchemaError, ShapeError
 from .cones import KINDS, layout
-from .expr import AtomExpr, Curvature, Expression, Variable, as_int, dcp_check
+from .expr import (AtomExpr, Constraint, Curvature, Expression, Variable,
+                   as_int, dcp_check)
 from .lin import LinForm, flat_index, svec_map
 
 
@@ -408,13 +409,13 @@ def recover_dual(solution, vmap: VariableMap, constraint, flipped=False):
 
     Conventions: with L = f + lambda' (a - b) + nu' h, inequality duals are
     nonnegative and equality duals unrestricted; for maximize problems the
-    reported duals are negated.
+    reported duals are negated. A Constraint is found by its id and a
+    string by its record key ("c0", ... as exported); KeyError otherwise.
     """
-    cid = constraint.cid if hasattr(constraint, "cid") else str(constraint)
-    try:
-        rec = vmap.constr_by_cid(cid)
-    except KeyError:
-        rec = vmap.constr_by_key(cid)
+    if isinstance(constraint, Constraint):
+        rec = vmap.constr_by_cid(constraint.cid)
+    else:
+        rec = vmap.constr_by_key(constraint)
     y = solution.y[rec.row: rec.row + rec.length]
     if rec.cone == "psd":
         out = linalg.unsvec(y, rec.rows_shape[0])

@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError, ShapeError
+from .expr import as_int
 from .linalg import svec, svec_dim, unsvec
 
 
@@ -76,6 +77,8 @@ def layout(cones) -> Layout:
     sizes are not converted and checked per call."""
     if isinstance(cones, Layout):
         return cones
+    if as_int(cones.ep, "cone dimensions") < 0:
+        raise ShapeError(f"cone dimensions must be nonnegative, got ep={cones.ep}")
     kinds, start = [], 0
     for kind, meta in zip(KINDS, ([cones.zero] if cones.zero else [],
                                   [cones.nonneg] if cones.nonneg else [],

@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 import warnings
@@ -82,6 +83,25 @@ def test_dual_of_constraint():
     res = cd.solve(cd.Problem(cd.Minimize(x), [con]))
     lam = np.asarray(res.dual_of(con)).item()
     assert np.isclose(lam, 1.0, atol=1e-5)
+
+
+def test_dual_of_foreign_constraint_rejected(monkeypatch):
+    # the outside constraint's id "c0" is also the record key of the
+    # problem's first constraint; a Constraint is found by its id alone, so
+    # the key is not read as a fallback
+    monkeypatch.setattr(cd.expr, "_constr_counter", itertools.count())
+    x = cd.Variable(2, name="x")
+    other = x >= 0
+    cons = [x >= 1, x <= 5, cd.sum_entries(x) <= 10]
+    assert [other.cid] + [c.cid for c in cons] == ["c0", "c1", "c2", "c3"]
+    res = cd.solve(cd.Problem(cd.Minimize(cd.sum_entries(x)), cons))
+    assert np.allclose(res.dual_of(cons[0]), 1.0, atol=1e-5)
+    # a string is a record key
+    assert np.array_equal(res.dual_of("c0"), res.dual_of(cons[0]))
+    with pytest.raises(InputError, match="not in this problem"):
+        res.dual_of(other)
+    with pytest.raises(InputError, match="not in this problem"):
+        res.dual_of("c3")
 
 
 def test_module_level_helpers():

@@ -462,6 +462,12 @@ def test_huber_threshold_must_be_scalar():
         cd.huber(x, cd.Constant(np.ones((2, 2))))
 
 
+@pytest.mark.parametrize("name", ["hstack", "vstack"])
+def test_stack_of_nothing_raises_shape_error(name):
+    with pytest.raises(ShapeError, match=f"{name} needs at least one"):
+        getattr(cd, name)()
+
+
 def test_p_norm_orders():
     x = cd.Variable(3, name="x")
     for p in (1, 2, "inf", np.inf, "fro"):

@@ -345,6 +345,32 @@ def test_maximize_dual_negation():
     assert np.isclose(np.asarray(res.dual_of(con)).item(), -1.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("maximize", [False, True], ids=["min", "max"])
+def test_psd_constraint_dual(maximize):
+    # min t s.t. t I - A >= 0: L = t - <Z, t I - A> gives tr Z = 1, and Z
+    # is the outer product of A's top eigenvector; max -t reports -Z. The
+    # imported map finds the constraint by its record key.
+    rng = SplitMix64(29)
+    A = rng.normals(3, 3)
+    A = A + A.T
+    t = cd.Variable(name="t")
+    con = cd.psd(t * np.eye(3) - A)
+    prob = cd.Problem(cd.Maximize(-t) if maximize else cd.Minimize(t), [con])
+    _, V = np.linalg.eigh(A)
+    Z = (-1.0 if maximize else 1.0) * np.outer(V[:, -1], V[:, -1])
+    res = cd.solve(prob, eps_abs=1e-10, eps_rel=1e-10)
+    assert res.status == "optimal"
+    assert np.allclose(res.dual_of(con), Z, atol=1e-6)
+
+    cp, vmap = canon.canonicalize(prob)
+    cp2, vmap2 = canon.import_json(canon.export_json(cp, vmap))
+    assert [r.cone for r in vmap2.constrs] == ["psd"]
+    sol = cd.solve_cone_program(cp2, cd.SolverSettings(eps_abs=1e-10,
+                                                       eps_rel=1e-10))
+    assert np.allclose(cd.recover_dual(sol, vmap2, "c0", flipped=cp2.flipped),
+                       Z, atol=1e-6)
+
+
 def test_psd_variable_lowering():
     # Semidef variable contributes svec columns and one psd block
     S = cd.Semidef(3)

@@ -363,6 +363,18 @@ def test_bad_block_sizes_raise_shape_error(fn, kind, meta):
         fn(kind, V_BAD, meta)
 
 
+@pytest.mark.parametrize("fn", [
+    lambda spec: cones.project(spec, np.zeros(3)),
+    lambda spec: cones.in_cone(spec, np.zeros(3)),
+    cones.layout], ids=["project", "in_cone", "layout"])
+@pytest.mark.parametrize("ep", [-1, True, 1.5])
+def test_bad_exp_count_raises_shape_error(fn, ep):
+    # a negative count is not read as no exponential cones, a bool not as
+    # one, and a float fails typed, as a bad zero or nonneg count does
+    with pytest.raises(ShapeError, match="cone dimensions must be"):
+        fn(ConeSpec(nonneg=3, ep=ep))
+
+
 def test_project_dual_moreau_full_vector():
     spec = make_spec()
     dim = spec_dim(spec)

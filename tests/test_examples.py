@@ -1,10 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 
 from conedsl import api
 from conedsl.errors import InputError
-from conedsl.examples import (EXAMPLES, ExampleConfig, example_names,
-                              run_example)
+from conedsl.examples import (EXAMPLES, ExampleConfig, emit_series,
+                              example_names, run_example)
 from conedsl.solver import solve_cone_program
 
 ALL_NAMES = example_names()
@@ -225,6 +227,39 @@ def test_variant_matrix_smoke(name, overrides):
     record = run_example(ExampleConfig(name, params=overrides))
     assert record.status == "optimal", (name, overrides)
     assert record.feasibility <= 1e-6
+
+
+SERIES_CASES = [
+    # example, params, series name, header, row count, a property of the rows
+    ("saturating_hinges", {}, "fit", ["x", "y", "fitted"], 80,
+     lambda d: np.all(np.diff(d[:, 0]) >= 0)),
+    ("catenary", {}, "shape", ["x", "y"], 51,
+     lambda d: np.allclose(d[[0, -1]], [[0.0, 1.0], [1.0, 1.0]], atol=1e-6)),
+    ("catenary", {"variant": "ground"}, "shape", ["x", "y", "ground"], 51,
+     lambda d: np.all(d[:, 1] >= d[:, 2] - 1e-6)),
+    ("portfolio", {}, "tradeoff", ["gamma", "risk", "ret"], 9,
+     lambda d: np.all(np.diff(d[:, 0]) > 0)
+     and np.all(np.diff(d[:, 1]) <= 1e-6)),
+    ("kelly", {}, "wealth", ["period", "kelly", "naive"], 60,
+     lambda d: np.array_equal(d[:, 0], np.arange(1, 61))
+     and np.all(d[:, 1:] > 0)),
+]
+
+
+@pytest.mark.parametrize("name,params,series,header,rows,holds", SERIES_CASES,
+                         ids=["saturating_hinges", "catenary",
+                              "catenary_ground", "portfolio", "kelly"])
+def test_example_series_csv(tmp_path, name, params, series, header, rows,
+                            holds):
+    record = run_example(ExampleConfig(name, params=params))
+    paths = emit_series(record, str(tmp_path))
+    assert paths == [str(tmp_path / f"{name}_{series}.csv")]
+    with open(paths[0], newline="") as f:
+        table = list(csv.reader(f))
+    assert table[0] == header
+    data = np.array(table[1:], dtype=float)
+    assert data.shape == (rows, len(header))
+    assert np.isfinite(data).all() and holds(data)
 
 
 def test_record_json_round_trip():

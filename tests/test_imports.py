@@ -1,6 +1,8 @@
-"""Every name a module imports is read somewhere in that module, and every
-name a package exports exists."""
+"""Every name a module imports is read somewhere in that module, every
+name a package exports exists, and an atom without params is applied by
+its descriptor, not by a factory that only forwards to it."""
 import ast
+import pickle
 import re
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 
 import conedsl
 import conedsl.atoms
+from conedsl.atoms import AtomDescriptor, get_atom
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "conedsl"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
@@ -46,3 +49,58 @@ def test_readme_names_in_cones_resolve():
     assert names, "README names nothing in cones"
     missing = sorted(n for n in names if not hasattr(conedsl.cones, n))
     assert not missing, f"README names missing from cones: {missing}"
+
+
+# the atoms that take no params: each public name is the descriptor itself
+PLAIN_ATOMS = {
+    "abs_atom", "entr", "exp", "inv_pos", "log", "logistic", "pos", "neg",
+    "sqrt", "square", "lambda_max", "lambda_min", "log_det", "log_sum_exp",
+    "max_entries", "min_entries", "quad_over_lin", "sum_squares", "add",
+    "negate", "transpose", "hstack", "vstack", "diag", "matrix_trace",
+}
+
+
+def _forwards_to_atom(fn):
+    # `return AtomExpr(NAME, [...])` and nothing else: no params computed
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(
+            body[0].value, ast.Constant):
+        body = body[1:]  # a docstring
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    return (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "AtomExpr" and len(call.args) == 2
+            and not call.keywords and isinstance(call.args[0], ast.Name))
+
+
+def test_no_factory_only_forwards_to_an_atom():
+    hits = [f"{path.name}:{node.name}"
+            for path in sorted((SRC / "atoms").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and _forwards_to_atom(node)]
+    assert not hits, f"call the descriptor instead of: {', '.join(hits)}"
+
+
+def test_plain_atoms_are_exported_descriptors():
+    atoms = conedsl.atoms
+    exported = {name for name in atoms.__all__
+                if isinstance(getattr(atoms, name), AtomDescriptor)}
+    assert exported == PLAIN_ATOMS | {"abs"}
+    assert atoms.abs is atoms.abs_atom
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_ATOMS))
+def test_plain_atom_descriptor_acts_as_a_function(name):
+    atom = getattr(conedsl, name)
+    assert get_atom(atom.name) is atom
+    assert pickle.loads(pickle.dumps(atom)) is atom
+    assert {atom: name}[atom] == name
+    assert repr(atom) == f"<atom {atom.name}>"
+    x = conedsl.Variable(2, 2, name="x")
+    if atom.arity is not None:
+        for count in {0, 1, 2, 3} - {atom.arity}:
+            with pytest.raises(TypeError, match=f"{atom.name}\\(\\) takes"):
+                atom(*[x] * count)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        atom(x, axis=1)
