@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..errors import UnsupportedAtomError
+from ..errors import ShapeError, UnsupportedAtomError
 from ..expr import AtomExpr, Shape, Sign, as_expression
 
 REGISTRY: dict[str, "AtomDescriptor"] = {}
@@ -35,10 +35,11 @@ class AtomDescriptor:
     argument entry or zero, and the lowering takes which from evaluate,
     run on the argument entries numbered from 1 (0 marks a zero entry).
 
-    An atom without params is applied by calling its descriptor, which
-    takes `arity` arguments (any number when None); atoms with params
-    are applied by factories that compute them. Like a function, a
-    descriptor compares by identity and pickles by its name.
+    An atom is applied by calling its descriptor. An atom with params
+    has a bind, which takes the call's arguments, checks them and returns
+    the node's (args, params); one without takes `arity` arguments (any
+    number when None). Like a function, a descriptor compares by identity
+    and pickles by its name.
     """
 
     name: str
@@ -52,15 +53,22 @@ class AtomDescriptor:
     copies_entries: bool = False
     sample: Callable = _default_sample
     arity: int | None = 1
+    bind: Callable | None = None
 
     def __post_init__(self):
         REGISTRY[self.name] = self
 
-    def __call__(self, *args):
-        if self.arity is not None and len(args) != self.arity:
+    def __call__(self, *args, **kwargs):
+        params = None
+        if self.bind is not None:
+            args, params = self.bind(*args, **kwargs)
+        elif kwargs:
+            raise TypeError(f"{self.name}() got an unexpected keyword argument "
+                            f"{next(iter(kwargs))!r}")
+        elif self.arity is not None and len(args) != self.arity:
             raise TypeError(f"{self.name}() takes {self.arity} argument"
                             f"{'s' if self.arity != 1 else ''}, got {len(args)}")
-        return AtomExpr(self, [as_expression(a) for a in args])
+        return AtomExpr(self, [as_expression(a) for a in args], params)
 
     def __repr__(self):
         return f"<atom {self.name}>"
@@ -123,7 +131,6 @@ def same_shape(shapes, params):
             if out.is_scalar:
                 out = s
                 continue
-            from ..errors import ShapeError
             raise ShapeError(f"argument shapes {tuple(out)} and {tuple(s)} disagree")
     return out
 

@@ -4,8 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DCPError, ShapeError, UnsupportedAtomError
-from ..expr import (AtomExpr, Curvature, Monotonicity, Sign, as_expression,
-                    sign_neg)
+from ..expr import Curvature, Monotonicity, Sign, sign_neg
 from ..lin import LinForm
 from .base import AtomDescriptor, const, monos, same_shape
 from .structural import constant_operand
@@ -116,17 +115,6 @@ def _huber_graph(ctx, forms, params):
     return w + 2.0 * M * nn
 
 
-HUBER = AtomDescriptor(
-    name="huber", display="huber",
-    shape_out=same_shape,
-    sign_out=lambda s, p: Sign.NONNEG,
-    base_curvature=const(Curvature.CONVEX),
-    monotonicity=monos(_SIGNDEP),
-    evaluate=_huber_eval,
-    graph=_huber_graph,
-)
-
-
 def huber(x, M=1.0):
     M, _ = constant_operand(M)
     if M.size != 1:
@@ -134,7 +122,19 @@ def huber(x, M=1.0):
     M = float(M.item())
     if M <= 0:
         raise DCPError("huber threshold M must be a positive constant")
-    return AtomExpr(HUBER, [as_expression(x)], {"M": M})
+    return [x], {"M": M}
+
+
+huber = AtomDescriptor(
+    name="huber", display="huber",
+    shape_out=same_shape,
+    sign_out=lambda s, p: Sign.NONNEG,
+    base_curvature=const(Curvature.CONVEX),
+    monotonicity=monos(_SIGNDEP),
+    evaluate=_huber_eval,
+    graph=_huber_graph,
+    bind=huber,
+)
 
 
 # -- inv_pos: 1/x on x > 0 ------------------------------------------------------
@@ -225,19 +225,17 @@ def _min_elem_sign(signs, params):
 
 def _max_elem_graph(ctx, forms, params):
     n = max(f.size for f in forms)
-    forms = [f.broadcast_to(n) for f in forms]
     t = ctx.aux(n)
     for f in forms:
-        ctx.nonneg(t - f)
+        ctx.nonneg(t - f.broadcast_to(n))
     return t
 
 
 def _min_elem_graph(ctx, forms, params):
     n = max(f.size for f in forms)
-    forms = [f.broadcast_to(n) for f in forms]
     t = ctx.aux(n)
     for f in forms:
-        ctx.nonneg(f - t)
+        ctx.nonneg(f.broadcast_to(n) - t)
     return t
 
 
@@ -245,7 +243,15 @@ def _variadic_monos(m):
     return lambda signs, params: [m] * len(signs)
 
 
-MAX_ELEMWISE = AtomDescriptor(
+def _two_or_more(name):
+    def bind(*args):
+        if len(args) < 2:
+            raise ShapeError(f"{name} needs at least two arguments")
+        return args, None
+    return bind
+
+
+max_elemwise = AtomDescriptor(
     name="max_elemwise", display="max_elemwise",
     shape_out=same_shape,
     sign_out=_max_elem_sign,
@@ -253,10 +259,10 @@ MAX_ELEMWISE = AtomDescriptor(
     monotonicity=_variadic_monos(_INC),
     evaluate=lambda v, p: np.max(np.broadcast_arrays(*v), axis=0),
     graph=_max_elem_graph,
-    arity=None,
+    bind=_two_or_more("max_elemwise"),
 )
 
-MIN_ELEMWISE = AtomDescriptor(
+min_elemwise = AtomDescriptor(
     name="min_elemwise", display="min_elemwise",
     shape_out=same_shape,
     sign_out=_min_elem_sign,
@@ -264,20 +270,8 @@ MIN_ELEMWISE = AtomDescriptor(
     monotonicity=_variadic_monos(_INC),
     evaluate=lambda v, p: np.min(np.broadcast_arrays(*v), axis=0),
     graph=_min_elem_graph,
-    arity=None,
+    bind=_two_or_more("min_elemwise"),
 )
-
-
-def max_elemwise(*args):
-    if len(args) < 2:
-        raise ShapeError("max_elemwise needs at least two arguments")
-    return MAX_ELEMWISE(*args)
-
-
-def min_elemwise(*args):
-    if len(args) < 2:
-        raise ShapeError("min_elemwise needs at least two arguments")
-    return MIN_ELEMWISE(*args)
 
 
 # -- pos / neg: positive and negative parts -----------------------------------------

@@ -4,8 +4,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DCPError, ShapeError, UnsupportedAtomError
-from ..expr import (AtomExpr, Curvature, Monotonicity, Shape, Sign,
-                    as_expression, constant_value)
+from ..expr import (Curvature, Monotonicity, Shape, Sign, as_expression,
+                    constant_value)
 from ..lin import LinForm
 from .base import AtomDescriptor, const, monos, scalar_shape
 from .elementwise import _ones_form
@@ -230,17 +230,6 @@ def _norm_graph(ctx, forms, params):
     return t
 
 
-NORM = AtomDescriptor(
-    name="cvxr_norm", display="norm",
-    shape_out=scalar_shape,
-    sign_out=lambda s, p: Sign.NONNEG,
-    base_curvature=const(Curvature.CONVEX),
-    monotonicity=monos(_SIGNDEP),
-    evaluate=_norm_eval,
-    graph=_norm_graph,
-)
-
-
 def cvxr_norm(x, p=2):
     if p in ("inf", "Inf", np.inf):
         p = np.inf
@@ -251,11 +240,19 @@ def cvxr_norm(x, p=2):
     if p not in (1, 2, np.inf):
         raise UnsupportedAtomError(
             f"norm order {p!r} is not supported; use 1, 2, inf, or fro")
-    return AtomExpr(NORM, [as_expression(x)], {"p": p})
+    return [x], {"p": p}
 
 
-def p_norm(x, p=2):
-    return cvxr_norm(x, p)
+cvxr_norm = p_norm = AtomDescriptor(
+    name="cvxr_norm", display="norm",
+    shape_out=scalar_shape,
+    sign_out=lambda s, p: Sign.NONNEG,
+    base_curvature=const(Curvature.CONVEX),
+    monotonicity=monos(_SIGNDEP),
+    evaluate=_norm_eval,
+    graph=_norm_graph,
+    bind=cvxr_norm,
+)
 
 
 # -- quad_form ---------------------------------------------------------------------------
@@ -311,17 +308,6 @@ def _quad_form_graph(ctx, forms, params):
     return t if mode == "psd" else -1.0 * t
 
 
-QUAD_FORM = AtomDescriptor(
-    name="quad_form", display="quad_form",
-    shape_out=_quad_form_shape,
-    sign_out=_quad_form_sign,
-    base_curvature=_quad_form_curv,
-    monotonicity=_quad_form_monos,
-    evaluate=_quad_form_eval,
-    graph=_quad_form_graph,
-    arity=2,
-)
-
 _PSD_CLASSIFY_RTOL = 1e-9
 
 
@@ -332,8 +318,7 @@ def quad_form(x, P):
     P = as_expression(P)
     if x.curvature == Curvature.CONSTANT:
         c, sign = constant_operand(x)
-        return AtomExpr(QUAD_FORM, [x, P],
-                        {"mode": "const_x", "c": c, "sign": sign})
+        return [x, P], {"mode": "const_x", "c": c, "sign": sign}
     if P.curvature != Curvature.CONSTANT:
         raise DCPError("quad_form requires x or P to be constant")
     Pv = constant_value(P)
@@ -342,13 +327,23 @@ def quad_form(x, P):
     Pv = _symmetrize(Pv)
     w, V = np.linalg.eigh(Pv)
     tol = _PSD_CLASSIFY_RTOL * max(1.0, np.abs(w).max())
-    if w.min() >= -tol:
-        R = V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.T
-        return AtomExpr(QUAD_FORM, [x, P], {"mode": "psd", "R": R})
-    if w.max() <= tol:
-        R = V @ np.diag(np.sqrt(np.clip(-w, 0.0, None))) @ V.T
-        return AtomExpr(QUAD_FORM, [x, P], {"mode": "nsd", "R": R})
+    for mode, ws in (("psd", w), ("nsd", -w)):
+        if ws.min() >= -tol:
+            R = V @ np.diag(np.sqrt(np.clip(ws, 0.0, None))) @ V.T
+            return [x, P], {"mode": mode, "R": R}
     raise DCPError("quad_form with an indefinite matrix is not DCP")
+
+
+quad_form = AtomDescriptor(
+    name="quad_form", display="quad_form",
+    shape_out=_quad_form_shape,
+    sign_out=_quad_form_sign,
+    base_curvature=_quad_form_curv,
+    monotonicity=_quad_form_monos,
+    evaluate=_quad_form_eval,
+    graph=_quad_form_graph,
+    bind=quad_form,
+)
 
 
 # -- quad_over_lin -------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ..errors import DCPError, InputError, ShapeError
-from ..expr import (AtomExpr, ConstantExpr, Curvature, Expression,
+from ..expr import (ConstantExpr, Curvature, Expression,
                     Monotonicity, Shape, Sign, as_expression, as_int,
                     constant_value, make_shape, sign_add, sign_mul, sign_neg,
                     sign_of_values)
@@ -89,7 +89,35 @@ def _mul_elemwise_graph(ctx, forms, params):
     return forms[0].broadcast_to(n).scale_rows(np.broadcast_to(c, n))
 
 
-MUL_ELEMWISE = AtomDescriptor(
+def mul_elemwise(a, b):
+    """R-style `*`: elementwise, requiring one constant operand; a 1 x 1
+    operand broadcasts against any shape."""
+    for c, x in ((a, b), (b, a)):
+        if not isinstance(c, Expression) or c.curvature == Curvature.CONSTANT:
+            values, sign = constant_operand(c)
+            return [x], {"c": values, "sign": sign}
+    raise DCPError("cannot multiply two non-constant expressions")
+
+
+def _matmul(c, x, left):
+    (c, sign), x = constant_operand(c), as_expression(x)
+    inner = (c.shape[1], x.shape.rows) if left else (x.shape.cols, c.shape[0])
+    if inner[0] != inner[1]:
+        raise ShapeError(f"matrix product inner dimensions {inner[0]} and "
+                         f"{inner[1]} disagree")
+    return [x], {"c": c, "sign": sign, "x_rows": x.shape.rows,
+                 "x_cols": x.shape.cols}
+
+
+def matmul_left(c, x):
+    return _matmul(c, x, left=True)
+
+
+def matmul_right(x, c):
+    return _matmul(c, x, left=False)
+
+
+mul_elemwise = elementwise_product = AtomDescriptor(
     name="mul_elemwise", display="*",
     shape_out=lambda shapes, p: same_shape([shapes[0], Shape(*p["c"].shape)], p),
     sign_out=_const_sign_rule,
@@ -97,9 +125,10 @@ MUL_ELEMWISE = AtomDescriptor(
     monotonicity=_const_sign_mono,
     evaluate=lambda v, p: p["c"] * v[0],
     graph=_mul_elemwise_graph,
+    bind=mul_elemwise,
 )
 
-MATMUL_LEFT = AtomDescriptor(
+matmul_left = AtomDescriptor(
     name="matmul_left", display="@",
     shape_out=lambda shapes, p: Shape(p["c"].shape[0], shapes[0].cols),
     sign_out=_const_sign_rule,
@@ -108,9 +137,10 @@ MATMUL_LEFT = AtomDescriptor(
     evaluate=lambda v, p: p["c"] @ v[0],
     graph=lambda ctx, f, p: f[0].left_mul(
         matmul_left_map(p["c"], p["x_rows"], p["x_cols"])),
+    bind=matmul_left,
 )
 
-MATMUL_RIGHT = AtomDescriptor(
+matmul_right = AtomDescriptor(
     name="matmul_right", display="@",
     shape_out=lambda shapes, p: Shape(shapes[0].rows, p["c"].shape[1]),
     sign_out=_const_sign_rule,
@@ -119,48 +149,19 @@ MATMUL_RIGHT = AtomDescriptor(
     evaluate=lambda v, p: v[0] @ p["c"],
     graph=lambda ctx, f, p: f[0].left_mul(
         matmul_right_map(p["c"], p["x_rows"], p["x_cols"])),
+    bind=matmul_right,
 )
-
-
-def _is_constant(operand) -> bool:
-    return (not isinstance(operand, Expression)
-            or operand.curvature == Curvature.CONSTANT)
-
-
-def elementwise_product(a, b):
-    """R-style `*`: elementwise, requiring one constant operand; a 1 x 1
-    operand broadcasts against any shape."""
-    if _is_constant(a):
-        c, x = a, b
-    elif _is_constant(b):
-        c, x = b, a
-    else:
-        raise DCPError("cannot multiply two non-constant expressions")
-    values, sign = constant_operand(c)
-    return AtomExpr(MUL_ELEMWISE, [as_expression(x)],
-                    {"c": values, "sign": sign})
-
-
-mul_elemwise = elementwise_product
 
 
 def matrix_product(a, b):
     a, b = as_expression(a), as_expression(b)
     if a.is_scalar or b.is_scalar:
-        return elementwise_product(a, b)
+        return mul_elemwise(a, b)
     if a.curvature == Curvature.CONSTANT:
-        atom, (c, sign), x = MATMUL_LEFT, constant_operand(a), b
-        inner = (c.shape[1], x.shape.rows)
-    elif b.curvature == Curvature.CONSTANT:
-        atom, (c, sign), x = MATMUL_RIGHT, constant_operand(b), a
-        inner = (x.shape.cols, c.shape[0])
-    else:
-        raise DCPError("cannot multiply two non-constant expressions")
-    if inner[0] != inner[1]:
-        raise ShapeError(f"matrix product inner dimensions {inner[0]} and "
-                         f"{inner[1]} disagree")
-    return AtomExpr(atom, [x], {"c": c, "sign": sign, "x_rows": x.shape.rows,
-                                "x_cols": x.shape.cols})
+        return matmul_left(a, b)
+    if b.curvature == Curvature.CONSTANT:
+        return matmul_right(a, b)
+    raise DCPError("cannot multiply two non-constant expressions")
 
 
 def divide(x, c):
@@ -170,7 +171,7 @@ def divide(x, c):
     c = float(c.item())
     if c == 0:
         raise ZeroDivisionError("division of an expression by zero")
-    return elementwise_product(x, 1.0 / c)
+    return mul_elemwise(x, 1.0 / c)
 
 
 # -- transpose / index / reshape -------------------------------------------------
@@ -203,20 +204,6 @@ def _normalize_sel(key, n):
     return idx.astype(np.int64)
 
 
-INDEX = AtomDescriptor(
-    name="index", display="[...]",
-    shape_out=lambda shapes, p: Shape(p["rows_sel"].size, p["cols_sel"].size),
-    sign_out=lambda s, p: s[0],
-    base_curvature=const(Curvature.AFFINE),
-    monotonicity=monos(_INC),
-    evaluate=lambda v, p: v[0][np.ix_(p["rows_sel"], p["cols_sel"])],
-    # a direct formula, not copies_entries: numbering the whole argument
-    # for every index would make k indexes into one n-vector cost O(k n)
-    graph=lambda ctx, f, p: f[0].select(
-        (p["rows_sel"][:, None] + p["x_rows"] * p["cols_sel"]).ravel("F")),
-)
-
-
 def index(x, key):
     x = as_expression(x)
     rows, cols = x.shape
@@ -231,18 +218,21 @@ def index(x, key):
         cols_sel = _normalize_sel(ckey, cols)
     except IndexError as e:
         raise ShapeError(f"index out of range: {e}") from e
-    return AtomExpr(INDEX, [x], {"rows_sel": rows_sel, "cols_sel": cols_sel,
-                                 "x_rows": rows})
+    return [x], {"rows_sel": rows_sel, "cols_sel": cols_sel, "x_rows": rows}
 
 
-RESHAPE = AtomDescriptor(
-    name="reshape", display="reshape",
-    shape_out=lambda shapes, p: Shape(p["rows"], p["cols"]),
+index = AtomDescriptor(
+    name="index", display="[...]",
+    shape_out=lambda shapes, p: Shape(p["rows_sel"].size, p["cols_sel"].size),
     sign_out=lambda s, p: s[0],
     base_curvature=const(Curvature.AFFINE),
     monotonicity=monos(_INC),
-    evaluate=lambda v, p: v[0].reshape(p["rows"], p["cols"], order="F"),
-    copies_entries=True,
+    evaluate=lambda v, p: v[0][np.ix_(p["rows_sel"], p["cols_sel"])],
+    # a direct formula, not copies_entries: numbering the whole argument
+    # for every index would make k indexes into one n-vector cost O(k n)
+    graph=lambda ctx, f, p: f[0].select(
+        (p["rows_sel"][:, None] + p["x_rows"] * p["cols_sel"]).ravel("F")),
+    bind=index,
 )
 
 
@@ -253,7 +243,19 @@ def reshape_expr(x, rows, cols):
         raise ShapeError(
             f"cannot reshape {tuple(x.shape)} ({x.size} entries) to "
             f"({rows}, {cols})")
-    return AtomExpr(RESHAPE, [x], {"rows": rows, "cols": cols})
+    return [x], {"rows": rows, "cols": cols}
+
+
+reshape_expr = AtomDescriptor(
+    name="reshape", display="reshape",
+    shape_out=lambda shapes, p: Shape(p["rows"], p["cols"]),
+    sign_out=lambda s, p: s[0],
+    base_curvature=const(Curvature.AFFINE),
+    monotonicity=monos(_INC),
+    evaluate=lambda v, p: v[0].reshape(p["rows"], p["cols"], order="F"),
+    copies_entries=True,
+    bind=reshape_expr,
+)
 
 
 def vec(x):
@@ -360,7 +362,15 @@ def _diff_eval(v, p):
     return x.reshape(-1, 1)
 
 
-DIFF = AtomDescriptor(
+def diff(x, lag=1, differences=1):
+    what = "diff lag and differences"
+    lag, differences = as_int(lag, what), as_int(differences, what)
+    if lag < 1 or differences < 1:
+        raise ShapeError("diff lag and differences must be >= 1")
+    return [x], {"lag": lag, "differences": differences}
+
+
+diff = AtomDescriptor(
     name="diff", display="diff",
     shape_out=_diff_shape,
     # differences of same-signed entries have no fixed sign, and the mixed
@@ -371,16 +381,8 @@ DIFF = AtomDescriptor(
     evaluate=_diff_eval,
     graph=lambda ctx, f, p: f[0].left_mul(
         diff_map(f[0].size, p["lag"], p["differences"])),
+    bind=diff,
 )
-
-
-def diff(x, lag=1, differences=1):
-    what = "diff lag and differences"
-    lag, differences = as_int(lag, what), as_int(differences, what)
-    if lag < 1 or differences < 1:
-        raise ShapeError("diff lag and differences must be >= 1")
-    return AtomExpr(DIFF, [as_expression(x)],
-                    {"lag": lag, "differences": differences})
 
 
 # -- reductions ----------------------------------------------------------------------
@@ -407,7 +409,14 @@ def _sum_eval(v, p):
     return np.sum(x, axis=0).reshape(1, -1)
 
 
-SUM_ENTRIES = AtomDescriptor(
+def sum_entries(x, axis=None):
+    x = as_expression(x)
+    if axis is not None:
+        axis = as_int(axis, "axes")
+    return [x], {"axis": axis, "x_rows": x.shape.rows, "x_cols": x.shape.cols}
+
+
+sum_entries = AtomDescriptor(
     name="sum_entries", display="sum",
     shape_out=_sum_shape,
     sign_out=lambda s, p: s[0],
@@ -416,15 +425,8 @@ SUM_ENTRIES = AtomDescriptor(
     evaluate=_sum_eval,
     graph=lambda ctx, f, p: f[0].left_mul(
         sum_axis_map(p["x_rows"], p["x_cols"], p.get("axis"))),
+    bind=sum_entries,
 )
-
-
-def sum_entries(x, axis=None):
-    x = as_expression(x)
-    if axis is not None:
-        axis = as_int(axis, "axes")
-    return AtomExpr(SUM_ENTRIES, [x],
-                    {"axis": axis, "x_rows": x.shape.rows, "x_cols": x.shape.cols})
 
 
 def _trace_shape(shapes, params):
@@ -458,7 +460,14 @@ def _cumsum_eval(v, p):
     return np.cumsum(x, axis=1) if p["axis"] == 1 else np.cumsum(x, axis=0)
 
 
-CUMSUM_AXIS = AtomDescriptor(
+def cumsum_axis(x, axis):
+    x = as_expression(x)
+    if axis is not None:
+        axis = as_int(axis, "axes")
+    return [x], {"axis": axis, "x_rows": x.shape.rows, "x_cols": x.shape.cols}
+
+
+cumsum_axis = AtomDescriptor(
     name="cumsum_axis", display="cumsum",
     shape_out=_cumsum_shape,
     sign_out=lambda s, p: s[0],
@@ -467,12 +476,5 @@ CUMSUM_AXIS = AtomDescriptor(
     evaluate=_cumsum_eval,
     graph=lambda ctx, f, p: f[0].left_mul(
         cumsum_axis_map(p["x_rows"], p["x_cols"], p["axis"])),
+    bind=cumsum_axis,
 )
-
-
-def cumsum_axis(x, axis):
-    x = as_expression(x)
-    if axis is not None:
-        axis = as_int(axis, "axes")
-    return AtomExpr(CUMSUM_AXIS, [x],
-                    {"axis": axis, "x_rows": x.shape.rows, "x_cols": x.shape.cols})

@@ -1,16 +1,19 @@
 """Every name a module imports is read somewhere in that module, every
-name a package exports exists, and an atom without params is applied by
-its descriptor, not by a factory that only forwards to it."""
+name a package exports exists, and every atom is applied by its
+descriptor, the one place that builds an atom node."""
 import ast
 import pickle
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conedsl
 import conedsl.atoms
+from conedsl import ShapeError
 from conedsl.atoms import AtomDescriptor, get_atom
+from conedsl.canon import GraphContext, Lowerer
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "conedsl"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
@@ -60,34 +63,55 @@ PLAIN_ATOMS = {
 }
 
 
-def _forwards_to_atom(fn):
-    # `return AtomExpr(NAME, [...])` and nothing else: no params computed
-    body = fn.body
-    if body and isinstance(body[0], ast.Expr) and isinstance(
-            body[0].value, ast.Constant):
-        body = body[1:]  # a docstring
-    if len(body) != 1 or not isinstance(body[0], ast.Return):
-        return False
-    call = body[0].value
-    return (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-            and call.func.id == "AtomExpr" and len(call.args) == 2
-            and not call.keywords and isinstance(call.args[0], ast.Name))
+# the atoms with params: each public name is the descriptor, whose bind
+# computes and checks the params
+BOUND_ATOMS = {
+    "huber", "cvxr_norm", "quad_form", "mul_elemwise", "index",
+    "reshape_expr", "diff", "sum_entries", "cumsum_axis", "max_elemwise",
+    "min_elemwise",
+}
+ALIASES = {"abs": "abs_atom", "p_norm": "cvxr_norm",
+           "elementwise_product": "mul_elemwise"}
 
 
-def test_no_factory_only_forwards_to_an_atom():
-    hits = [f"{path.name}:{node.name}"
+def test_atom_nodes_are_built_only_by_descriptors():
+    # AtomExpr(...) is called in atoms/ only by AtomDescriptor.__call__, so
+    # every node goes through its descriptor's arity check or bind
+    hits = [f"{path.name}:{node.lineno}"
             for path in sorted((SRC / "atoms").glob("*.py"))
+            if path.name != "base.py"
             for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.FunctionDef) and _forwards_to_atom(node)]
-    assert not hits, f"call the descriptor instead of: {', '.join(hits)}"
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "AtomExpr"]
+    assert not hits, f"call the descriptor instead of AtomExpr at: {hits}"
+    base = ast.parse((SRC / "atoms" / "base.py").read_text())
+    calls = [f.name for f in ast.walk(base) if isinstance(f, ast.FunctionDef)
+             for node in ast.walk(f) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "AtomExpr"]
+    assert calls == ["__call__"]
+
+
+@pytest.mark.parametrize("name", sorted(conedsl.atoms.REGISTRY))
+@pytest.mark.parametrize("cols", [1, 3], ids=["vector", "matrix"])
+def test_registered_atom_called_with_one_variable(name, cols):
+    # a node is built whole, with the params its evaluate and graph read,
+    # or the call is refused with a typed error; never a KeyError on params
+    x = conedsl.Variable(3, cols, name="x")
+    try:
+        e = get_atom(name)(x)
+    except (TypeError, ShapeError):
+        return
+    e.value({x: np.arange(1.0, 3.0 * cols + 1.0).reshape(3, cols)})
+    Lowerer(GraphContext()).lower(e)
 
 
 def test_plain_atoms_are_exported_descriptors():
     atoms = conedsl.atoms
     exported = {name for name in atoms.__all__
                 if isinstance(getattr(atoms, name), AtomDescriptor)}
-    assert exported == PLAIN_ATOMS | {"abs"}
-    assert atoms.abs is atoms.abs_atom
+    assert exported == PLAIN_ATOMS | BOUND_ATOMS | set(ALIASES)
+    for alias, name in ALIASES.items():
+        assert getattr(atoms, alias) is getattr(atoms, name)
 
 
 @pytest.mark.parametrize("name", sorted(PLAIN_ATOMS))
