@@ -7,7 +7,7 @@ sense flag; the canonicalizer always minimizes.
 """
 from __future__ import annotations
 
-from .canon import canonicalize, recover, recover_dual
+from .canon import canonicalize, record_value, recover_dual
 from .errors import InputError, ShapeError
 from .expr import Constraint, as_expression, dcp_check
 from .solver import SolverSettings, solve_cone_program
@@ -72,7 +72,7 @@ class Result:
             for rec in self.vmap.vars:
                 if rec.vid is None:
                     continue
-                env[rec.vid] = recover(self.solution, self.vmap, rec.key)
+                env[rec.vid] = record_value(self.solution, rec)
             self._env = env
         return self._env
 

@@ -30,7 +30,7 @@ from . import linalg
 from .errors import DCPError, InputError, SchemaError, ShapeError
 from .cones import KINDS, layout
 from .expr import (AtomExpr, Constraint, Curvature, Expression, Variable,
-                   as_int, dcp_check)
+                   dcp_check)
 from .lin import LinForm, flat_index, svec_map
 
 
@@ -50,17 +50,12 @@ class ConeSpec:
         return layout(self).total_dim
 
     def validate(self, m: int):
-        """ShapeError unless every count is an integer, the block sizes are
-        positive, the other counts nonnegative, and K has m rows."""
+        """ShapeError unless the block sizes are lists and K has m rows;
+        `cones.layout` checks each count as it places K's rows."""
         for sizes in (self.soc, self.psd):
             if not isinstance(sizes, list):
                 raise ShapeError(f"cone block sizes must be a list, got "
                                  f"{sizes!r}")
-            if any(as_int(q, "cone block sizes") < 1 for q in sizes):
-                raise ShapeError("cone block sizes must be positive")
-        if any(as_int(k, "cone dimensions") < 0
-               for k in (self.zero, self.nonneg, self.ep)):
-            raise ShapeError("cone dimensions must be nonnegative")
         if self.total_dim != m:
             raise ShapeError(
                 f"cone dimensions sum to {self.total_dim} but A has {m} rows")
@@ -117,7 +112,7 @@ class ConeProgram:
 @dataclass
 class VarRecord:
     key: str
-    vid: int | None
+    vid: tuple | None
     offset: int
     rows: int
     cols: int
@@ -131,7 +126,7 @@ class VarRecord:
 @dataclass
 class ConstrRecord:
     key: str
-    cid: str | None
+    cid: tuple | None
     row: int
     length: int
     cone: str  # zero | nonneg | psd
@@ -347,13 +342,19 @@ def canonicalize(problem):
         ctx.psd(form, n)
 
     # column layout: user variables first, then auxiliaries, each in the
-    # order their columns were handed out
+    # order their columns were handed out. A variable's key is its name,
+    # unless it has none or an earlier key holds it; then it is v<i>,
+    # suffixed while an earlier key holds that too.
     var_records = []
     col = 0
-    names_seen = set()
+    keys = set()
     for i, v in enumerate(ctx.user_vars):
-        key = v.name if (v.name and v.name not in names_seen) else f"v{i}"
-        names_seen.add(key)
+        key = v.name if (v.name and v.name not in keys) else f"v{i}"
+        suffix = 0
+        while key in keys:
+            suffix += 1
+            key = f"v{i}_{suffix}"
+        keys.add(key)
         var_records.append(VarRecord(key=key, vid=v.vid, offset=col,
                                      rows=v.shape.rows, cols=v.shape.cols,
                                      psd=(v.attr == "psd-symmetric")))
@@ -397,6 +398,11 @@ def recover(solution, vmap: VariableMap, var) -> np.ndarray:
         rec = vmap.var_by_vid(var.vid)
     else:
         rec = vmap.var_by_key(str(var))
+    return record_value(solution, rec)
+
+
+def record_value(solution, rec: VarRecord) -> np.ndarray:
+    """The value matrix of the variable a record places."""
     flat = solution.x[rec.offset: rec.offset + rec.size]
     out = flat.reshape(rec.rows, rec.cols, order="F")
     if rec.psd:
@@ -507,6 +513,14 @@ def _num_list(v, path):
     return out
 
 
+def _new_id(key, path, seen):
+    """A record's id: a string that no earlier record of its list holds."""
+    _expect(isinstance(key, str), path, "expected string")
+    _expect(key not in seen, path, f"duplicate id {key!r}")
+    seen.add(key)
+    return key
+
+
 def import_json(text: str):
     """Parse exported problem data back to (ConeProgram, VariableMap)."""
     try:
@@ -578,30 +592,31 @@ def import_json(text: str):
     except ShapeError as e:
         raise SchemaError(f"field 'cones': {e}") from e
 
-    var_records = []
+    var_records, var_ids = [], set()
     _expect(isinstance(doc["vars"], list), "vars", "expected list")
     for i, rec in enumerate(doc["vars"]):
         path = f"vars[{i}]"
         _expect(isinstance(rec, dict), path, "expected object")
         for key in ("id", "offset", "rows", "cols", "psd"):
             _expect(key in rec, f"{path}.{key}", "missing")
-        _expect(isinstance(rec["id"], str), f"{path}.id", "expected string")
+        rid = _new_id(rec["id"], f"{path}.id", var_ids)
         _expect(isinstance(rec["psd"], bool), f"{path}.psd", "expected boolean")
         off = _as_int(rec["offset"], f"{path}.offset", 0)
         rows = _as_int(rec["rows"], f"{path}.rows", 1)
         cols = _as_int(rec["cols"], f"{path}.cols", 1)
         _expect(off + rows * cols <= n, f"{path}.offset",
                 "variable extends past n columns")
-        var_records.append(VarRecord(key=rec["id"], vid=None, offset=off,
+        var_records.append(VarRecord(key=rid, vid=None, offset=off,
                                      rows=rows, cols=cols, psd=rec["psd"]))
 
-    constr_records = []
+    constr_records, constr_ids = [], set()
     _expect(isinstance(doc["constrs"], list), "constrs", "expected list")
     for i, rec in enumerate(doc["constrs"]):
         path = f"constrs[{i}]"
         _expect(isinstance(rec, dict), path, "expected object")
         for key in ("id", "row", "len", "cone"):
             _expect(key in rec, f"{path}.{key}", "missing")
+        rid = _new_id(rec["id"], f"{path}.id", constr_ids)
         _expect(rec["cone"] in ("zero", "nonneg", "psd"), f"{path}.cone",
                 "expected one of zero/nonneg/psd")
         row = _as_int(rec["row"], f"{path}.row", 0)
@@ -614,7 +629,7 @@ def import_json(text: str):
             shape = (side, side)
         else:
             shape = (length, 1)
-        constr_records.append(ConstrRecord(key=rec["id"], cid=None, row=row,
+        constr_records.append(ConstrRecord(key=rid, cid=None, row=row,
                                            length=length, cone=rec["cone"],
                                            rows_shape=shape))
 

@@ -47,11 +47,16 @@ class Blocks(NamedTuple):
 def blocks(kind: str, meta, dim: int | None = None) -> Blocks:
     """The Blocks of meta (the block sizes, one int for one block, or
     Blocks already), a PSD side standing for its svec rows; ShapeError
-    unless the sizes are positive integers that tile `dim` rows, if given."""
+    unless the sizes are positive integers, not bools, that tile `dim`
+    rows, if given."""
     if not isinstance(meta, Blocks):
         sizes = np.atleast_1d(np.asarray(meta))
+        # numpy reads a bool among ints as 1, so a list's entry types are
+        # checked too
+        has_bool = (isinstance(meta, (list, tuple))
+                    and not {bool, np.bool_}.isdisjoint(map(type, meta)))
         if (sizes.ndim != 1 or sizes.size == 0 or sizes.dtype.kind not in "iu"
-                or sizes.min() < 1):
+                or sizes.min() < 1 or has_bool):
             raise ShapeError(f"cone block sizes must be positive integers, "
                              f"got {meta!r}")
         sizes = sizes.astype(np.int64)
@@ -77,8 +82,10 @@ def layout(cones) -> Layout:
     sizes are not converted and checked per call."""
     if isinstance(cones, Layout):
         return cones
-    if as_int(cones.ep, "cone dimensions") < 0:
-        raise ShapeError(f"cone dimensions must be nonnegative, got ep={cones.ep}")
+    for name in ("zero", "nonneg", "ep"):
+        if as_int(getattr(cones, name), "cone dimensions") < 0:
+            raise ShapeError(f"cone dimensions must be nonnegative, got "
+                             f"{name}={getattr(cones, name)}")
     kinds, start = [], 0
     for kind, meta in zip(KINDS, ([cones.zero] if cones.zero else [],
                                   [cones.nonneg] if cones.nonneg else [],

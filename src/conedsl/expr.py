@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -143,6 +144,19 @@ _CURVATURE_OF_CLAUSES = {(True, True): Curvature.AFFINE,
 _var_counter = itertools.count()
 
 
+def _draw_process_token():
+    global _PROCESS
+    _PROCESS = os.urandom(8).hex()
+
+
+# A variable's or constraint's id pairs a token drawn once per process
+# (again in a forked child) with a count, so that objects pickled in one
+# process keep ids apart from those of another; labels show the count.
+_draw_process_token()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_draw_process_token)
+
+
 class Expression:
     """Base class; every node carries its shape, sign and curvature, all
     fixed when the node is built."""
@@ -263,12 +277,14 @@ class Variable(Expression):
             raise ValueError(f"unknown variable attribute: {attr!r}")
         if attr == "psd-symmetric" and rows != cols:
             raise ShapeError("psd-symmetric variables must be square")
-        self.vid = next(_var_counter)
+        if name is not None and not isinstance(name, str):
+            raise InputError(f"variable name must be a string, got {name!r}")
+        self.vid = (_PROCESS, next(_var_counter))
         self.name = name
         self.attr = attr
 
     def label(self) -> str:
-        return f"var {self.name}" if self.name else f"var v{self.vid}"
+        return f"var {self.name}" if self.name else f"var v{self.vid[1]}"
 
     def value(self, env=None) -> np.ndarray:
         env = env or {}
@@ -416,7 +432,7 @@ class Constraint:
             raise ShapeError("psd constraints require a square expression")
         self.kind = kind
         self.body = body
-        self.cid = f"c{next(_constr_counter)}"
+        self.cid = (_PROCESS, next(_constr_counter))
 
     @staticmethod
     def equality(lhs: Expression, rhs: Expression) -> "Constraint":
@@ -429,9 +445,12 @@ class Constraint:
         _check_conformable(lhs, rhs)
         return Constraint("ineq", lhs - rhs)
 
+    def label(self) -> str:
+        return f"c{self.cid[1]}"
+
     def __repr__(self):
         op = {"eq": "== 0", "ineq": "<= 0", "psd": ">> 0"}[self.kind]
-        return f"<constraint {self.cid}: {self.body.label()} {op}>"
+        return f"<constraint {self.label()}: {self.body.label()} {op}>"
 
     def violation(self, env) -> float:
         """Worst-case infeasibility of the body at the given point."""
@@ -518,7 +537,7 @@ def dcp_check(problem) -> DCPReport:
         path = violation_path(con.body, need)
         if path:
             messages.append(
-                f"constraint {con.cid} ({con.kind}): requires a {need} body; "
-                f"found {con.body.curvature.value}")
+                f"constraint {con.label()} ({con.kind}): requires a {need} "
+                f"body; found {con.body.curvature.value}")
             paths.append(path)
     return DCPReport(accepted=not messages, messages=messages, paths=paths)

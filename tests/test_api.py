@@ -1,7 +1,13 @@
 import itertools
 import json
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -77,6 +83,93 @@ def test_value_of_foreign_variable_rejected():
         res.value_of(stranger)
 
 
+def test_value_of_reads_each_variable_from_its_own_record():
+    # the unnamed z falls back to the key "v1", which y's name holds; each
+    # variable is still read from its own record
+    y, z = cd.Variable(1, name="v1"), cd.Variable(1)
+    res = cd.solve(cd.Problem(cd.Minimize(y + 2 * z), [y >= 1, z >= 3]))
+    assert np.isclose(res.value_of(y).item(), 1.0, atol=1e-5)
+    assert np.isclose(res.value_of(z).item(), 3.0, atol=1e-5)
+
+
+# Run in a fresh interpreter: its first variable and constraint take
+# count 0, as a local one does after the counters are reset.
+CHILD = """
+import pickle, sys
+import conedsl as cd
+x = pickle.load(sys.stdin.buffer)
+a = cd.Variable(2)
+b = cd.Variable()
+far = b >= 1
+res = cd.solve(cd.Problem(cd.Minimize(cd.sum_entries(x) + cd.sum_entries(a)),
+                          [x >= 2, a >= 1]))
+pickle.dump({"exp": cd.exp(a), "pair": (b, far), "result": res},
+            sys.stdout.buffer)
+"""
+
+
+@pytest.fixture(scope="module")
+def from_child():
+    """The parent's x, and what a child process built around it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cd.expr, "_var_counter", itertools.count())
+        x = cd.Variable(2, name="x")
+    src = str(Path(cd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", CHILD], input=pickle.dumps(x),
+                          capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    return x, pickle.loads(done.stdout)
+
+
+def test_unpickled_variable_keeps_apart_from_local_one(from_child, monkeypatch):
+    _, out = from_child
+    monkeypatch.setattr(cd.expr, "_var_counter", itertools.count())
+    y = cd.Variable(2)    # count 0, as the child's variable inside out["exp"]
+    e = out["exp"] + y
+    _, vmap = canon.canonicalize(cd.Problem(cd.Minimize(cd.sum_entries(e))))
+    assert len(vmap.vars) == 2
+    assert y.label() == "var v0"
+
+
+def test_unpickled_constraint_keeps_apart_from_local_one(from_child,
+                                                         monkeypatch):
+    _, out = from_child
+    b, far = out["pair"]
+    monkeypatch.setattr(cd.expr, "_constr_counter", itertools.count())
+    near = b <= 5         # count 0, as the child's constraint far
+    assert repr(near).startswith("<constraint c0:")
+    assert repr(far).startswith("<constraint c0:")
+    res = cd.solve(cd.Problem(cd.Minimize(b), [far, near]))
+    assert np.isclose(res.dual_of(far).item(), 1.0, atol=1e-5)
+    assert np.isclose(res.dual_of(near).item(), 0.0, atol=1e-5)
+
+
+def test_result_from_another_process_answers_for_parent_variables(from_child):
+    x, out = from_child
+    res = out["result"]
+    assert res.status == "optimal"
+    assert len(res.vmap.vars) == 2
+    assert np.allclose(res.value_of(x), 2.0, atol=1e-5)
+    assert np.allclose(res.value_of(out["exp"]), np.e, atol=1e-4)
+
+
+def _new_variable():
+    return cd.Variable(2)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_draws_its_own_token():
+    # a forked child inherits the parent's counter, so only a fresh token
+    # keeps the ids of the two processes apart
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        y = pool.apply(_new_variable)
+    z = _new_variable()
+    assert y.vid[1] == z.vid[1]
+    assert y.vid != z.vid
+
+
 def test_dual_of_constraint():
     x = cd.Variable(name="x")
     con = x >= 2
@@ -86,14 +179,14 @@ def test_dual_of_constraint():
 
 
 def test_dual_of_foreign_constraint_rejected(monkeypatch):
-    # the outside constraint's id "c0" is also the record key of the
+    # the outside constraint's label "c0" is also the record key of the
     # problem's first constraint; a Constraint is found by its id alone, so
     # the key is not read as a fallback
     monkeypatch.setattr(cd.expr, "_constr_counter", itertools.count())
     x = cd.Variable(2, name="x")
     other = x >= 0
     cons = [x >= 1, x <= 5, cd.sum_entries(x) <= 10]
-    assert [other.cid] + [c.cid for c in cons] == ["c0", "c1", "c2", "c3"]
+    assert [c.label() for c in [other] + cons] == ["c0", "c1", "c2", "c3"]
     res = cd.solve(cd.Problem(cd.Minimize(cd.sum_entries(x)), cons))
     assert np.allclose(res.dual_of(cons[0]), 1.0, atol=1e-5)
     # a string is a record key

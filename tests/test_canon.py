@@ -281,6 +281,29 @@ def test_import_rejects_malformed(mutate, message):
         assert message in str(exc.value)
 
 
+def test_variable_keys_are_unique():
+    # a name is the key unless an earlier key holds it; the fallback v<i>
+    # is suffixed while an earlier key holds that too
+    named_v1, unnamed = cd.Variable(name="v1"), cd.Variable()
+    named_v1_1, again_v1 = cd.Variable(name="v1_1"), cd.Variable(name="v1")
+    prob = cd.Problem(cd.Minimize(named_v1 + unnamed + named_v1_1 + again_v1))
+    _, vmap = canon.canonicalize(prob)
+    assert [r.key for r in vmap.vars] == ["v1", "v1_1", "v2", "v3"]
+
+
+@pytest.mark.parametrize("field", ["vars", "constrs"])
+def test_import_rejects_duplicate_ids(field):
+    prob, _ = small_lp()
+    doc = json.loads(canon.export_json(*canon.canonicalize(prob)))
+    doc[field].append(dict(doc[field][0]))
+    with pytest.raises(SchemaError, match=f"{field}\\[{len(doc[field]) - 1}\\]"
+                       f".id': duplicate id"):
+        canon.import_json(json.dumps(doc))
+    doc[field][-1]["id"] = 7
+    with pytest.raises(SchemaError, match="expected string"):
+        canon.import_json(json.dumps(doc))
+
+
 def test_import_rejects_invalid_json():
     with pytest.raises(SchemaError):
         canon.import_json("{not json")

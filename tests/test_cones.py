@@ -355,7 +355,8 @@ V_BAD = np.array([3.0, 4.0, 0.0, 1.0, 2.0])
 @pytest.mark.parametrize("kind,meta", [
     ("soc", [2, -1, 4]), ("soc", [3, 2, 0]), ("soc", [3, 0, 2]),
     ("soc", [5.0]), ("soc", [True] * 5), ("soc", []), ("soc", 0),
-    ("psd", [2, 0]), ("psd", [-2, 2]), ("psd", [[2, 1]])])
+    ("psd", [2, 0]), ("psd", [-2, 2]), ("psd", [[2, 1]]), ("soc", [True, 4]),
+    ("soc", (4, np.True_))])
 def test_bad_block_sizes_raise_shape_error(fn, kind, meta):
     # a nonpositive, non-integer or empty size list is refused, not read
     # as blocks that happen to tile the rows (or fail inside numpy)
@@ -367,12 +368,18 @@ def test_bad_block_sizes_raise_shape_error(fn, kind, meta):
     lambda spec: cones.project(spec, np.zeros(3)),
     lambda spec: cones.in_cone(spec, np.zeros(3)),
     cones.layout], ids=["project", "in_cone", "layout"])
-@pytest.mark.parametrize("ep", [-1, True, 1.5])
-def test_bad_exp_count_raises_shape_error(fn, ep):
-    # a negative count is not read as no exponential cones, a bool not as
-    # one, and a float fails typed, as a bad zero or nonneg count does
+@pytest.mark.parametrize("counts", [
+    {"nonneg": 3, "ep": -1}, {"nonneg": 3, "ep": True},
+    {"nonneg": 3, "ep": 1.5}, {"nonneg": 3, "zero": 0.0},
+    {"zero": 3, "nonneg": None}, {"zero": 3, "nonneg": False},
+    {"zero": 3, "nonneg": -1}],
+    ids=["-1", "True", "1.5", "zero-0.0", "nonneg-None", "nonneg-False",
+         "nonneg--1"])
+def test_bad_exp_count_raises_shape_error(fn, counts):
+    # a negative count is not read as no cones, a bool not as one, and a
+    # float or None fails typed, for the zero, nonneg and exp counts alike
     with pytest.raises(ShapeError, match="cone dimensions must be"):
-        fn(ConeSpec(nonneg=3, ep=ep))
+        fn(ConeSpec(**counts))
 
 
 def test_project_dual_moreau_full_vector():

@@ -34,6 +34,15 @@ def test_variable_attr_validation():
     assert S.shape == (3, 3)
 
 
+@pytest.mark.parametrize("name", [3, 1.5, ("x",), b"x"])
+def test_variable_name_must_be_a_string(name):
+    # a name becomes an export id, which import_json reads only as a string
+    with pytest.raises(InputError, match="variable name must be a string"):
+        cd.Variable(2, name=name)
+    with pytest.raises(InputError, match="variable name must be a string"):
+        cd.Semidef(2, name=name)
+
+
 def test_constant_sign_detection():
     assert cd.Constant(np.eye(2)).sign is Sign.NONNEG
     assert cd.Constant(-np.ones(3)).sign is Sign.NONPOS
