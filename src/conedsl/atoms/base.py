@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..errors import ShapeError, UnsupportedAtomError
+from ..errors import UnsupportedAtomError
 from ..expr import AtomExpr, Shape, Sign, as_expression
 
 REGISTRY: dict[str, "AtomDescriptor"] = {}
@@ -131,6 +131,7 @@ def same_shape(shapes, params):
             if out.is_scalar:
                 out = s
                 continue
+            from ..errors import ShapeError
             raise ShapeError(f"argument shapes {tuple(out)} and {tuple(s)} disagree")
     return out
 

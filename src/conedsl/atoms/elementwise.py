@@ -243,12 +243,16 @@ def _variadic_monos(m):
     return lambda signs, params: [m] * len(signs)
 
 
-def _two_or_more(name):
-    def bind(*args):
-        if len(args) < 2:
-            raise ShapeError(f"{name} needs at least two arguments")
-        return args, None
-    return bind
+def max_elemwise(*args):
+    if len(args) < 2:
+        raise ShapeError("max_elemwise needs at least two arguments")
+    return args, None
+
+
+def min_elemwise(*args):
+    if len(args) < 2:
+        raise ShapeError("min_elemwise needs at least two arguments")
+    return args, None
 
 
 max_elemwise = AtomDescriptor(
@@ -259,7 +263,7 @@ max_elemwise = AtomDescriptor(
     monotonicity=_variadic_monos(_INC),
     evaluate=lambda v, p: np.max(np.broadcast_arrays(*v), axis=0),
     graph=_max_elem_graph,
-    bind=_two_or_more("max_elemwise"),
+    bind=max_elemwise,
 )
 
 min_elemwise = AtomDescriptor(
@@ -270,7 +274,7 @@ min_elemwise = AtomDescriptor(
     monotonicity=_variadic_monos(_INC),
     evaluate=lambda v, p: np.min(np.broadcast_arrays(*v), axis=0),
     graph=_min_elem_graph,
-    bind=_two_or_more("min_elemwise"),
+    bind=min_elemwise,
 )
 
 

@@ -327,10 +327,12 @@ def quad_form(x, P):
     Pv = _symmetrize(Pv)
     w, V = np.linalg.eigh(Pv)
     tol = _PSD_CLASSIFY_RTOL * max(1.0, np.abs(w).max())
-    for mode, ws in (("psd", w), ("nsd", -w)):
-        if ws.min() >= -tol:
-            R = V @ np.diag(np.sqrt(np.clip(ws, 0.0, None))) @ V.T
-            return [x, P], {"mode": mode, "R": R}
+    if w.min() >= -tol:
+        R = V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.T
+        return [x, P], {"mode": "psd", "R": R}
+    if w.max() <= tol:
+        R = V @ np.diag(np.sqrt(np.clip(-w, 0.0, None))) @ V.T
+        return [x, P], {"mode": "nsd", "R": R}
     raise DCPError("quad_form with an indefinite matrix is not DCP")
 
 

@@ -461,10 +461,7 @@ def _cumsum_eval(v, p):
 
 
 def cumsum_axis(x, axis):
-    x = as_expression(x)
-    if axis is not None:
-        axis = as_int(axis, "axes")
-    return [x], {"axis": axis, "x_rows": x.shape.rows, "x_cols": x.shape.cols}
+    return sum_entries.bind(x, axis)
 
 
 cumsum_axis = AtomDescriptor(

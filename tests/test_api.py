@@ -164,7 +164,7 @@ def test_forked_child_draws_its_own_token():
     # a forked child inherits the parent's counter, so only a fresh token
     # keeps the ids of the two processes apart
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        y = pool.apply(_new_variable)
+        y = pool.apply_async(_new_variable).get(timeout=60)
     z = _new_variable()
     assert y.vid[1] == z.vid[1]
     assert y.vid != z.vid

@@ -105,6 +105,18 @@ def test_registered_atom_called_with_one_variable(name, cols):
     Lowerer(GraphContext()).lower(e)
 
 
+@pytest.mark.parametrize("name", sorted(BOUND_ATOMS))
+def test_bound_atom_descriptor_acts_as_a_function(name):
+    atom = getattr(conedsl, name)
+    assert get_atom(atom.name) is atom
+    assert pickle.loads(pickle.dumps(atom)) is atom
+    assert repr(atom) == f"<atom {atom.name}>"
+    x = conedsl.Variable(3, name="x")
+    with pytest.raises(TypeError, match=f"^{name}\\(\\) got an unexpected "
+                                        "keyword argument 'bogus'"):
+        atom(x, x, bogus=1)
+
+
 def test_plain_atoms_are_exported_descriptors():
     atoms = conedsl.atoms
     exported = {name for name in atoms.__all__
