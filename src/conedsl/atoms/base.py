@@ -37,9 +37,10 @@ class AtomDescriptor:
 
     An atom is applied by calling its descriptor. An atom with params
     has a bind, which takes the call's arguments, checks them and returns
-    the node's (args, params); one without takes `arity` arguments (any
-    number when None). Like a function, a descriptor compares by identity
-    and pickles by its name.
+    the node's (args, params); a bind is defined under its atom's name,
+    so Python's errors for a wrong call name the atom. An atom without a
+    bind takes `arity` arguments (any number when None). Like a function,
+    a descriptor compares by identity and pickles by its name.
     """
 
     name: str

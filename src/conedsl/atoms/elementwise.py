@@ -225,17 +225,19 @@ def _min_elem_sign(signs, params):
 
 def _max_elem_graph(ctx, forms, params):
     n = max(f.size for f in forms)
+    forms = [f.broadcast_to(n) for f in forms]
     t = ctx.aux(n)
     for f in forms:
-        ctx.nonneg(t - f.broadcast_to(n))
+        ctx.nonneg(t - f)
     return t
 
 
 def _min_elem_graph(ctx, forms, params):
     n = max(f.size for f in forms)
+    forms = [f.broadcast_to(n) for f in forms]
     t = ctx.aux(n)
     for f in forms:
-        ctx.nonneg(f.broadcast_to(n) - t)
+        ctx.nonneg(f - t)
     return t
 
 
