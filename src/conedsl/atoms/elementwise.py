@@ -4,10 +4,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DCPError, ShapeError, UnsupportedAtomError
-from ..expr import Curvature, Monotonicity, Sign, sign_neg
+from ..expr import Curvature, Monotonicity, Sign
 from ..lin import LinForm
 from .base import AtomDescriptor, const, monos, same_shape
-from .structural import constant_operand
+from .structural import constant_operand, negate
 
 _INC = Monotonicity.INCREASING
 _DEC = Monotonicity.DECREASING
@@ -206,7 +206,7 @@ logistic = AtomDescriptor(
 )
 
 
-# -- max_elemwise / min_elemwise ---------------------------------------------------
+# -- max_elemwise, and min_elemwise, pos and neg built from it -----------------
 
 def _max_elem_sign(signs, params):
     if all(s == Sign.ZERO for s in signs):
@@ -218,11 +218,6 @@ def _max_elem_sign(signs, params):
     return Sign.UNKNOWN
 
 
-def _min_elem_sign(signs, params):
-    # min(a, b) = -max(-a, -b)
-    return sign_neg(_max_elem_sign([sign_neg(s) for s in signs], params))
-
-
 def _max_elem_graph(ctx, forms, params):
     n = max(f.size for f in forms)
     forms = [f.broadcast_to(n) for f in forms]
@@ -232,28 +227,9 @@ def _max_elem_graph(ctx, forms, params):
     return t
 
 
-def _min_elem_graph(ctx, forms, params):
-    n = max(f.size for f in forms)
-    forms = [f.broadcast_to(n) for f in forms]
-    t = ctx.aux(n)
-    for f in forms:
-        ctx.nonneg(f - t)
-    return t
-
-
-def _variadic_monos(m):
-    return lambda signs, params: [m] * len(signs)
-
-
 def max_elemwise(*args):
     if len(args) < 2:
         raise ShapeError("max_elemwise needs at least two arguments")
-    return args, None
-
-
-def min_elemwise(*args):
-    if len(args) < 2:
-        raise ShapeError("min_elemwise needs at least two arguments")
     return args, None
 
 
@@ -262,61 +238,28 @@ max_elemwise = AtomDescriptor(
     shape_out=same_shape,
     sign_out=_max_elem_sign,
     base_curvature=const(Curvature.CONVEX),
-    monotonicity=_variadic_monos(_INC),
+    monotonicity=lambda signs, params: [_INC] * len(signs),
     evaluate=lambda v, p: np.max(np.broadcast_arrays(*v), axis=0),
     graph=_max_elem_graph,
     bind=max_elemwise,
 )
 
-min_elemwise = AtomDescriptor(
-    name="min_elemwise", display="min_elemwise",
-    shape_out=same_shape,
-    sign_out=_min_elem_sign,
-    base_curvature=const(Curvature.CONCAVE),
-    monotonicity=_variadic_monos(_INC),
-    evaluate=lambda v, p: np.min(np.broadcast_arrays(*v), axis=0),
-    graph=_min_elem_graph,
-    bind=min_elemwise,
-)
+
+def min_elemwise(*args):
+    """min(a, b, ...) = -max(-a, -b, ...)."""
+    if len(args) < 2:
+        raise ShapeError("min_elemwise needs at least two arguments")
+    return negate(max_elemwise(*[negate(a) for a in args]))
 
 
-# -- pos / neg: positive and negative parts -----------------------------------------
-
-def _pos_graph(ctx, forms, params):
-    (x,) = forms
-    t = ctx.aux(x.size)
-    ctx.nonneg(t - x)
-    ctx.nonneg(t)
-    return t
+def pos(x):
+    """The positive part max(x, 0)."""
+    return max_elemwise(x, 0.0)
 
 
-def _neg_graph(ctx, forms, params):
-    (x,) = forms
-    t = ctx.aux(x.size)
-    ctx.nonneg(t + x)
-    ctx.nonneg(t)
-    return t
-
-
-pos = AtomDescriptor(
-    name="pos", display="pos",
-    shape_out=same_shape,
-    sign_out=lambda s, p: Sign.NONNEG,
-    base_curvature=const(Curvature.CONVEX),
-    monotonicity=monos(_INC),
-    evaluate=lambda v, p: np.maximum(v[0], 0.0),
-    graph=_pos_graph,
-)
-
-neg = AtomDescriptor(
-    name="neg", display="neg",
-    shape_out=same_shape,
-    sign_out=lambda s, p: Sign.NONNEG,
-    base_curvature=const(Curvature.CONVEX),
-    monotonicity=monos(_DEC),
-    evaluate=lambda v, p: np.maximum(-v[0], 0.0),
-    graph=_neg_graph,
-)
+def neg(x):
+    """The negative part max(-x, 0)."""
+    return max_elemwise(negate(x), 0.0)
 
 
 # -- sqrt -----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from ..expr import (Curvature, Monotonicity, Shape, Sign, as_expression,
 from ..lin import LinForm
 from .base import AtomDescriptor, const, monos, scalar_shape
 from .elementwise import _ones_form
-from .structural import constant_operand
+from .structural import constant_operand, negate
 
 _INC = Monotonicity.INCREASING
 _DEC = Monotonicity.DECREASING
@@ -28,7 +28,7 @@ def _symmetrize(X):
     return 0.5 * (X + X.T)
 
 
-# -- lambda_max / lambda_min ---------------------------------------------------
+# -- lambda_max, and lambda_min built from it --------------------------------
 
 def _diag_embed(n):
     """Positions that select vec(t I) from a scalar form t."""
@@ -41,15 +41,6 @@ def _lambda_max_graph(ctx, forms, params):
     n = int(round(np.sqrt(x.size)))
     t = ctx.aux(1)
     ctx.psd(t.select(_diag_embed(n)) - x, n)
-    return t
-
-
-def _lambda_min_graph(ctx, forms, params):
-    # hypograph: sym(X) - t I >= 0
-    (x,) = forms
-    n = int(round(np.sqrt(x.size)))
-    t = ctx.aux(1)
-    ctx.psd(x - t.select(_diag_embed(n)), n)
     return t
 
 
@@ -70,16 +61,10 @@ lambda_max = AtomDescriptor(
     sample=_sym_sample,
 )
 
-lambda_min = AtomDescriptor(
-    name="lambda_min", display="lambda_min",
-    shape_out=_square_in,
-    sign_out=lambda s, p: Sign.UNKNOWN,
-    base_curvature=const(Curvature.CONCAVE),
-    monotonicity=monos(_NONMONO),
-    evaluate=lambda v, p: np.linalg.eigvalsh(_symmetrize(v[0]))[0],
-    graph=_lambda_min_graph,
-    sample=_sym_sample,
-)
+
+def lambda_min(X):
+    """The least eigenvalue of sym(X), as -lambda_max(-X)."""
+    return negate(lambda_max(negate(X)))
 
 
 # -- log_det ---------------------------------------------------------------------
@@ -161,19 +146,12 @@ log_sum_exp = AtomDescriptor(
 )
 
 
-# -- max_entries / min_entries --------------------------------------------------------
+# -- max_entries, and min_entries built from it ------------------------------
 
 def _max_entries_graph(ctx, forms, params):
     (x,) = forms
     t = ctx.aux(1)
     ctx.nonneg(t.broadcast_to(x.size) - x)
-    return t
-
-
-def _min_entries_graph(ctx, forms, params):
-    (x,) = forms
-    t = ctx.aux(1)
-    ctx.nonneg(x - t.broadcast_to(x.size))
     return t
 
 
@@ -187,15 +165,10 @@ max_entries = AtomDescriptor(
     graph=_max_entries_graph,
 )
 
-min_entries = AtomDescriptor(
-    name="min_entries", display="min_entries",
-    shape_out=scalar_shape,
-    sign_out=lambda s, p: s[0],
-    base_curvature=const(Curvature.CONCAVE),
-    monotonicity=monos(_INC),
-    evaluate=lambda v, p: np.min(v[0]),
-    graph=_min_entries_graph,
-)
+
+def min_entries(x):
+    """The least entry, as -max_entries(-x)."""
+    return negate(max_entries(negate(x)))
 
 
 # -- norms -----------------------------------------------------------------------------
@@ -348,7 +321,7 @@ quad_form = AtomDescriptor(
 )
 
 
-# -- quad_over_lin -------------------------------------------------------------------------
+# -- quad_over_lin, and sum_squares built from it ----------------------------
 
 def _qol_shape(shapes, params):
     if not shapes[1].is_scalar:
@@ -378,22 +351,6 @@ quad_over_lin = AtomDescriptor(
 )
 
 
-# -- sum_squares ------------------------------------------------------------------------------
-
-def _sum_squares_graph(ctx, forms, params):
-    (x,) = forms
-    t = ctx.aux(1)
-    one = LinForm.constant([1.0])
-    ctx.soc([one + t, one - t, 2.0 * x])
-    return t
-
-
-sum_squares = AtomDescriptor(
-    name="sum_squares", display="sum_squares",
-    shape_out=scalar_shape,
-    sign_out=lambda s, p: Sign.NONNEG,
-    base_curvature=const(Curvature.CONVEX),
-    monotonicity=monos(_SIGNDEP),
-    evaluate=lambda v, p: float(np.sum(v[0] ** 2)),
-    graph=_sum_squares_graph,
-)
+def sum_squares(x):
+    """The sum of squared entries, as quad_over_lin(x, 1)."""
+    return quad_over_lin(x, 1.0)

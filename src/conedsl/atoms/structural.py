@@ -7,15 +7,13 @@ lowering takes the source of each output entry from their evaluate.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import DCPError, InputError, ShapeError
 from ..expr import (ConstantExpr, Curvature, Expression,
                     Monotonicity, Shape, Sign, as_expression, as_int,
-                    constant_value, make_shape, sign_add, sign_mul, sign_neg,
-                    sign_of_values)
+                    constant_value, make_shape, require_finite, sign_add,
+                    sign_mul, sign_neg, sign_of_values)
 from ..lin import (cumsum_axis_map, diff_map, matmul_left_map,
                    matmul_right_map, sum_axis_map, trace_map)
 from .base import AtomDescriptor, const, monos, same_shape
@@ -61,10 +59,7 @@ def constant_operand(c):
     again; a plain number becomes a 1 x 1 array without a node, after the
     node's own finiteness check."""
     if isinstance(c, (int, float, np.integer, np.floating)):
-        c = float(c)
-        if not math.isfinite(c):
-            raise InputError(f"constant has non-finite entry {c} at index (0, 0)")
-        values = np.array([[c]])
+        values = require_finite(np.array([[float(c)]]), "constant")
         return values, sign_of_values(values)
     e = as_expression(c)
     if isinstance(e, ConstantExpr):
@@ -170,7 +165,7 @@ def divide(x, c):
         raise ShapeError("division requires a scalar constant divisor")
     c = float(c.item())
     if c == 0:
-        raise ZeroDivisionError("division of an expression by zero")
+        raise InputError("division of an expression by zero")
     return mul_elemwise(x, 1.0 / c)
 
 
@@ -450,8 +445,8 @@ matrix_trace = AtomDescriptor(
 
 def _cumsum_shape(shapes, params):
     if params["axis"] not in (1, 2):
-        raise ShapeError("cumsum_axis requires axis 1 or 2; axis=None is not "
-                         "accepted")
+        raise ShapeError("cumsum_axis axis must be 1 or 2; got "
+                         f"{params['axis']!r}")
     return shapes[0]
 
 

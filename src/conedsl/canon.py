@@ -30,7 +30,7 @@ from . import linalg
 from .errors import DCPError, InputError, SchemaError, ShapeError
 from .cones import KINDS, layout
 from .expr import (AtomExpr, Constraint, Curvature, Expression, Variable,
-                   dcp_check)
+                   constant_value, dcp_check)
 from .lin import LinForm, flat_index, svec_map
 
 
@@ -261,7 +261,7 @@ class Lowerer:
         if isinstance(e, Variable):
             form = self.ctx.variable(e)
         elif e.curvature == Curvature.CONSTANT:
-            form = LinForm.constant(e.value({}).ravel(order="F"))
+            form = LinForm.constant(constant_value(e).ravel(order="F"))
         elif isinstance(e, AtomExpr):
             child_forms = [self.lower(a) for a in e.args]
             if e.atom.copies_entries:

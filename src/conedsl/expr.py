@@ -309,6 +309,16 @@ def _as_2d(val) -> np.ndarray:
     return arr
 
 
+def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """arr, if its entries are finite; else an InputError naming what
+    holds it and its first non-finite entry in row-major order."""
+    if not np.isfinite(arr).all():
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise InputError(f"{what} has non-finite entry {arr[i, j]} "
+                         f"at index ({i}, {j})")
+    return arr
+
+
 def to_matrix(val, shape: Shape) -> np.ndarray:
     """Coerce a scalar / 1-D / 2-D value to the expression's 2-D shape."""
     arr = _as_2d(val)
@@ -324,10 +334,7 @@ class ConstantExpr(Expression):
         arr = _as_2d(values)
         if arr.ndim != 2:
             raise ShapeError("constants must be at most 2-dimensional")
-        if not np.isfinite(arr).all():
-            i, j = np.argwhere(~np.isfinite(arr))[0]
-            raise InputError(f"constant has non-finite entry {arr[i, j]} "
-                             f"at index ({i}, {j})")
+        require_finite(arr, "constant")
         super().__init__(make_shape(*arr.shape), sign_of_values(arr),
                          Curvature.CONSTANT)
         self.values = arr
@@ -354,10 +361,18 @@ def as_expression(obj) -> Expression:
 
 
 def constant_value(e: Expression) -> np.ndarray:
-    """Numeric value of a constant subtree."""
+    """Numeric value of a constant subtree. A non-finite entry, such as
+    log(0.0) makes, raises InputError naming the innermost node that made
+    it from finite arguments."""
     if e.curvature != Curvature.CONSTANT:
         raise DCPError("expression is not constant")
-    return e.value({})
+    with np.errstate(all="ignore"):
+        values = e.value({})
+    if not np.isfinite(values).all():
+        for a in getattr(e, "args", ()):
+            constant_value(a)
+        require_finite(values, e.label())
+    return values
 
 
 class AtomExpr(Expression):

@@ -19,7 +19,8 @@ from conedsl.errors import DCPError
 from conedsl.examples import ExampleConfig, run_example
 from conedsl.rng import SplitMix64
 
-from test_atoms import (CASES, CASE_IDS, REGISTRY, build_expr, case_atom,
+from test_atoms import (ALL_IDS, CASE_IDS, COMPOSITIONS, ENTRIES, REGISTRY,
+                        build_expr, case_atom, check_dcp_verdicts, evaluator,
                         flat, sample_values)
 from test_generator import SEEDS as GEN_SEEDS
 from test_generator import build_problem, grid_minimum
@@ -377,27 +378,31 @@ def test_criterion_13_atom_conformance():
         covered = {case_atom(cid) for cid in CASE_IDS}
         assert covered == set(REGISTRY)
         rng = SplitMix64(5150)
-        for cid in CASE_IDS:
-            case = CASES[cid]
-            e, _ = build_expr(cid)
-            d = REGISTRY[case_atom(cid)]
+        for cid in ALL_IDS:
+            case = ENTRIES[cid]
+            e, the_vars = build_expr(cid)
+            value = evaluator(cid, e, the_vars)
             assert e.curvature is case["curv"], cid
             assert e.sign is case["sign"], cid
-            assert d.monotonicity([a.sign for a in e.args],
-                                  e.params) == case["mono"], cid
+            if cid in COMPOSITIONS:
+                check_dcp_verdicts(cid)
+            else:
+                d = REGISTRY[case_atom(cid)]
+                assert d.monotonicity([a.sign for a in e.args],
+                                      e.params) == case["mono"], cid
             for _ in range(10):
                 vals = sample_values(cid, rng)
-                got = flat(d.evaluate(vals, e.params))
+                got = flat(value(vals))
                 want = flat(case["ref"](vals))
                 assert np.allclose(got, want, atol=1e-10), cid
             # convexity/concavity holds along sampled segments
             for _ in range(5):
                 va = sample_values(cid, rng)
                 vb = sample_values(cid, rng)
-                fa = flat(d.evaluate(va, e.params))
-                fb = flat(d.evaluate(vb, e.params))
+                fa = flat(value(va))
+                fb = flat(value(vb))
                 vm = [0.5 * a + 0.5 * b for a, b in zip(va, vb)]
-                fm = flat(d.evaluate(vm, e.params))
+                fm = flat(value(vm))
                 chord = 0.5 * fa + 0.5 * fb
                 tol = 1e-8 * (1.0 + np.max(np.abs(chord)))
                 if case["curv"] in (cd.Curvature.CONVEX, cd.Curvature.AFFINE):

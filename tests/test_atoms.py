@@ -127,10 +127,6 @@ CASES = {
         shapes=[(3, 3)], facade=lambda a: cd.lambda_max(a[0]),
         ref=lambda v: np.linalg.eigvalsh((v[0] + v[0].T) / 2)[-1],
         curv=CVX, sign=UNK, mono=[M.NONMONOTONE]),
-    "lambda_min": dict(
-        shapes=[(3, 3)], facade=lambda a: cd.lambda_min(a[0]),
-        ref=lambda v: np.linalg.eigvalsh((v[0] + v[0].T) / 2)[0],
-        curv=CCV, sign=UNK, mono=[M.NONMONOTONE]),
     "log": dict(
         shapes=[(3, 1)], facade=lambda a: cd.log(a[0]),
         ref=lambda v: np.log(v[0]),
@@ -172,14 +168,6 @@ CASES = {
         shapes=[(4, 1)], facade=lambda a: cd.max_entries(a[0]),
         ref=lambda v: np.max(v[0]),
         curv=CVX, sign=UNK, mono=[M.INCREASING]),
-    "min_elemwise": dict(
-        shapes=[(3, 1), (3, 1)], facade=lambda a: cd.min_elemwise(a[0], a[1]),
-        ref=lambda v: np.minimum(v[0], v[1]),
-        curv=CCV, sign=UNK, mono=[M.INCREASING, M.INCREASING]),
-    "min_entries": dict(
-        shapes=[(4, 1)], facade=lambda a: cd.min_entries(a[0]),
-        ref=lambda v: np.min(v[0]),
-        curv=CCV, sign=UNK, mono=[M.INCREASING]),
     "mul_elemwise": dict(
         shapes=[(3, 1)], facade=lambda a: cd.mul_elemwise(np.abs(CN), a[0]),
         ref=lambda v: np.abs(CN) * v[0],
@@ -194,18 +182,10 @@ CASES = {
         shapes=[(3, 1)], facade=lambda a: cd.mul_elemwise(CMIX, a[0]),
         ref=lambda v: CMIX * v[0],
         curv=AFF, sign=UNK, mono=[M.NONMONOTONE]),
-    "neg": dict(
-        shapes=[(3, 1)], facade=lambda a: cd.neg(a[0]),
-        ref=lambda v: np.maximum(-v[0], 0.0),
-        curv=CVX, sign=NN, mono=[M.DECREASING]),
     "negate": dict(
         shapes=[(3, 1)], facade=lambda a: -a[0],
         ref=lambda v: -v[0],
         curv=AFF, sign=UNK, mono=[M.DECREASING]),
-    "pos": dict(
-        shapes=[(3, 1)], facade=lambda a: cd.pos(a[0]),
-        ref=lambda v: np.maximum(v[0], 0.0),
-        curv=CVX, sign=NN, mono=[M.INCREASING]),
     "quad_form": dict(
         shapes=[(3, 1), (3, 3)], facade=lambda a: cd.quad_form(a[0], R_PSD),
         ref=lambda v: v[0].T @ v[1] @ v[0],
@@ -253,10 +233,6 @@ CASES = {
         shapes=[(2, 3)], facade=lambda a: cd.sum_entries(a[0]),
         ref=lambda v: np.sum(v[0]),
         curv=AFF, sign=UNK, mono=[M.INCREASING]),
-    "sum_squares": dict(
-        shapes=[(4, 1)], facade=lambda a: cd.sum_squares(a[0]),
-        ref=lambda v: float(np.sum(v[0] ** 2)),
-        curv=CVX, sign=NN, mono=[M.SIGN_DEPENDENT]),
     "transpose": dict(
         shapes=[(2, 3)], facade=lambda a: a[0].T,
         ref=lambda v: v[0].T,
@@ -267,7 +243,61 @@ CASES = {
         curv=AFF, sign=UNK, mono=[M.INCREASING, M.INCREASING]),
 }
 
+# the names that CVXR defines as compositions of the atoms above, with the
+# same fields; sample draws the variables' values. A composition has no
+# descriptor of its own, so its values are read through Expression.value
+# on the expression it builds and its monotonicity through DCP verdicts.
+COMPOSITIONS = {
+    "lambda_min": dict(
+        shapes=[(3, 3)], facade=lambda a: cd.lambda_min(a[0]),
+        ref=lambda v: np.linalg.eigvalsh((v[0] + v[0].T) / 2)[0],
+        curv=CCV, sign=UNK, mono=[M.NONMONOTONE],
+        sample=lambda rng: [(lambda A: (A + A.T) / 2)(rng.normals(3, 3))]),
+    "min_elemwise": dict(
+        shapes=[(3, 1), (3, 1)], facade=lambda a: cd.min_elemwise(a[0], a[1]),
+        ref=lambda v: np.minimum(v[0], v[1]),
+        curv=CCV, sign=UNK, mono=[M.INCREASING, M.INCREASING]),
+    "min_entries": dict(
+        shapes=[(4, 1)], facade=lambda a: cd.min_entries(a[0]),
+        ref=lambda v: np.min(v[0]),
+        curv=CCV, sign=UNK, mono=[M.INCREASING]),
+    "neg": dict(
+        shapes=[(3, 1)], facade=lambda a: cd.neg(a[0]),
+        ref=lambda v: np.maximum(-v[0], 0.0),
+        curv=CVX, sign=NN, mono=[M.DECREASING]),
+    "pos": dict(
+        shapes=[(3, 1)], facade=lambda a: cd.pos(a[0]),
+        ref=lambda v: np.maximum(v[0], 0.0),
+        curv=CVX, sign=NN, mono=[M.INCREASING]),
+    "sum_squares": dict(
+        shapes=[(4, 1)], facade=lambda a: cd.sum_squares(a[0]),
+        ref=lambda v: float(np.sum(v[0] ** 2)),
+        curv=CVX, sign=NN, mono=[M.SIGN_DEPENDENT]),
+}
+
+ENTRIES = {**CASES, **COMPOSITIONS}
 CASE_IDS = list(CASES)
+ALL_IDS = CASE_IDS + list(COMPOSITIONS)
+
+# arguments of known curvature and sign over a variable y
+PROBES = {
+    "affine": lambda y: y,
+    "convex nonneg": lambda y: cd.square(y),
+    "concave nonpos": lambda y: -cd.square(y),
+    "convex": lambda y: cd.square(y) - 1.0,
+    "concave": lambda y: 1.0 - cd.square(y),
+}
+# the probes a convex function accepts in an argument, by its monotonicity
+# there; a concave function accepts what a convex one of the mirrored
+# monotonicity does
+CONVEX_ACCEPTS = {
+    M.INCREASING: {"affine", "convex nonneg", "convex"},
+    M.DECREASING: {"affine", "concave nonpos", "concave"},
+    M.SIGN_DEPENDENT: {"affine", "convex nonneg", "concave nonpos"},
+    M.NONMONOTONE: {"affine"},
+}
+MIRROR = {M.INCREASING: M.DECREASING, M.DECREASING: M.INCREASING,
+          M.NONMONOTONE: M.NONMONOTONE}
 
 
 def case_atom(cid):
@@ -275,15 +305,20 @@ def case_atom(cid):
 
 
 def build_expr(cid):
-    case = CASES[cid]
+    case = ENTRIES[cid]
     arg_vars = [cd.Variable(r, c, name=f"a{i}")
                 for i, (r, c) in enumerate(case["shapes"])]
     var_idx = case.get("var_idx", list(range(len(arg_vars))))
     the_vars = [arg_vars[i] for i in var_idx]
-    return CASES[cid]["facade"](the_vars), the_vars
+    return case["facade"](the_vars), the_vars
 
 
 def sample_values(cid, rng):
+    if cid in COMPOSITIONS:
+        case = COMPOSITIONS[cid]
+        if "sample" in case:
+            return case["sample"](rng)
+        return [rng.normals(r, c) for r, c in case["shapes"]]
     case = CASES[cid]
     e, _ = build_expr(cid)
     shapes = [make_shape(r, c) for r, c in case["shapes"]]
@@ -296,40 +331,79 @@ def sample_values(cid, rng):
     return vals
 
 
+def evaluator(cid, e, the_vars):
+    """Sampled argument values -> the value of e: its atom's evaluate,
+    or Expression.value for a composition."""
+    if cid in COMPOSITIONS:
+        return lambda vals: e.value(dict(zip(the_vars, vals)))
+    d = REGISTRY[case_atom(cid)]
+    return lambda vals: d.evaluate(vals, e.params)
+
+
+def check_dcp_verdicts(cid):
+    """A composition's monotonicity claims, read as the DCP verdicts they
+    imply: with a probe in one argument and variables in the others, the
+    objective is accepted exactly when the claim accepts the probe."""
+    case = COMPOSITIONS[cid]
+    sense = cd.Minimize if case["curv"] is CVX else cd.Maximize
+    for i, claim in enumerate(case["mono"]):
+        accepts = CONVEX_ACCEPTS[claim if case["curv"] is CVX
+                                 else MIRROR[claim]]
+        for probe, build in PROBES.items():
+            args = [cd.Variable(r, c) for r, c in case["shapes"]]
+            args[i] = build(args[i])
+            e = case["facade"](args)
+            body = e if e.is_scalar else cd.sum_entries(e)
+            assert cd.Problem(sense(body)).is_dcp() == (probe in accepts), \
+                (cid, i, probe)
+
+
+def atoms_in(e):
+    if not isinstance(e, AtomExpr):
+        return set()
+    return {e.atom}.union(*(atoms_in(a) for a in e.args))
+
+
 def flat(x):
     return np.asarray(x, dtype=float).reshape(-1)
 
 
 def test_every_registry_atom_is_covered():
     assert {case_atom(cid) for cid in CASES} == set(REGISTRY)
+    assert not set(COMPOSITIONS) & set(REGISTRY)
 
 
-@pytest.mark.parametrize("cid", CASE_IDS)
+@pytest.mark.parametrize("cid", ALL_IDS)
 def test_facade_builds_registered_atom(cid):
     e, _ = build_expr(cid)
     assert isinstance(e, AtomExpr)
-    assert e.atom.name == case_atom(cid)
+    if cid in CASES:
+        assert e.atom.name == case_atom(cid)
+        return
+    # a composition builds registered atoms only, and none has its name
+    assert all(REGISTRY[a.name] is a for a in atoms_in(e))
+    with pytest.raises(UnsupportedAtomError, match=f"^unknown atom '{cid}'$"):
+        get_atom(cid)
 
 
-@pytest.mark.parametrize("cid", CASE_IDS)
+@pytest.mark.parametrize("cid", ALL_IDS)
 def test_evaluate_matches_reference(cid):
-    e, _ = build_expr(cid)
-    d = REGISTRY[case_atom(cid)]
+    e, the_vars = build_expr(cid)
+    value = evaluator(cid, e, the_vars)
     rng = SplitMix64(2024)
     for _ in range(25):
         vals = sample_values(cid, rng)
-        got = d.evaluate(vals, e.params)
-        want = CASES[cid]["ref"](vals)
+        got = value(vals)
+        want = ENTRIES[cid]["ref"](vals)
         assert np.allclose(flat(got), flat(want), atol=1e-10), cid
 
 
-@pytest.mark.parametrize("cid", CASE_IDS)
+@pytest.mark.parametrize("cid", ALL_IDS)
 def test_shape_claim_matches_value(cid):
-    e, _ = build_expr(cid)
-    d = REGISTRY[case_atom(cid)]
+    e, the_vars = build_expr(cid)
     rng = SplitMix64(77)
     vals = sample_values(cid, rng)
-    got = np.asarray(d.evaluate(vals, e.params), dtype=float)
+    got = np.asarray(evaluator(cid, e, the_vars)(vals), dtype=float)
     rows, cols = e.shape
     assert got.size == rows * cols
     if got.ndim == 2:
@@ -338,37 +412,40 @@ def test_shape_claim_matches_value(cid):
         assert rows * cols == 1
 
 
-@pytest.mark.parametrize("cid", CASE_IDS)
+@pytest.mark.parametrize("cid", ALL_IDS)
 def test_expression_value_path(cid):
     e, the_vars = build_expr(cid)
-    d = REGISTRY[case_atom(cid)]
+    # a composition's value has no evaluate of its own to agree with, so
+    # it is held to the reference
+    want_of = (ENTRIES[cid]["ref"] if cid in COMPOSITIONS
+               else evaluator(cid, e, the_vars))
     rng = SplitMix64(99)
-    case = CASES[cid]
+    case = ENTRIES[cid]
     var_idx = case.get("var_idx", list(range(len(case["shapes"]))))
     for _ in range(5):
         vals = sample_values(cid, rng)
         env = {v: vals[i] for v, i in zip(the_vars, var_idx)}
         got = e.value(env)
-        want = d.evaluate(vals, e.params)
+        want = want_of(vals)
         assert np.allclose(flat(got), flat(want), atol=1e-12)
 
 
-@pytest.mark.parametrize("cid", CASE_IDS)
+@pytest.mark.parametrize("cid", ALL_IDS)
 def test_curvature_claim(cid):
-    e, _ = build_expr(cid)
-    case = CASES[cid]
+    e, the_vars = build_expr(cid)
+    case = ENTRIES[cid]
     assert e.curvature is case["curv"]
     # numeric soundness via segment tests
-    d = REGISTRY[case_atom(cid)]
+    value = evaluator(cid, e, the_vars)
     rng = SplitMix64(314)
     for _ in range(15):
         va = sample_values(cid, rng)
         vb = sample_values(cid, rng)
-        fa = flat(d.evaluate(va, e.params))
-        fb = flat(d.evaluate(vb, e.params))
+        fa = flat(value(va))
+        fb = flat(value(vb))
         for theta in (0.25, 0.5, 0.75):
             vm = [theta * a + (1 - theta) * b for a, b in zip(va, vb)]
-            fm = flat(d.evaluate(vm, e.params))
+            fm = flat(value(vm))
             chord = theta * fa + (1 - theta) * fb
             tol = 1e-8 * (1.0 + np.max(np.abs(chord)))
             if case["curv"] in (CVX, AFF):
@@ -377,29 +454,34 @@ def test_curvature_claim(cid):
                 assert np.all(fm >= chord - tol), cid
 
 
-@pytest.mark.parametrize("cid", CASE_IDS)
+@pytest.mark.parametrize("cid", ALL_IDS)
 def test_sign_claim(cid):
-    e, _ = build_expr(cid)
-    case = CASES[cid]
+    e, the_vars = build_expr(cid)
+    case = ENTRIES[cid]
     assert e.sign is case["sign"]
-    d = REGISTRY[case_atom(cid)]
+    value = evaluator(cid, e, the_vars)
     rng = SplitMix64(2718)
     for _ in range(20):
         vals = sample_values(cid, rng)
-        got = flat(d.evaluate(vals, e.params))
+        got = flat(value(vals))
         if case["sign"] is NN:
             assert np.all(got >= -1e-10), cid
         elif case["sign"] is NP_:
             assert np.all(got <= 1e-10), cid
 
 
-@pytest.mark.parametrize("cid", CASE_IDS)
+@pytest.mark.parametrize("cid", ALL_IDS)
 def test_monotonicity_claim(cid):
-    e, _ = build_expr(cid)
-    case = CASES[cid]
-    d = REGISTRY[case_atom(cid)]
-    claims = d.monotonicity([a.sign for a in e.args], e.params)
-    assert claims == case["mono"]
+    e, the_vars = build_expr(cid)
+    case = ENTRIES[cid]
+    if cid in COMPOSITIONS:
+        check_dcp_verdicts(cid)
+        claims = case["mono"]
+    else:
+        d = REGISTRY[case_atom(cid)]
+        claims = d.monotonicity([a.sign for a in e.args], e.params)
+        assert claims == case["mono"]
+    value = evaluator(cid, e, the_vars)
     rng = SplitMix64(1618)
     for _ in range(15):
         vals = sample_values(cid, rng)
@@ -413,20 +495,20 @@ def test_monotonicity_claim(cid):
                 base[i] = np.abs(base[i])
                 up = [v.copy() for v in base]
                 up[i] = up[i] + bump
-                f0 = flat(d.evaluate(base, e.params))
-                f1 = flat(d.evaluate(up, e.params))
+                f0 = flat(value(base))
+                f1 = flat(value(up))
                 assert np.all(f1 >= f0 - 1e-9), cid
                 base[i] = -base[i]
                 dn = [v.copy() for v in base]
                 dn[i] = dn[i] - bump
-                f0 = flat(d.evaluate(base, e.params))
-                f1 = flat(d.evaluate(dn, e.params))
+                f0 = flat(value(base))
+                f1 = flat(value(dn))
                 assert np.all(f1 >= f0 - 1e-9), cid
                 continue
             up = [v.copy() for v in vals]
             up[i] = up[i] + bump
-            f0 = flat(d.evaluate(vals, e.params))
-            f1 = flat(d.evaluate(up, e.params))
+            f0 = flat(value(vals))
+            f1 = flat(value(up))
             if claim is M.INCREASING:
                 assert np.all(f1 >= f0 - 1e-9), cid
             else:

@@ -1,6 +1,7 @@
 import json
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -586,6 +587,225 @@ def test_lowering_builds_sparse_matrices_independent_of_size(monkeypatch):
     small = counts(one_row_constraints(100))
     large = counts(one_row_constraints(2000))
     assert small == large and small["compressed"] == 1
+
+
+@pytest.mark.parametrize("objective, constraint, message", [
+    (lambda x: x + cd.inv_pos(0.0), None,
+     "inv_pos has non-finite entry inf at index (0, 0)"),
+    (lambda x: x + cd.log(0.0), None,
+     "log has non-finite entry -inf at index (0, 0)"),
+    (lambda x: x + cd.log(-1.0), None,
+     "log has non-finite entry nan at index (0, 0)"),
+    (lambda x: x + cd.sqrt(-1.0), None,
+     "sqrt has non-finite entry nan at index (0, 0)"),
+    (lambda x: x, lambda x: x >= cd.log(0.0),
+     "log has non-finite entry -inf at index (0, 0)"),
+], ids=["inv_pos-0", "log-0", "log-minus-1", "sqrt-minus-1",
+        "constraint-log-0"])
+def test_out_of_domain_constant_names_its_atom(objective, constraint, message):
+    # the rules accept an atom of a constant outside its domain; folding
+    # it refuses the non-finite value, so no solve ends optimal at an
+    # infinite or NaN objective, and no numpy warning escapes
+    x = cd.Variable(name="x")
+    constraints = [x >= 0] + ([constraint(x)] if constraint else [])
+    prob = cd.Problem(cd.Minimize(objective(x)), constraints)
+    assert prob.is_dcp()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            cd.solve(prob)
+
+
+@pytest.mark.parametrize("field", ["c", "b", "A.vals"])
+def test_cone_program_rejects_nonfinite_data(field):
+    prob, _ = small_lp()
+    cp, _ = canon.canonicalize(prob)
+    data = {"c": cp.c.copy(), "b": cp.b.copy(), "A.vals": cp.A.vals.copy()}
+    data[field][1] = np.inf
+    A = linalg.SparseMatrix((data["A.vals"], cp.A.rowidx, cp.A.colptr),
+                            shape=(cp.m, cp.n))
+    with pytest.raises(InputError, match=re.escape(f"{field}[1] is inf")):
+        canon.ConeProgram(c=data["c"], A=A, b=data["b"], cones=cp.cones)
+
+
+def test_cone_program_keeps_a_canonical_matrix():
+    prob, _ = small_lp()
+    cp, _ = canon.canonicalize(prob)
+    again = canon.ConeProgram(c=cp.c, A=cp.A, b=cp.b, cones=cp.cones)
+    assert again.A is cp.A
+
+
+def test_cone_program_accepts_any_scipy_sparse_matrix():
+    prob, _ = small_lp()
+    cp, vmap = canon.canonicalize(prob)
+    want = canon.export_json(cp, vmap)
+    for A in (sp.csc_matrix(cp.A.toarray()), sp.coo_array(cp.A.toarray()),
+              sp.csr_matrix(cp.A.toarray().astype(int))):
+        plain = canon.ConeProgram(c=cp.c, A=A, b=cp.b, cones=cp.cones)
+        assert isinstance(plain.A, linalg.SparseMatrix)
+        assert canon.export_json(plain, vmap) == want
+
+
+def test_cone_program_canonicalizes_its_matrix():
+    # a stored zero, and the rows of the one column out of order
+    A = linalg.SparseMatrix(([0.0, 1.0], [1, 0], [0, 2]), shape=(2, 1))
+    cp = canon.ConeProgram(c=[1.0], A=A, b=[1.0, 0.0],
+                           cones=canon.ConeSpec(nonneg=2))
+    assert list(cp.A.rowidx) == [0] and list(cp.A.vals) == [1.0]
+    assert list(A.rowidx) == [1, 0]          # the input is left as it was
+    text = canon.export_json(cp, canon.VariableMap(n=1, m=2, vars=[],
+                                                   constrs=[]))
+    back, _ = canon.import_json(text)
+    assert np.array_equal(back.A.toarray(), [[1.0], [0.0]])
+
+
+@pytest.mark.parametrize("A", [np.eye(2), [[1.0, 0.0], [0.0, 1.0]], None])
+def test_cone_program_rejects_a_non_sparse_matrix(A):
+    with pytest.raises(InputError, match="A must be a SciPy sparse matrix"):
+        canon.ConeProgram(c=np.zeros(2), A=A, b=np.zeros(2),
+                          cones=canon.ConeSpec(nonneg=2))
+
+
+@pytest.mark.parametrize("spec", [
+    canon.ConeSpec(soc=[1.5, 1.5]), canon.ConeSpec(zero=2.5, nonneg=0.5),
+    canon.ConeSpec(nonneg=3.0), canon.ConeSpec(ep=0.5),
+    canon.ConeSpec(zero=True, nonneg=2), canon.ConeSpec(soc=[True, 2]),
+    canon.ConeSpec(psd=[np.float64(2.0)]), canon.ConeSpec(soc=(3,)),
+    canon.ConeSpec(psd=2), canon.ConeSpec(nonneg=None)],
+    ids=["soc-float", "zero-float", "nonneg-float", "ep-float", "zero-bool",
+         "soc-bool", "psd-numpy-float", "soc-tuple", "psd-int",
+         "nonneg-none"])
+def test_cone_counts_must_be_integers(spec):
+    # a count is refused, not truncated: soc=[1.5, 1.5] on 3 rows would
+    # otherwise lower, fail to broadcast in the solver and export "q":[1,1]
+    with pytest.raises(ShapeError, match="must be"):
+        canon.ConeProgram(c=np.zeros(1), A=sp.csc_matrix((3, 1)),
+                          b=np.zeros(3), cones=spec)
+
+
+def test_cone_spec_accepts_numpy_integers():
+    spec = canon.ConeSpec(zero=np.int64(1), nonneg=np.int32(1),
+                          soc=[np.int64(3)], psd=[np.int64(1)], ep=np.int64(1))
+    cp = canon.ConeProgram(c=np.zeros(1), A=sp.csc_matrix((9, 1)),
+                           b=np.zeros(9), cones=spec)
+    assert cp.cones.total_dim == 9
+
+
+@pytest.mark.parametrize("cones", [{"z": 1}, None, (0, 1, [], [], 0)],
+                         ids=["dict", "none", "tuple"])
+def test_cone_program_rejects_cones_that_are_not_a_cone_spec(cones):
+    with pytest.raises(InputError, match="cones must be a ConeSpec"):
+        canon.ConeProgram(c=np.zeros(1), A=sp.csc_matrix((1, 1)),
+                          b=np.zeros(1), cones=cones)
+
+
+def test_lowering_is_linear_in_size():
+    # catenary adds one second-order block per link; lowering it must not
+    # cost per-block work that grows with the model (O(k^2) in total)
+    prob = build_example(ExampleConfig("catenary", params={"m": "400"})).problem
+    t0 = time.perf_counter()
+    cp, _ = canon.canonicalize(prob)
+    elapsed = time.perf_counter() - t0
+    assert len(cp.cones.soc) == 399
+    assert elapsed < 3.0, f"lowering took {elapsed:.2f}s, budget 3s"
+
+
+def one_row_constraints(k):
+    xs = [cd.Variable(name=f"x{i}") for i in range(k)]
+    return cd.Problem(cd.Minimize(xs[0]), [x >= 0 for x in xs])
+
+
+def test_lowering_one_row_constraints_within_budget():
+    # each constraint is a few form operations on one row, so a fixed cost
+    # per operation shows here; the budget is 5x a first call on a 2-core
+    # machine (about 0.3 s, the ruleset check included)
+    prob = one_row_constraints(4000)
+    t0 = time.perf_counter()
+    cp, _ = canon.canonicalize(prob)
+    elapsed = time.perf_counter() - t0
+    assert cp.cones.nonneg == 4000 and cp.A.nnz == 4000
+    assert elapsed < 1.5, f"lowering took {elapsed:.2f}s, budget 1.5s"
+
+
+def test_building_checking_and_lowering_one_row_constraints_within_budget():
+    # each row builds six atom nodes, and each node infers its sign and
+    # curvature once, when it is built; the budget is 5x building, checking
+    # and lowering on a 2-core machine (about 0.6 s)
+    k = 4000
+    t0 = time.perf_counter()
+    x = cd.Variable(k + 1, name="x")
+    prob = cd.Problem(cd.Minimize(cd.sum_entries(x)),
+                      [x[i] + 2.0 * x[i + 1] <= 1.0 for i in range(k)])
+    assert cd.dcp_check(prob).accepted
+    cp, _ = canon.canonicalize(prob)
+    elapsed = time.perf_counter() - t0
+    assert cp.cones.nonneg == k and cp.A.nnz == 2 * k
+    assert elapsed < 3.0, f"build, check and lowering took {elapsed:.2f}s, " \
+        "budget 3s"
+
+
+def count_sparse_constructions(monkeypatch, fn):
+    """Run fn, counting the scipy sparse matrices built: all kinds, and
+    compressed (CSR/CSC) ones."""
+    from scipy.sparse import _base, _compressed
+    # the base class of every sparse matrix: _spbase from scipy 1.11 on,
+    # spmatrix before
+    base = getattr(_base, "_spbase", None) or _base.spmatrix
+    counts = {"all": 0, "compressed": 0}
+    for cls, key in ((base, "all"), (_compressed._cs_matrix, "compressed")):
+        def counted(self, *args, _init=cls.__init__, _key=key, **kw):
+            counts[_key] += 1
+            _init(self, *args, **kw)
+        monkeypatch.setattr(cls, "__init__", counted)
+    fn()
+    monkeypatch.undo()
+    return counts
+
+
+def test_lowering_builds_sparse_matrices_independent_of_size(monkeypatch):
+    # the forms are numpy arrays; scipy builds A once, whatever the size
+    def counts(prob):
+        return count_sparse_constructions(
+            monkeypatch, lambda: canon.canonicalize(prob))
+
+    def catenary(m):
+        return build_example(ExampleConfig(
+            "catenary", params={"m": str(m)})).problem
+
+    small, large = counts(catenary(51)), counts(catenary(401))
+    assert small == large and small["compressed"] == 1
+    small = counts(one_row_constraints(100))
+    large = counts(one_row_constraints(2000))
+    assert small == large and small["compressed"] == 1
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda x: cd.Minimize(x + cd.inv_pos(0.0)),
+     "inv_pos has non-finite entry inf at index (0, 0)"),
+    (lambda x: cd.Minimize(x + cd.log(0.0)),
+     "log has non-finite entry -inf at index (0, 0)"),
+    (lambda x: cd.Minimize(x + cd.log(-1.0)),
+     "log has non-finite entry nan at index (0, 0)"),
+    (lambda x: cd.Minimize(x + cd.sqrt(-1.0)),
+     "sqrt has non-finite entry nan at index (0, 0)"),
+    (lambda x: [cd.Minimize(x), x >= cd.log(0.0)],
+     "log has non-finite entry -inf at index (0, 0)"),
+], ids=["inv_pos-0", "log-0", "log-minus-1", "sqrt-minus-1",
+        "constraint-log-0"])
+def test_out_of_domain_constant_names_its_atom(build, message):
+    # the rules accept an atom of a constant outside its domain; folding
+    # it refuses the non-finite value, so no solve ends optimal at an
+    # infinite or NaN objective, and no numpy warning escapes
+    x = cd.Variable(name="x")
+    built = build(x)
+    objective, extra = (built[0], built[1:]) if isinstance(built, list) \
+        else (built, [])
+    prob = cd.Problem(objective, [x >= 0] + extra)
+    assert prob.is_dcp()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            cd.solve(prob)
 
 
 @pytest.mark.parametrize("field", ["c", "b", "A.vals"])

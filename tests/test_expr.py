@@ -1,5 +1,6 @@
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from conedsl import canon
 from conedsl.atoms.structural import _normalize_sel
 from conedsl.expr import (AtomExpr, Curvature, Monotonicity, Sign,
                           resolve_monotonicity, sign_of_values, violation_path)
-from conedsl.errors import DCPError, InputError, ShapeError
+from conedsl.errors import (DCPError, InputError, ShapeError,
+                            UnsupportedAtomError)
 from conedsl.rng import SplitMix64
 
 
@@ -703,3 +705,60 @@ def test_nonfinite_constant_names_its_first_bad_entry():
     with pytest.raises(InputError, match=re.escape(
             "constant has non-finite entry -inf at index (0, 2)")):
         cd.Constant(bad)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda x, X: x ** 3, UnsupportedAtomError,
+     "power exponent 3 is not supported; only p = 2 is available"),
+    (lambda x, X: x != 1, DCPError, "!= comparisons are not valid constraints"),
+    (lambda x, X: x * x, DCPError,
+     "cannot multiply two non-constant expressions"),
+    (lambda x, X: x / 0, InputError, "division of an expression by zero"),
+    (lambda x, X: cd.quad_form(x, X), DCPError,
+     "quad_form requires x or P to be constant"),
+    (lambda x, X: cd.quad_form(x, np.array([[1.0, 2.0], [0.0, 1.0]])),
+     DCPError, "quad_form matrix must be symmetric"),
+    (lambda x, X: cd.quad_form(x, np.array([[1.0, 0.0], [0.0, -1.0]])),
+     DCPError, "quad_form with an indefinite matrix is not DCP"),
+    (lambda x, X: cd.hstack(x, cd.Variable(3)), ShapeError,
+     "hstack arguments must share a row count"),
+    (lambda x, X: cd.vstack(x.T, cd.Variable(1, 3)), ShapeError,
+     "vstack arguments must share a column count"),
+    (lambda x, X: cd.diag(cd.Variable(2, 3)), ShapeError,
+     "diag needs a vector or a square matrix"),
+    (lambda x, X: X[0, 0, 0], ShapeError,
+     "matrix indexing takes at most two subscripts"),
+    (lambda x, X: cd.quad_over_lin(x, x), ShapeError,
+     "quad_over_lin denominator must be scalar"),
+    (lambda x, X: cd.cumsum_axis(X, None), ShapeError,
+     "cumsum_axis axis must be 1 or 2; got None"),
+    (lambda x, X: cd.cumsum_axis(X, 3), ShapeError,
+     "cumsum_axis axis must be 1 or 2; got 3"),
+], ids=["power-3", "not-equal", "product-of-variables", "divide-by-zero",
+        "quad_form-no-constant", "quad_form-nonsymmetric",
+        "quad_form-indefinite", "hstack-rows", "vstack-cols",
+        "diag-nonsquare", "index-three-subscripts",
+        "quad_over_lin-vector-denominator", "cumsum-axis-None",
+        "cumsum-axis-3"])
+def test_modeling_error_names_its_cause(build, error, message):
+    x = cd.Variable(2, name="x")
+    X = cd.Variable(2, 2, name="X")
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(x, X)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (257, "log_det has non-finite entry -inf at index (0, 0)"),
+    (387, "inv_pos has non-finite entry inf at index (0, 0)"),
+], ids=["257", "387"])
+def test_random_tree_folding_an_out_of_domain_constant_names_its_atom(
+        seed, message):
+    # 257 takes log_det of a constant that is not positive definite; 387
+    # takes inv_pos of 0 under a negation. The rules accept both, and the
+    # fold refuses them without a numpy warning.
+    p = random_problem(seed)
+    assert cd.dcp_check(p).accepted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            canon.canonicalize(p)

@@ -10,23 +10,22 @@ import pytest
 import scipy.sparse as sp
 
 import conedsl as cd
-from conedsl.atoms import REGISTRY
 from conedsl.canon import GraphContext, Lowerer
 from conedsl.expr import Curvature
 from conedsl.lin import LinForm
 from conedsl.rng import SplitMix64
 
-from test_atoms import CASES, build_expr, case_atom, flat, sample_values
+from test_atoms import ENTRIES, build_expr, evaluator, flat, sample_values
 
-NONLINEAR_IDS = [cid for cid, case in CASES.items()
+NONLINEAR_IDS = [cid for cid, case in ENTRIES.items()
                  if case["curv"] in (Curvature.CONVEX, Curvature.CONCAVE)]
-AFFINE_IDS = [cid for cid, case in CASES.items()
+AFFINE_IDS = [cid for cid, case in ENTRIES.items()
               if case["curv"] is Curvature.AFFINE]
 
 
 @pytest.mark.parametrize("cid", AFFINE_IDS)
 def test_affine_lowering_matches_reference(cid):
-    case = CASES[cid]
+    case = ENTRIES[cid]
     var_idx = case.get("var_idx", list(range(len(case["shapes"]))))
     e, the_vars = build_expr(cid)
     ctx = GraphContext()
@@ -56,8 +55,7 @@ def test_select_takes_minus_one_as_a_zero_row():
 
 @pytest.mark.parametrize("cid", NONLINEAR_IDS)
 def test_pinned_argument_recovers_value(cid):
-    case = CASES[cid]
-    d = REGISTRY[case_atom(cid)]
+    case = ENTRIES[cid]
     rng = SplitMix64(4242)
     for trial in range(8):
         e, the_vars = build_expr(cid)
@@ -71,7 +69,7 @@ def test_pinned_argument_recovers_value(cid):
             prob = cd.Problem(cd.Maximize(body), constraints)
         result = cd.solve(prob, eps_abs=1e-9, eps_rel=1e-9)
         assert result.status == "optimal", cid
-        want = float(np.sum(flat(d.evaluate(vals, e.params))))
+        want = float(np.sum(flat(evaluator(cid, e, the_vars)(vals))))
         assert np.isclose(result.value, want, rtol=1e-6, atol=1e-6), cid
         for v, i in zip(the_vars, var_idx):
             assert np.allclose(result.value_of(v), vals[i], atol=1e-6)

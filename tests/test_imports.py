@@ -11,7 +11,7 @@ import pytest
 
 import conedsl
 import conedsl.atoms
-from conedsl import ShapeError
+from conedsl import ShapeError, UnsupportedAtomError
 from conedsl.atoms import AtomDescriptor, get_atom
 from conedsl.canon import GraphContext, Lowerer
 
@@ -56,10 +56,9 @@ def test_readme_names_in_cones_resolve():
 
 # the atoms that take no params: each public name is the descriptor itself
 PLAIN_ATOMS = {
-    "abs_atom", "entr", "exp", "inv_pos", "log", "logistic", "pos", "neg",
-    "sqrt", "square", "lambda_max", "lambda_min", "log_det", "log_sum_exp",
-    "max_entries", "min_entries", "quad_over_lin", "sum_squares", "add",
-    "negate", "transpose", "hstack", "vstack", "diag", "matrix_trace",
+    "abs_atom", "entr", "exp", "inv_pos", "log", "logistic", "sqrt", "square",
+    "lambda_max", "log_det", "log_sum_exp", "max_entries", "quad_over_lin",
+    "add", "negate", "transpose", "hstack", "vstack", "diag", "matrix_trace",
 }
 
 
@@ -68,8 +67,11 @@ PLAIN_ATOMS = {
 BOUND_ATOMS = {
     "huber", "cvxr_norm", "quad_form", "mul_elemwise", "index",
     "reshape_expr", "diff", "sum_entries", "cumsum_axis", "max_elemwise",
-    "min_elemwise",
 }
+# the names that CVXR defines as compositions: each is a plain function
+# that builds its expression from the atoms above, and no atom has its name
+COMPOSED = {"pos", "neg", "sum_squares", "min_entries", "lambda_min",
+            "min_elemwise"}
 ALIASES = {"abs": "abs_atom", "p_norm": "cvxr_norm",
            "elementwise_product": "mul_elemwise"}
 
@@ -91,26 +93,43 @@ def test_atom_nodes_are_built_only_by_descriptors():
     assert calls == ["__call__"]
 
 
-@pytest.mark.parametrize("name", sorted(conedsl.atoms.REGISTRY))
+@pytest.mark.parametrize("name", sorted(conedsl.atoms.REGISTRY)
+                         + sorted(COMPOSED))
 @pytest.mark.parametrize("cols", [1, 3], ids=["vector", "matrix"])
 def test_registered_atom_called_with_one_variable(name, cols):
     # a node is built whole, with the params its evaluate and graph read,
-    # or the call is refused with a typed error; never a KeyError on params
+    # or the call is refused with a typed error; never a KeyError on params.
+    # A composition is called by its public name.
+    fn = getattr(conedsl, name) if name in COMPOSED else get_atom(name)
     x = conedsl.Variable(3, cols, name="x")
     try:
-        e = get_atom(name)(x)
+        e = fn(x)
     except (TypeError, ShapeError):
         return
     e.value({x: np.arange(1.0, 3.0 * cols + 1.0).reshape(3, cols)})
     Lowerer(GraphContext()).lower(e)
 
 
-@pytest.mark.parametrize("name", sorted(BOUND_ATOMS))
+def check_public_name(name):
+    """The public name's object, which pickles by reference; an atom's
+    is its registered descriptor, and a composition's a plain function
+    that no registered atom stands for."""
+    fn = getattr(conedsl, name)
+    assert pickle.loads(pickle.dumps(fn)) is fn
+    if name not in COMPOSED:
+        assert get_atom(fn.name) is fn
+        assert repr(fn) == f"<atom {fn.name}>"
+        return fn
+    assert name in conedsl.atoms.__all__
+    assert not isinstance(fn, AtomDescriptor)
+    with pytest.raises(UnsupportedAtomError, match=f"^unknown atom '{name}'$"):
+        get_atom(name)
+    return fn
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_ATOMS | {"min_elemwise"}))
 def test_bound_atom_descriptor_acts_as_a_function(name):
-    atom = getattr(conedsl, name)
-    assert get_atom(atom.name) is atom
-    assert pickle.loads(pickle.dumps(atom)) is atom
-    assert repr(atom) == f"<atom {atom.name}>"
+    atom = check_public_name(name)
     x = conedsl.Variable(3, name="x")
     with pytest.raises(TypeError, match=f"^{name}\\(\\) got an unexpected "
                                         "keyword argument 'bogus'"):
@@ -126,17 +145,17 @@ def test_plain_atoms_are_exported_descriptors():
         assert getattr(atoms, alias) is getattr(atoms, name)
 
 
-@pytest.mark.parametrize("name", sorted(PLAIN_ATOMS))
+@pytest.mark.parametrize("name", sorted(PLAIN_ATOMS | COMPOSED
+                                         - {"min_elemwise"}))
 def test_plain_atom_descriptor_acts_as_a_function(name):
-    atom = getattr(conedsl, name)
-    assert get_atom(atom.name) is atom
-    assert pickle.loads(pickle.dumps(atom)) is atom
+    atom = check_public_name(name)
     assert {atom: name}[atom] == name
-    assert repr(atom) == f"<atom {atom.name}>"
     x = conedsl.Variable(2, 2, name="x")
-    if atom.arity is not None:
-        for count in {0, 1, 2, 3} - {atom.arity}:
-            with pytest.raises(TypeError, match=f"{atom.name}\\(\\) takes"):
+    called, arity = (name, 1) if name in COMPOSED else (atom.name, atom.arity)
+    if arity is not None:
+        for count in {0, 1, 2, 3} - {arity}:
+            with pytest.raises(TypeError,
+                               match=f"^{called}\\(\\) (takes|missing)"):
                 atom(*[x] * count)
     with pytest.raises(TypeError, match="unexpected keyword"):
         atom(x, axis=1)
