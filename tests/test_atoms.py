@@ -1,9 +1,9 @@
 """Conformance suite for the atom registry.
 
-Every registered atom gets an independent numpy reference, an expected
-curvature/sign/monotonicity triple, and numeric spot checks of those
-claims (segment tests for curvature, bump tests for monotonicity,
-sample tests for sign).
+Every registered atom, and every public function composed of them, gets
+an independent numpy reference, an expected curvature/sign/monotonicity
+triple, and numeric spot checks of those claims (segment tests for
+curvature, bump tests for monotonicity, sample tests for sign).
 """
 from pathlib import Path
 
@@ -243,6 +243,12 @@ CASES = {
         curv=AFF, sign=UNK, mono=[M.INCREASING, M.INCREASING]),
 }
 
+
+def symmetric_normals(rng, n):
+    A = rng.normals(n, n)
+    return (A + A.T) / 2
+
+
 # the names that CVXR defines as compositions of the atoms above, with the
 # same fields; sample draws the variables' values. A composition has no
 # descriptor of its own, so its values are read through Expression.value
@@ -252,7 +258,7 @@ COMPOSITIONS = {
         shapes=[(3, 3)], facade=lambda a: cd.lambda_min(a[0]),
         ref=lambda v: np.linalg.eigvalsh((v[0] + v[0].T) / 2)[0],
         curv=CCV, sign=UNK, mono=[M.NONMONOTONE],
-        sample=lambda rng: [(lambda A: (A + A.T) / 2)(rng.normals(3, 3))]),
+        sample=lambda rng: [symmetric_normals(rng, 3)]),
     "min_elemwise": dict(
         shapes=[(3, 1), (3, 1)], facade=lambda a: cd.min_elemwise(a[0], a[1]),
         ref=lambda v: np.minimum(v[0], v[1]),
