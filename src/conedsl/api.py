@@ -68,12 +68,8 @@ class Result:
 
     def _environment(self):
         if self._env is None:
-            env = {}
-            for rec in self.vmap.vars:
-                if rec.vid is None:
-                    continue
-                env[rec.vid] = record_value(self.solution, rec)
-            self._env = env
+            self._env = {rec.vid: record_value(self.solution, rec)
+                         for rec in self.vmap.vars}
         return self._env
 
     def value_of(self, expr):

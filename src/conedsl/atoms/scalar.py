@@ -289,6 +289,7 @@ def quad_form(x, P):
     definite matrix (convex when PSD, concave when NSD)."""
     x = as_expression(x)
     P = as_expression(P)
+    _quad_form_shape([x.shape, P.shape], None)  # before P's values are read
     if x.curvature == Curvature.CONSTANT:
         c, sign = constant_operand(x)
         return [x, P], {"mode": "const_x", "c": c, "sign": sign}

@@ -243,8 +243,6 @@ class GraphContext:
                   stacked.select(np.arange(3 * n).reshape(3, n).T.ravel()))
 
     def psd(self, vec_form: LinForm, side: int) -> int:
-        if vec_form.size != side * side:
-            raise ShapeError("psd block form must cover the full matrix")
         self.cones.psd.append(side)
         return self._add("psd", vec_form.left_mul(svec_map(side)))
 
@@ -262,14 +260,12 @@ class Lowerer:
             form = self.ctx.variable(e)
         elif e.curvature == Curvature.CONSTANT:
             form = LinForm.constant(constant_value(e).ravel(order="F"))
-        elif isinstance(e, AtomExpr):
+        else:  # every other expression is an AtomExpr
             child_forms = [self.lower(a) for a in e.args]
             if e.atom.copies_entries:
                 form = LinForm.concat(child_forms).select(_entry_positions(e))
             else:
                 form = e.atom.graph(self.ctx, child_forms, e.params)
-        else:
-            raise TypeError(f"cannot lower {type(e).__name__}")
         self.memo[key] = form
         return form
 

@@ -366,8 +366,7 @@ def constant_value(e: Expression) -> np.ndarray:
     it from finite arguments."""
     if e.curvature != Curvature.CONSTANT:
         raise DCPError("expression is not constant")
-    with np.errstate(all="ignore"):
-        values = e.value({})
+    values = e.value({})
     if not np.isfinite(values).all():
         for a in getattr(e, "args", ()):
             constant_value(a)
@@ -400,8 +399,12 @@ class AtomExpr(Expression):
         return self.atom.display
 
     def value(self, env=None) -> np.ndarray:
+        """The atom's value at env's values; outside its domain an entry
+        is inf or NaN, as numpy gives it, without a numpy warning."""
         vals = [a.value(env) for a in self.args]
-        out = np.asarray(self.atom.evaluate(vals, self.params), dtype=float)
+        with np.errstate(all="ignore"):
+            out = np.asarray(self.atom.evaluate(vals, self.params),
+                             dtype=float)
         return to_matrix(out, self.shape)
 
 

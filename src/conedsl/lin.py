@@ -14,6 +14,13 @@ the one scipy matrix of the cone program, A. Atom graph implementations
 compose these forms, and atoms that only copy entries are lowered as one
 `select`. All matrix flattenings are column-major throughout the package.
 
+Callers hand this module conformant forms and maps: a map's width is the
+size of the form it applies to, two forms added have one size or one has
+a single row, and an axis or a lag is one the atom accepts. Each atom's
+bind and shape rule check these when the expression is built, so the
+code here does not check them again. A form built from a scipy matrix is
+the one way in from outside the package, and it is checked.
+
 The arithmetic gives, bit for bit, what scipy's CSR arithmetic gives:
 
 - An entry of a sum adds at most two terms, one from each operand.
@@ -188,8 +195,6 @@ class LinForm:
         """Apply a constant linear map: M @ form. M is a SparseMap or a
         dense matrix, (k x size)."""
         M = _as_map(M)
-        if M.shape[1] != self.size:
-            raise ShapeError("left_mul: inner dimensions disagree")
         # one product per entry of M and entry of the form row it meets
         lens = _lengths(self.indptr)
         if (lens == 1).all():  # a variable's form: M's entries, rescaled
@@ -236,8 +241,6 @@ class LinForm:
 
     def scale_rows(self, d) -> "LinForm":
         d = np.asarray(d, dtype=float).ravel()
-        if d.size != self.size:
-            raise ShapeError("scale_rows: length mismatch")
         return LinForm._of(self.data * np.repeat(d, _lengths(self.indptr)),
                            self.indices, self.indptr, self.width,
                            self.const * d)
@@ -246,8 +249,6 @@ class LinForm:
         """k copies of a one-row form, as ones((k, 1)) @ form gives them."""
         if self.size == k:
             return self
-        if self.size != 1:
-            raise ShapeError(f"cannot broadcast form of size {self.size} to {k}")
         nnz = self.data.size
         return LinForm._of(np.tile(self.data, k), np.tile(self.indices, k),
                            np.arange(k + 1) * nnz, self.width,
@@ -287,13 +288,10 @@ def _join_rows(a: LinForm, b: LinForm, width: int, const) -> LinForm:
 
 
 def _broadcast_pair(a: LinForm, b: LinForm):
-    if a.size == b.size:
-        return a, b
-    if a.size == 1:
+    """a and b at one size: the smaller, if they differ, has one row."""
+    if a.size < b.size:
         return a.broadcast_to(b.size), b
-    if b.size == 1:
-        return a, b.broadcast_to(a.size)
-    raise ShapeError(f"form sizes {a.size} and {b.size} do not conform")
+    return a, b.broadcast_to(a.size)
 
 
 # -- column-major layout helpers ---------------------------------------------
@@ -326,8 +324,6 @@ def diff_map(n: int, lag: int, differences: int) -> SparseMap:
     row are stored in the order that composing one-step differences with
     scipy leaves them: [d] followed by the reversed order for d - 1."""
     length = n - lag * differences
-    if length < 1:
-        raise ShapeError("diff output would be empty")
     order = [0]
     for d in range(1, differences + 1):
         order = [d] + order[::-1]
@@ -342,8 +338,6 @@ def diff_map(n: int, lag: int, differences: int) -> SparseMap:
 def matmul_left_map(M, x_rows: int, x_cols: int) -> SparseMap:
     """Map vec(X) -> vec(M @ X): one copy of M per column of X."""
     M = _as_map(M)
-    if M.shape[1] != x_rows:
-        raise ShapeError("matmul: inner dimensions disagree")
     if x_cols == 1:  # A @ x for a vector x: the map is M
         return M
     nnz = M.data.size
@@ -357,10 +351,7 @@ def matmul_left_map(M, x_rows: int, x_cols: int) -> SparseMap:
 def matmul_right_map(M, x_rows: int, x_cols: int) -> SparseMap:
     """Map vec(X) -> vec(X @ M): entry (i, k) of the product sums M[j, k]
     times X[i, j] over j ascending."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape[0] != x_cols:
-        raise ShapeError("matmul: inner dimensions disagree")
-    MT = _as_map(M.T)
+    MT = _as_map(np.atleast_2d(np.asarray(M, dtype=float)).T)
     if x_rows == 1:  # x @ M for a row x: the map is M.T
         return MT
     out_lens = np.repeat(_lengths(MT.indptr), x_rows)
@@ -378,19 +369,17 @@ def sum_axis_map(rows: int, cols: int, axis) -> SparseMap:
         return _as_map(np.ones((1, rows * cols)))
     if axis == 1:  # one total per row
         return matmul_right_map(np.ones((cols, 1)), rows, cols)
-    if axis == 2:  # one total per column
-        return matmul_left_map(np.ones((1, rows)), rows, cols)
-    raise ShapeError(f"axis must be None, 1, or 2; got {axis!r}")
+    # axis 2: one total per column
+    return matmul_left_map(np.ones((1, rows)), rows, cols)
 
 
 def cumsum_axis_map(rows: int, cols: int, axis: int) -> SparseMap:
     if axis == 1:  # running sums across each row
         upper = np.triu(np.ones((cols, cols)))
         return matmul_right_map(upper, rows, cols)
-    if axis == 2:  # running sums down each column
-        lower = np.tril(np.ones((rows, rows)))
-        return matmul_left_map(lower, rows, cols)
-    raise ShapeError(f"cumsum axis must be 1 or 2; got {axis!r}")
+    # axis 2: running sums down each column
+    lower = np.tril(np.ones((rows, rows)))
+    return matmul_left_map(lower, rows, cols)
 
 
 def trace_map(n: int) -> SparseMap:

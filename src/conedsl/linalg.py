@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import FactorizationError, NumericError, ShapeError
+from .errors import FactorizationError, NumericError
 
 
 class SparseMatrix(sp.csc_matrix):
@@ -80,12 +80,9 @@ class QuasidefSolver:
     """
 
     def __init__(self, M):
-        csc = sp.csc_matrix(M)
-        if csc.shape[0] != csc.shape[1]:
-            raise ShapeError("quasidefinite solve requires a square matrix")
-        self._csc = csc
+        self._csc = sp.csc_matrix(M)
         try:
-            self._lu = spla.splu(csc)
+            self._lu = spla.splu(self._csc)
         except RuntimeError as e:
             raise FactorizationError(f"factorization failed: {e}") from e
         self._refine_each = False
@@ -93,8 +90,6 @@ class QuasidefSolver:
 
     def solve(self, rhs) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float).ravel()
-        if rhs.size != self._csc.shape[0]:
-            raise ShapeError("rhs length does not match matrix")
         z = self._lu.solve(rhs)
         if not np.isfinite(z).all():
             raise FactorizationError("solve produced non-finite values (singular matrix?)")
@@ -151,13 +146,11 @@ def svec(X: np.ndarray) -> np.ndarray:
 
 
 def unsvec(v: np.ndarray, n: int) -> np.ndarray:
-    """The symmetric n x n matrix of v, or a stack of them when v is 2-D."""
+    """The symmetric n x n matrix of v, or a stack of them when v is 2-D;
+    v's last axis holds svec_dim(n) entries."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 2:
         v = v.ravel()
-    if v.shape[-1] != svec_dim(n):
-        raise ShapeError(f"unsvec: expected length {svec_dim(n)}, "
-                         f"got {v.shape[-1]}")
     rows, cols, scale = svec_layout(n)
     X = np.zeros(v.shape[:-1] + (n, n))
     vals = v / scale

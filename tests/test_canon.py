@@ -276,6 +276,11 @@ def test_export_byte_stability():
     (lambda d: d["constrs"].append(dict(d["constrs"][1])),
      "constrs[2].id': duplicate id 'c1'"),
     (lambda d: d["constrs"][0].update(id=7), "constrs[0].id': expected string"),
+    (lambda d: d.update(n=1.5), "field 'n': expected integer"),
+    (lambda d: d["c"].__setitem__(0, float("nan")),
+     "field 'c[0]': must be finite"),
+    (lambda d: d["cones"].update(l=d["cones"]["l"] + 1),
+     "field 'cones': cone dimensions sum to"),
 ])
 def test_import_rejects_malformed(mutate, message):
     prob, _ = small_lp()
@@ -423,6 +428,8 @@ def test_recover_reads_solution_vector():
     vx = canon.recover(sol, vmap, x)
     assert vx.shape == (2, 1)
     assert np.allclose(vx, 1.0, atol=1e-6)
+    # by the variable's export key, as a reader of the JSON names it
+    assert np.array_equal(canon.recover(sol, vmap, "x"), vx)
 
 
 

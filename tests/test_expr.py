@@ -734,17 +734,57 @@ def test_nonfinite_constant_names_its_first_bad_entry():
      "cumsum_axis axis must be 1 or 2; got None"),
     (lambda x, X: cd.cumsum_axis(X, 3), ShapeError,
      "cumsum_axis axis must be 1 or 2; got 3"),
+    # the boundary checks that the lowering and lin.py rely on
+    (lambda x, X: x + cd.Variable(3), ShapeError,
+     "argument shapes (2, 1) and (3, 1) disagree"),
+    (lambda x, X: X <= cd.Variable(3, 3), ShapeError,
+     "constraint sides have incompatible shapes (2, 2) and (3, 3)"),
+    (lambda x, X: cd.sum_entries(X, 3), ShapeError,
+     "axis must be None, 1, or 2; got 3"),
+    (lambda x, X: cd.diff(x, lag=0), ShapeError,
+     "diff lag and differences must be >= 1"),
+    (lambda x, X: np.ones((2, 3)) @ x, ShapeError,
+     "matrix product inner dimensions 3 and 2 disagree"),
+    (lambda x, X: X @ X, DCPError,
+     "cannot multiply two non-constant expressions"),
+    (lambda x, X: x / X[0, 0], DCPError, "expression is not constant"),
+    (lambda x, X: cd.divide(x, np.ones(2)), ShapeError,
+     "division requires a scalar constant divisor"),
+    (lambda x, X: cd.psd(cd.Variable(2, 3)), ShapeError,
+     "psd constraints require a square expression"),
+    (lambda x, X: cd.quad_form(cd.Variable(3), np.eye(2)), ShapeError,
+     "quad_form expects a column vector matching the matrix"),
+    (lambda x, X: cd.quad_form(x, np.ones((2, 3))), ShapeError,
+     "quad_form matrix must be square"),
+    (lambda x, X: cd.huber(x, -1.0), DCPError,
+     "huber threshold M must be a positive constant"),
+    (lambda x, X: cd.reshape_expr(X, 3, 1), ShapeError,
+     "cannot reshape (2, 2) (4 entries) to (3, 1)"),
+    (lambda x, X: x + "a", TypeError, "cannot interpret str as an expression"),
 ], ids=["power-3", "not-equal", "product-of-variables", "divide-by-zero",
         "quad_form-no-constant", "quad_form-nonsymmetric",
         "quad_form-indefinite", "hstack-rows", "vstack-cols",
         "diag-nonsquare", "index-three-subscripts",
         "quad_over_lin-vector-denominator", "cumsum-axis-None",
-        "cumsum-axis-3"])
+        "cumsum-axis-3", "add-shapes", "constraint-shapes", "sum-axis-3",
+        "diff-lag-0", "matmul-inner", "matmul-of-variables",
+        "divide-by-variable", "divide-by-vector", "psd-nonsquare",
+        "quad_form-vector-length", "quad_form-nonsquare",
+        "huber-negative-M", "reshape-size", "not-an-expression"])
 def test_modeling_error_names_its_cause(build, error, message):
     x = cd.Variable(2, name="x")
     X = cd.Variable(2, 2, name="X")
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build(x, X)
+
+
+def test_value_outside_an_atoms_domain_is_nonfinite_without_a_warning():
+    x = cd.Variable(name="x")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cd.log(x).value({x: 0.0})[0, 0] == -np.inf
+        assert cd.inv_pos(x).value({x: 0.0})[0, 0] == np.inf
+        assert cd.exp(x + 1000.0).value({x: 0.0})[0, 0] == np.inf
 
 
 @pytest.mark.parametrize("seed, message", [
