@@ -4,6 +4,8 @@ These atoms never create cone rows; their graph implementations are pure
 linear reindexing / combination of the argument forms. Transpose, reshape,
 hstack, vstack and diag only copy entries, so they carry no graph: the
 lowering takes the source of each output entry from their evaluate.
+Sums, running sums and the trace are not atoms: each is a matrix product
+with a constant block of ones.
 """
 from __future__ import annotations
 
@@ -14,8 +16,7 @@ from ..expr import (ConstantExpr, Curvature, Expression,
                     Monotonicity, Shape, Sign, as_expression, as_int,
                     constant_value, make_shape, require_finite, sign_add,
                     sign_mul, sign_neg, sign_of_values)
-from ..lin import (cumsum_axis_map, diff_map, matmul_left_map,
-                   matmul_right_map, sum_axis_map, trace_map)
+from ..lin import diff_map, matmul_left_map, matmul_right_map
 from .base import AtomDescriptor, const, monos, same_shape
 
 _INC = Monotonicity.INCREASING
@@ -380,93 +381,42 @@ diff = AtomDescriptor(
 )
 
 
-# -- reductions ----------------------------------------------------------------------
+# -- reductions, as products with constant blocks of ones -------------------
 
-def _sum_shape(shapes, params):
-    s = shapes[0]
-    axis = params.get("axis")
-    if axis is None:
-        return Shape(1, 1)
-    if axis == 1:
-        return Shape(s.rows, 1)
-    if axis == 2:
-        return Shape(1, s.cols)
-    raise ShapeError(f"axis must be None, 1, or 2; got {axis!r}")
-
-
-def _sum_eval(v, p):
-    axis = p.get("axis")
-    x = v[0]
-    if axis is None:
-        return np.sum(x)
-    if axis == 1:
-        return np.sum(x, axis=1).reshape(-1, 1)
-    return np.sum(x, axis=0).reshape(1, -1)
+def _axis(axis):
+    return None if axis is None else as_int(axis, "axes")
 
 
 def sum_entries(x, axis=None):
-    x = as_expression(x)
-    if axis is not None:
-        axis = as_int(axis, "axes")
-    return [x], {"axis": axis, "x_rows": x.shape.rows, "x_cols": x.shape.cols}
-
-
-sum_entries = AtomDescriptor(
-    name="sum_entries", display="sum",
-    shape_out=_sum_shape,
-    sign_out=lambda s, p: s[0],
-    base_curvature=const(Curvature.AFFINE),
-    monotonicity=monos(_INC),
-    evaluate=_sum_eval,
-    graph=lambda ctx, f, p: f[0].left_mul(
-        sum_axis_map(p["x_rows"], p["x_cols"], p.get("axis"))),
-    bind=sum_entries,
-)
-
-
-def _trace_shape(shapes, params):
-    s = shapes[0]
-    if s.rows != s.cols:
-        raise ShapeError("matrix_trace needs a square matrix")
-    return Shape(1, 1)
-
-
-matrix_trace = AtomDescriptor(
-    name="matrix_trace", display="trace",
-    shape_out=_trace_shape,
-    sign_out=lambda s, p: s[0],
-    base_curvature=const(Curvature.AFFINE),
-    monotonicity=monos(_INC),
-    evaluate=lambda v, p: np.trace(v[0]),
-    graph=lambda ctx, f, p: f[0].left_mul(
-        trace_map(int(round(np.sqrt(f[0].size))))),
-)
-
-
-def _cumsum_shape(shapes, params):
-    if params["axis"] not in (1, 2):
-        raise ShapeError("cumsum_axis axis must be 1 or 2; got "
-                         f"{params['axis']!r}")
-    return shapes[0]
-
-
-def _cumsum_eval(v, p):
-    x = v[0]
-    return np.cumsum(x, axis=1) if p["axis"] == 1 else np.cumsum(x, axis=0)
+    """The sum of all entries, of each row (axis 1) or of each column
+    (axis 2): a product with a block of ones."""
+    x, axis = as_expression(x), _axis(axis)
+    rows, cols = x.shape
+    if axis is None:
+        return matmul_left(np.ones((1, x.size)), x if cols == 1 else vec(x))
+    if axis == 1:
+        return matmul_right(x, np.ones((cols, 1)))
+    if axis == 2:
+        return matmul_left(np.ones((1, rows)), x)
+    raise ShapeError(f"axis must be None, 1, or 2; got {axis!r}")
 
 
 def cumsum_axis(x, axis):
-    return sum_entries.bind(x, axis)
+    """Running sums along each row (axis 1) or down each column (axis 2):
+    a product with a triangle of ones."""
+    x, axis = as_expression(x), _axis(axis)
+    rows, cols = x.shape
+    if axis == 1:
+        return matmul_right(x, np.triu(np.ones((cols, cols))))
+    if axis == 2:
+        return matmul_left(np.tril(np.ones((rows, rows))), x)
+    raise ShapeError(f"cumsum_axis axis must be 1 or 2; got {axis!r}")
 
 
-cumsum_axis = AtomDescriptor(
-    name="cumsum_axis", display="cumsum",
-    shape_out=_cumsum_shape,
-    sign_out=lambda s, p: s[0],
-    base_curvature=const(Curvature.AFFINE),
-    monotonicity=monos(_INC),
-    evaluate=_cumsum_eval,
-    graph=lambda ctx, f, p: f[0].left_mul(
-        cumsum_axis_map(p["x_rows"], p["x_cols"], p["axis"])),
-    bind=cumsum_axis,
-)
+def matrix_trace(X):
+    """The sum of the diagonal entries, as sum_entries(diag(X)). The square
+    check is its own: diag of a vector builds a matrix instead."""
+    X = as_expression(X)
+    if X.shape.rows != X.shape.cols:
+        raise ShapeError("matrix_trace needs a square matrix")
+    return sum_entries(diag(X))

@@ -1,5 +1,5 @@
 """Affine forms over the lowering's columns, plus the constant linear maps
-(svec, differences, matrix products, sums, trace) that atom graphs apply.
+(svec, differences, matrix products) that atom graphs apply.
 
 A LinForm represents an affine map z = C @ x + d, where x stacks the
 column-major flattenings of every variable in the order the lowering
@@ -16,10 +16,10 @@ compose these forms, and atoms that only copy entries are lowered as one
 
 Callers hand this module conformant forms and maps: a map's width is the
 size of the form it applies to, two forms added have one size or one has
-a single row, and an axis or a lag is one the atom accepts. Each atom's
-bind and shape rule check these when the expression is built, so the
-code here does not check them again. A form built from a scipy matrix is
-the one way in from outside the package, and it is checked.
+a single row, and a lag is one the atom accepts. Each atom's bind and
+shape rule check these when the expression is built, so the code here
+does not check them again. A form built from a scipy matrix is the one
+way in from outside the package, and it is checked.
 
 The arithmetic gives, bit for bit, what scipy's CSR arithmetic gives:
 
@@ -362,26 +362,3 @@ def matmul_right_map(M, x_rows: int, x_cols: int) -> SparseMap:
     e = MT.indptr[k] + np.arange(indptr[-1]) - indptr[out_row]
     return SparseMap(MT.data[e], MT.indices[e] * x_rows + i, indptr,
                      (MT.shape[0] * x_rows, x_cols * x_rows))
-
-
-def sum_axis_map(rows: int, cols: int, axis) -> SparseMap:
-    if axis is None:
-        return _as_map(np.ones((1, rows * cols)))
-    if axis == 1:  # one total per row
-        return matmul_right_map(np.ones((cols, 1)), rows, cols)
-    # axis 2: one total per column
-    return matmul_left_map(np.ones((1, rows)), rows, cols)
-
-
-def cumsum_axis_map(rows: int, cols: int, axis: int) -> SparseMap:
-    if axis == 1:  # running sums across each row
-        upper = np.triu(np.ones((cols, cols)))
-        return matmul_right_map(upper, rows, cols)
-    # axis 2: running sums down each column
-    lower = np.tril(np.ones((rows, rows)))
-    return matmul_left_map(lower, rows, cols)
-
-
-def trace_map(n: int) -> SparseMap:
-    return SparseMap(np.ones(n), flat_index(np.arange(n), np.arange(n), n),
-                     np.array([0, n]), (1, n * n))

@@ -252,6 +252,19 @@ def test_in_cone_block_reads_every_block(kind, v, meta):
     assert cones.in_cone_block(kind, cones.project_block(kind, v, meta), meta)
 
 
+def test_in_cone_refuses_a_vector_of_the_wrong_length():
+    with pytest.raises(ShapeError, match="^vector length does not match "
+                                         "cone dimensions$"):
+        cones.in_cone(ConeSpec(zero=1, nonneg=2), np.zeros(4))
+
+
+@pytest.mark.parametrize("check", [cones.project_block, cones.in_cone_block],
+                         ids=["project_block", "in_cone_block"])
+def test_unknown_cone_kind_is_refused(check):
+    with pytest.raises(ShapeError, match="^unknown cone kind 'cube'$"):
+        check("cube", np.zeros(3))
+
+
 def make_spec():
     return ConeSpec(zero=2, nonneg=3, soc=[3, 4], psd=[2], ep=2)
 

@@ -128,6 +128,13 @@ def test_portfolio_leverage_variant():
     assert np.isclose(w.sum(), 1.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("name", ["elastic_net", "saturating_hinges"])
+def test_huber_loss_variant_runs_optimal(name):
+    record = run_example(ExampleConfig(name, params={"loss": "huber"}))
+    assert record.status == "optimal", name
+    assert record.feasibility <= 1e-6, (name, record.feasibility)
+
+
 def test_portfolio_rejects_bad_variant():
     with pytest.raises(InputError):
         run_example(ExampleConfig("portfolio", params={"variant": "martian"}))

@@ -1,6 +1,7 @@
 import itertools
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -734,6 +735,11 @@ def test_nonfinite_constant_names_its_first_bad_entry():
      "cumsum_axis axis must be 1 or 2; got None"),
     (lambda x, X: cd.cumsum_axis(X, 3), ShapeError,
      "cumsum_axis axis must be 1 or 2; got 3"),
+    # diag of a column builds a square matrix, so the trace checks first
+    (lambda x, X: cd.matrix_trace(cd.Variable(3, 1)), ShapeError,
+     "matrix_trace needs a square matrix"),
+    (lambda x, X: cd.matrix_trace(cd.Variable(2, 3)), ShapeError,
+     "matrix_trace needs a square matrix"),
     # the boundary checks that the lowering and lin.py rely on
     (lambda x, X: x + cd.Variable(3), ShapeError,
      "argument shapes (2, 1) and (3, 1) disagree"),
@@ -766,7 +772,8 @@ def test_nonfinite_constant_names_its_first_bad_entry():
         "quad_form-indefinite", "hstack-rows", "vstack-cols",
         "diag-nonsquare", "index-three-subscripts",
         "quad_over_lin-vector-denominator", "cumsum-axis-None",
-        "cumsum-axis-3", "add-shapes", "constraint-shapes", "sum-axis-3",
+        "cumsum-axis-3", "trace-column", "trace-2x3", "add-shapes",
+        "constraint-shapes", "sum-axis-3",
         "diff-lag-0", "matmul-inner", "matmul-of-variables",
         "divide-by-variable", "divide-by-vector", "psd-nonsquare",
         "quad_form-vector-length", "quad_form-nonsquare",
@@ -776,6 +783,31 @@ def test_modeling_error_names_its_cause(build, error, message):
     X = cd.Variable(2, 2, name="X")
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build(x, X)
+
+
+def test_value_of_the_wrong_shape_is_refused():
+    x = cd.Variable(2, name="x")
+    with pytest.raises(ShapeError,
+                       match=re.escape("value shape (3, 1) does not match "
+                                       "(2, 1)")):
+        cd.sum_entries(x).value({x: np.ones(3)})
+
+
+def test_three_dimensional_constant_is_refused():
+    with pytest.raises(ShapeError,
+                       match="^constants must be at most 2-dimensional$"):
+        cd.Constant(np.ones((2, 2, 2)))
+
+
+def test_dcp_check_names_a_nonscalar_objective():
+    # Problem refuses a vector objective itself; dcp_check accepts any
+    # object with an objective and constraints, so it checks again
+    x = cd.Variable(2, name="x")
+    problem = SimpleNamespace(
+        objective=SimpleNamespace(sense="minimize", expr=x), constraints=[])
+    report = cd.dcp_check(problem)
+    assert not report.accepted
+    assert report.messages == ["objective: must be scalar (1 x 1)"]
 
 
 def test_value_outside_an_atoms_domain_is_nonfinite_without_a_warning():

@@ -58,7 +58,7 @@ def test_readme_names_in_cones_resolve():
 PLAIN_ATOMS = {
     "abs_atom", "entr", "exp", "inv_pos", "log", "logistic", "sqrt", "square",
     "lambda_max", "log_det", "log_sum_exp", "max_entries", "quad_over_lin",
-    "add", "negate", "transpose", "hstack", "vstack", "diag", "matrix_trace",
+    "add", "negate", "transpose", "hstack", "vstack", "diag",
 }
 
 
@@ -66,12 +66,14 @@ PLAIN_ATOMS = {
 # computes and checks the params
 BOUND_ATOMS = {
     "huber", "cvxr_norm", "quad_form", "mul_elemwise", "index",
-    "reshape_expr", "diff", "sum_entries", "cumsum_axis", "max_elemwise",
+    "reshape_expr", "diff", "max_elemwise",
 }
 # the names that CVXR defines as compositions: each is a plain function
 # that builds its expression from the atoms above, and no atom has its name
 COMPOSED = {"pos", "neg", "sum_squares", "min_entries", "lambda_min",
-            "min_elemwise"}
+            "min_elemwise", "sum_entries", "cumsum_axis", "matrix_trace"}
+# the compositions that take more than one argument
+COMPOSED_WITH_PARAMS = {"min_elemwise", "sum_entries", "cumsum_axis"}
 ALIASES = {"abs": "abs_atom", "p_norm": "cvxr_norm",
            "elementwise_product": "mul_elemwise"}
 
@@ -127,7 +129,7 @@ def check_public_name(name):
     return fn
 
 
-@pytest.mark.parametrize("name", sorted(BOUND_ATOMS | {"min_elemwise"}))
+@pytest.mark.parametrize("name", sorted(BOUND_ATOMS | COMPOSED_WITH_PARAMS))
 def test_bound_atom_descriptor_acts_as_a_function(name):
     atom = check_public_name(name)
     x = conedsl.Variable(3, name="x")
@@ -146,7 +148,7 @@ def test_plain_atoms_are_exported_descriptors():
 
 
 @pytest.mark.parametrize("name", sorted(PLAIN_ATOMS | COMPOSED
-                                         - {"min_elemwise"}))
+                                         - COMPOSED_WITH_PARAMS))
 def test_plain_atom_descriptor_acts_as_a_function(name):
     atom = check_public_name(name)
     assert {atom: name}[atom] == name

@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from conedsl import lin
+from conedsl.errors import ShapeError
 from conedsl.lin import LinForm
 from conedsl.linalg import svec_layout
 from conedsl.rng import SplitMix64
@@ -267,6 +268,12 @@ def test_left_mul_sums_in_row_order_where_pairwise_sums_differ():
     assert got.widened(1).toarray()[0, 0] == 1.0 and got.const[0] == 1.0
 
 
+def test_form_refuses_a_constant_of_another_length():
+    with pytest.raises(ShapeError, match="^constant length does not match "
+                                         "form size$"):
+        LinForm(sp.eye(3, format="csr"), np.zeros(2))
+
+
 def test_minus_zero_survives_select_but_not_a_product():
     form = LinForm(sp.csr_matrix(np.ones((1, 1))), [-0.0])
     assert np.signbit(form.select([0, 0]).const).all()
@@ -303,19 +310,43 @@ def test_matmul_maps_match_scipy(x_rows, x_cols):
                     matmul_right_map(dense, x_rows, x_cols))
 
 
+def composed_sum_map(rows, cols, axis):
+    """The map sum_entries builds: a product with a block of ones, over
+    vec(x) for the sum of all entries."""
+    if axis is None:
+        return lin.matmul_left_map(np.ones((1, rows * cols)), rows * cols, 1)
+    if axis == 1:
+        return lin.matmul_right_map(np.ones((cols, 1)), rows, cols)
+    return lin.matmul_left_map(np.ones((1, rows)), rows, cols)
+
+
+def composed_cumsum_map(rows, cols, axis):
+    """The map cumsum_axis builds: a product with a triangle of ones."""
+    if axis == 1:
+        return lin.matmul_right_map(np.triu(np.ones((cols, cols))), rows, cols)
+    return lin.matmul_left_map(np.tril(np.ones((rows, rows))), rows, cols)
+
+
+def composed_trace(form, n):
+    """matrix_trace as it lowers: diag's select, then a row of ones."""
+    diagonal = form.select(np.arange(n) * (n + 1))
+    return diagonal.left_mul(lin.matmul_left_map(np.ones((1, n)), n, 1))
+
+
 @pytest.mark.parametrize("rows,cols", [(1, 1), (3, 1), (1, 4), (3, 4)])
 def test_reduction_maps_match_scipy(rows, cols):
     for axis in (None, 1, 2):
-        assert_same_map(lin.sum_axis_map(rows, cols, axis),
+        assert_same_map(composed_sum_map(rows, cols, axis),
                         sum_axis_map(rows, cols, axis))
     for axis in (1, 2):
-        assert_same_map(lin.cumsum_axis_map(rows, cols, axis),
+        assert_same_map(composed_cumsum_map(rows, cols, axis),
                         cumsum_axis_map(rows, cols, axis))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_trace_map_matches_scipy(n):
-    assert_same_map(lin.trace_map(n), trace_map(n))
+    got = composed_trace(LinForm.columns(0, n * n), n)
+    assert_same(got, Oracle(trace_map(n), np.zeros(1)))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -324,10 +355,10 @@ def test_maps_applied_to_forms_match_scipy(seed):
     n = 3 + rng.randint(3)
     maps = [(lin.svec_map(n), svec_map(n)),
             (lin.diff_map(n * n, 1, 3), diff_map(n * n, 1, 3)),
-            (lin.cumsum_axis_map(n, n, 1), cumsum_axis_map(n, n, 1)),
-            (lin.sum_axis_map(n, n, 2), sum_axis_map(n, n, 2)),
-            (lin.trace_map(n), trace_map(n))]
+            (composed_cumsum_map(n, n, 1), cumsum_axis_map(n, n, 1)),
+            (composed_sum_map(n, n, 2), sum_axis_map(n, n, 2))]
     a, a0 = draw_pair(rng, n * n, 1 + rng.randint(4), density=0.8)
     for got, want in maps:
         assert_same(a.left_mul(got), a0.left_mul(want))
+    assert_same(composed_trace(a, n), a0.left_mul(trace_map(n)))
     assert np.array_equal(lin.svec_map(n) @ a.const, svec_map(n) @ a0.const)
