@@ -105,10 +105,9 @@ def atoms_table() -> str:
     probe_signs = [Sign.UNKNOWN, Sign.UNKNOWN]
     for name in sorted(REGISTRY):
         d = REGISTRY[name]
-        try:
-            curv = d.base_curvature(probe_signs, {}).value
-        except Exception:
-            curv = "data-dependent"
+        # every atom's curvature is fixed; a product's sign and
+        # monotonicity follow its constant operand's sign
+        curv = d.base_curvature(probe_signs, {}).value
         try:
             sign = d.sign_out(probe_signs, {}).value
         except Exception:

@@ -9,7 +9,7 @@ from ..expr import (Curvature, Monotonicity, Shape, Sign, as_expression,
 from ..lin import LinForm
 from .base import AtomDescriptor, const, monos, scalar_shape
 from .elementwise import _ones_form
-from .structural import constant_operand, negate
+from .structural import constant_operand, matmul_left, negate, vec
 
 _INC = Monotonicity.INCREASING
 _DEC = Monotonicity.DECREASING
@@ -228,100 +228,6 @@ cvxr_norm = p_norm = AtomDescriptor(
 )
 
 
-# -- quad_form ---------------------------------------------------------------------------
-
-def _quad_form_shape(shapes, params):
-    xs, ps = shapes
-    if ps.rows != ps.cols:
-        raise ShapeError("quad_form matrix must be square")
-    if xs.cols != 1 or xs.rows != ps.rows:
-        raise ShapeError("quad_form expects a column vector matching the matrix")
-    return Shape(1, 1)
-
-
-def _quad_form_sign(signs, params):
-    mode = params["mode"]
-    if mode == "psd":
-        return Sign.NONNEG
-    if mode == "nsd":
-        return Sign.NONPOS
-    # c c' is nonnegative unless c mixes signs
-    return signs[1] if params["sign"] != Sign.UNKNOWN else Sign.UNKNOWN
-
-
-def _quad_form_curv(signs, params):
-    return {"psd": Curvature.CONVEX, "nsd": Curvature.CONCAVE,
-            "const_x": Curvature.AFFINE}[params["mode"]]
-
-
-def _quad_form_monos(signs, params):
-    if params["mode"] == "const_x" and params["sign"] != Sign.UNKNOWN:
-        return [_NONMONO, _INC]
-    return [_NONMONO, _NONMONO]
-
-
-def _quad_form_eval(v, p):
-    x, P = v
-    return float(x.ravel() @ _symmetrize(P) @ x.ravel())
-
-
-def _quad_form_graph(ctx, forms, params):
-    xf, pf = forms
-    mode = params["mode"]
-    if mode == "const_x":
-        c = params["c"].ravel()
-        row = np.outer(c, c).ravel(order="F")[None, :]
-        return pf.left_mul(row)
-    R = params["R"]  # symmetric square root of P (or of -P when nsd)
-    n = R.shape[0]
-    Rx = xf.left_mul(R)
-    t = ctx.aux(1)
-    one = LinForm.constant([1.0])
-    ctx.soc([one + t, one - t, 2.0 * Rx])
-    return t if mode == "psd" else -1.0 * t
-
-
-_PSD_CLASSIFY_RTOL = 1e-9
-
-
-def quad_form(x, P):
-    """x^T P x. Either x is constant (affine in P) or P is a constant
-    definite matrix (convex when PSD, concave when NSD)."""
-    x = as_expression(x)
-    P = as_expression(P)
-    _quad_form_shape([x.shape, P.shape], None)  # before P's values are read
-    if x.curvature == Curvature.CONSTANT:
-        c, sign = constant_operand(x)
-        return [x, P], {"mode": "const_x", "c": c, "sign": sign}
-    if P.curvature != Curvature.CONSTANT:
-        raise DCPError("quad_form requires x or P to be constant")
-    Pv = constant_value(P)
-    if not np.allclose(Pv, Pv.T, atol=1e-9 * (1.0 + np.abs(Pv).max())):
-        raise DCPError("quad_form matrix must be symmetric")
-    Pv = _symmetrize(Pv)
-    w, V = np.linalg.eigh(Pv)
-    tol = _PSD_CLASSIFY_RTOL * max(1.0, np.abs(w).max())
-    if w.min() >= -tol:
-        R = V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.T
-        return [x, P], {"mode": "psd", "R": R}
-    if w.max() <= tol:
-        R = V @ np.diag(np.sqrt(np.clip(-w, 0.0, None))) @ V.T
-        return [x, P], {"mode": "nsd", "R": R}
-    raise DCPError("quad_form with an indefinite matrix is not DCP")
-
-
-quad_form = AtomDescriptor(
-    name="quad_form", display="quad_form",
-    shape_out=_quad_form_shape,
-    sign_out=_quad_form_sign,
-    base_curvature=_quad_form_curv,
-    monotonicity=_quad_form_monos,
-    evaluate=_quad_form_eval,
-    graph=_quad_form_graph,
-    bind=quad_form,
-)
-
-
 # -- quad_over_lin, and sum_squares built from it ----------------------------
 
 def _qol_shape(shapes, params):
@@ -355,3 +261,40 @@ quad_over_lin = AtomDescriptor(
 def sum_squares(x):
     """The sum of squared entries, as quad_over_lin(x, 1)."""
     return quad_over_lin(x, 1.0)
+
+
+# -- quad_form, built from quad_over_lin or a matrix product -----------------------
+
+_PSD_CLASSIFY_RTOL = 1e-9
+
+
+def quad_form(x, P):
+    """x^T P x. With a constant x it is affine in P, the product of the row
+    vec(x x^T)^T with vec(P). With a constant P it is ||R x||^2 when P is
+    PSD (convex) and -||R x||^2 when P is NSD (concave), R being the
+    symmetric square root of P or of -P."""
+    x = as_expression(x)
+    P = as_expression(P)
+    # the shapes are checked before P's values are read
+    if P.shape.rows != P.shape.cols:
+        raise ShapeError("quad_form matrix must be square")
+    if x.shape.cols != 1 or x.shape.rows != P.shape.rows:
+        raise ShapeError("quad_form expects a column vector matching the matrix")
+    if x.curvature == Curvature.CONSTANT:
+        c = constant_operand(x)[0].ravel()
+        return matmul_left(np.outer(c, c).ravel(order="F")[None, :], vec(P))
+    if P.curvature != Curvature.CONSTANT:
+        raise DCPError("quad_form requires x or P to be constant")
+    Pv = constant_value(P)
+    if not np.allclose(Pv, Pv.T, atol=1e-9 * (1.0 + np.abs(Pv).max())):
+        raise DCPError("quad_form matrix must be symmetric")
+    Pv = _symmetrize(Pv)
+    w, V = np.linalg.eigh(Pv)
+    tol = _PSD_CLASSIFY_RTOL * max(1.0, np.abs(w).max())
+    if w.min() >= -tol:
+        R = V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.T
+        return quad_over_lin(matmul_left(R, x), 1.0)
+    if w.max() <= tol:
+        R = V @ np.diag(np.sqrt(np.clip(-w, 0.0, None))) @ V.T
+        return negate(quad_over_lin(matmul_left(R, x), 1.0))
+    raise DCPError("quad_form with an indefinite matrix is not DCP")

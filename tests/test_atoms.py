@@ -34,6 +34,7 @@ def lag_diff(x, lag, differences):
 
 C23 = np.array([[1.0, 2.0, 0.5], [0.25, 1.5, 3.0]])
 CN = np.array([[-1.0], [-2.0], [-0.5]])
+CPOS = np.array([[0.5], [1.0], [2.0]])
 CMIX = np.array([[1.0], [-2.0], [0.5]])
 R_PSD = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 1.5]])
 
@@ -172,17 +173,6 @@ CASES = {
         shapes=[(3, 1)], facade=lambda a: -a[0],
         ref=lambda v: -v[0],
         curv=AFF, sign=UNK, mono=[M.DECREASING]),
-    "quad_form": dict(
-        shapes=[(3, 1), (3, 3)], facade=lambda a: cd.quad_form(a[0], R_PSD),
-        ref=lambda v: v[0].T @ v[1] @ v[0],
-        curv=CVX, sign=NN, mono=[M.NONMONOTONE, M.NONMONOTONE],
-        var_idx=[0], fix_args={1: R_PSD}),
-    "quad_form[nsd]": dict(
-        atom="quad_form",
-        shapes=[(3, 1), (3, 3)], facade=lambda a: cd.quad_form(a[0], -R_PSD),
-        ref=lambda v: v[0].T @ v[1] @ v[0],
-        curv=CCV, sign=NP_, mono=[M.NONMONOTONE, M.NONMONOTONE],
-        var_idx=[0], fix_args={1: -R_PSD}),
     "quad_over_lin": dict(
         shapes=[(3, 1), (1, 1)],
         facade=lambda a: cd.quad_over_lin(a[0], a[1]),
@@ -269,6 +259,26 @@ COMPOSITIONS = {
         shapes=[(3, 1)], facade=lambda a: cd.pos(a[0]),
         ref=lambda v: np.maximum(v[0], 0.0),
         curv=CVX, sign=NN, mono=[M.INCREASING]),
+    "quad_form": dict(
+        shapes=[(3, 1), (3, 3)], facade=lambda a: cd.quad_form(a[0], R_PSD),
+        ref=lambda v: v[0].T @ v[1] @ v[0],
+        curv=CVX, sign=NN, mono=[M.NONMONOTONE, M.NONMONOTONE],
+        var_idx=[0], sample=lambda rng: [rng.normals(3, 1), R_PSD.copy()]),
+    "quad_form[nsd]": dict(
+        shapes=[(3, 1), (3, 3)], facade=lambda a: cd.quad_form(a[0], -R_PSD),
+        ref=lambda v: v[0].T @ v[1] @ v[0],
+        curv=CCV, sign=NP_, mono=[M.NONMONOTONE, M.NONMONOTONE],
+        var_idx=[0], sample=lambda rng: [rng.normals(3, 1), -R_PSD.copy()]),
+    # with a constant x, affine in P: increasing when x's entries share a
+    # sign, so that every product x_i x_j is nonnegative
+    "quad_form[const-x]": dict(
+        shapes=[(3, 3)], facade=lambda a: cd.quad_form(CPOS, a[0]),
+        ref=lambda v: CPOS.T @ v[0] @ CPOS,
+        curv=AFF, sign=UNK, mono=[M.INCREASING]),
+    "quad_form[const-x-mixed]": dict(
+        shapes=[(3, 3)], facade=lambda a: cd.quad_form(CMIX, a[0]),
+        ref=lambda v: CMIX.T @ v[0] @ CMIX,
+        curv=AFF, sign=UNK, mono=[M.NONMONOTONE]),
     "sum_entries": dict(
         shapes=[(2, 3)], facade=lambda a: cd.sum_entries(a[0]),
         ref=lambda v: np.sum(v[0]),
@@ -327,19 +337,16 @@ def sample_values(cid, rng):
     e, _ = build_expr(cid)
     shapes = [make_shape(r, c) for r, c in case["shapes"]]
     d = REGISTRY[case_atom(cid)]
-    vals = d.sample(rng, shapes, e.params)
-    # constant arguments (e.g. the quad_form matrix) stay pinned so laws
-    # are checked in the variable arguments only
-    for i, fixed in case.get("fix_args", {}).items():
-        vals[i] = fixed.copy()
-    return vals
+    return d.sample(rng, shapes, e.params)
 
 
 def evaluator(cid, e, the_vars):
     """Sampled argument values -> the value of e: its atom's evaluate,
     or Expression.value for a composition."""
     if cid in COMPOSITIONS:
-        return lambda vals: e.value(dict(zip(the_vars, vals)))
+        var_idx = COMPOSITIONS[cid].get("var_idx", range(len(the_vars)))
+        return lambda vals: e.value({v: vals[i]
+                                     for v, i in zip(the_vars, var_idx)})
     d = REGISTRY[case_atom(cid)]
     return lambda vals: d.evaluate(vals, e.params)
 
@@ -347,10 +354,14 @@ def evaluator(cid, e, the_vars):
 def check_dcp_verdicts(cid):
     """A composition's monotonicity claims, read as the DCP verdicts they
     imply: with a probe in one argument and variables in the others, the
-    objective is accepted exactly when the claim accepts the probe."""
+    objective is accepted exactly when the claim accepts the probe. An
+    argument the facade holds constant takes no probe."""
     case = COMPOSITIONS[cid]
     sense = cd.Minimize if case["curv"] is CVX else cd.Maximize
+    var_idx = case.get("var_idx", range(len(case["shapes"])))
     for i, claim in enumerate(case["mono"]):
+        if i not in var_idx:
+            continue
         accepts = CONVEX_ACCEPTS[claim if case["curv"] is CVX
                                  else MIRROR[claim]]
         for probe, build in PROBES.items():
@@ -567,6 +578,26 @@ def test_p_norm_orders():
 def test_get_atom_unknown_name():
     with pytest.raises(UnsupportedAtomError):
         get_atom("wibble")
+
+
+def test_get_atom_names_an_unsupported_atom():
+    with pytest.raises(UnsupportedAtomError,
+                       match=r"^unsupported atom 'geo_mean'; supported atoms "
+                             r"are listed by atoms_table\(\)$"):
+        get_atom("geo_mean")
+
+
+def test_quad_form_of_a_sign_known_convex_argument():
+    # with P = diag(4, 1), R = diag(2, 1) is nonnegative, so R pos(x) is
+    # convex and nonnegative and its squared norm is convex
+    x = cd.Variable(2, name="x")
+    e = cd.quad_form(cd.pos(x), np.diag([4.0, 1.0]))
+    assert e.curvature is CVX and e.sign is NN
+    result = cd.solve(cd.Problem(cd.Minimize(e - cd.sum_entries(x))),
+                      eps_abs=1e-9, eps_rel=1e-9)
+    assert result.status == "optimal"
+    assert np.isclose(result.value, -0.3125, atol=1e-7)
+    assert np.allclose(result.value_of(x).ravel(), [0.125, 0.5], atol=1e-6)
 
 
 def test_atoms_table_lists_registry():

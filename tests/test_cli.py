@@ -58,6 +58,14 @@ def test_example_bad_param_syntax(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("pair", ["novalue", "=1"],
+                         ids=["no-equals", "empty-key"])
+def test_example_param_syntax_is_named(capsys, pair):
+    code, out, err = run_cli(capsys, ["example", "ols", "--param", pair])
+    assert (code, out) == (4, "")
+    assert err == f"error: --param expects key=value, got {pair!r}\n"
+
+
 def test_example_unknown_param(capsys):
     code, _, err = run_cli(capsys, ["example", "ols", "--param", "zzz=1"])
     assert code == 4

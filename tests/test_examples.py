@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -135,14 +136,80 @@ def test_huber_loss_variant_runs_optimal(name):
     assert record.feasibility <= 1e-6, (name, record.feasibility)
 
 
-def test_portfolio_rejects_bad_variant():
-    with pytest.raises(InputError):
-        run_example(ExampleConfig("portfolio", params={"variant": "martian"}))
+# CSV files written into the test's own directory, {tmp}
+CSVS = {
+    "empty.csv": "",
+    "bad_header.csv": "a,b,c\n1,2,3\n",
+    "region_totals.csv": "variable,level,total\nregion,north,10\n",
+}
+LOSS = "loss must be 'square' or 'huber'"
+NEEDS_N7 = "constrained variant needs n >= 7"
+# each example's own checks of its parameters: the example, its --param
+# values and the InputError's message; None marks a run that must succeed
+PARAM_CHECKS = {
+    "quantile_reg-tau": ("quantile_reg", {"tau": "1"}, "tau must lie in (0,1)"),
+    "elastic_net-lam": ("elastic_net", {"lam": "-1"},
+                        "need lam >= 0 and alpha in [0,1]"),
+    "elastic_net-alpha": ("elastic_net", {"alpha": "1.5"},
+                          "need lam >= 0 and alpha in [0,1]"),
+    "elastic_net-loss": ("elastic_net", {"loss": "cube"}, LOSS),
+    "logistic_reg-n": ("logistic_reg", {"n": "6"}, NEEDS_N7),
+    "saturating_hinges-loss": ("saturating_hinges", {"loss": "cube"}, LOSS),
+    "logconcave_mle-short": ("logconcave_mle", {"counts": "1,2"},
+                             "counts needs >= 3 nonnegative entries"),
+    "logconcave_mle-negative": ("logconcave_mle", {"counts": "1,-2,3"},
+                                "counts needs >= 3 nonnegative entries"),
+    "calibration-missing": ("calibration", {"sample": "{tmp}/missing.csv"},
+                            "fixture file not found: {tmp}/missing.csv"),
+    "calibration-empty": ("calibration", {"totals": "{tmp}/empty.csv"},
+                          "fixture file is empty: {tmp}/empty.csv"),
+    "calibration-sample-header": (
+        "calibration", {"sample": "{tmp}/bad_header.csv"},
+        "sample fixture must have columns stype,sch_wide,pw"),
+    "calibration-totals-header": (
+        "calibration", {"totals": "{tmp}/bad_header.csv"},
+        "totals fixture must have columns variable,level,total"),
+    "calibration-margin": ("calibration", {"totals": "{tmp}/region_totals.csv"},
+                           "unknown margin variable 'region' in totals"),
+    "catenary-m": ("catenary", {"m": "2"}, "catenary needs m >= 3"),
+    "catenary-variant": ("catenary", {"variant": "hanging"},
+                         "variant must be 'flat' or 'ground'"),
+    "kelly-lam": ("kelly", {"lam": "-0.5"}, "lam must be >= 0"),
+    "channel_capacity-crossover": ("channel_capacity", {"crossover": "1.5"},
+                                   "crossover must lie in [0,1]"),
+    "fmmc-graph": ("fmmc", {"graph": "k5"}, "unknown graph 'k5'; choices: "
+                   "bipartite23, k3, path3, path4, triangle_plus"),
+    "portfolio-variant": ("portfolio", {"variant": "martian"},
+                          "variant must be 'long' or 'leverage'"),
+    "portfolio-gamma": ("portfolio", {"gamma": "0"}, "gamma must be positive"),
+    # a boolean parameter reads yes/no, on/off, 1/0 and true/false, and
+    # takes a Python bool as it is
+    "logistic_reg-constrained-yes": (
+        "logistic_reg", {"n": "6", "constrained": "yes"}, NEEDS_N7),
+    "logistic_reg-constrained-bool": (
+        "logistic_reg", {"n": "6", "constrained": True}, NEEDS_N7),
+    "logistic_reg-constrained-off": (
+        "logistic_reg", {"n": "6", "constrained": "off"}, None),
+    "logistic_reg-constrained-maybe": (
+        "logistic_reg", {"constrained": "maybe"},
+        "expected a boolean, got 'maybe'"),
+}
 
 
-def test_portfolio_rejects_nonpositive_gamma():
-    with pytest.raises(InputError):
-        run_example(ExampleConfig("portfolio", params={"gamma": "0"}))
+@pytest.mark.parametrize("name,params,message", PARAM_CHECKS.values(),
+                         ids=list(PARAM_CHECKS))
+def test_example_checks_its_params(tmp_path, name, params, message):
+    for file, text in CSVS.items():
+        (tmp_path / file).write_text(text)
+    params = {k: v.format(tmp=tmp_path) if isinstance(v, str) else v
+              for k, v in params.items()}
+    cfg = ExampleConfig(name, params=params)
+    if message is None:
+        assert run_example(cfg).status == "optimal"
+        return
+    with pytest.raises(InputError,
+                       match=f"^{re.escape(message.format(tmp=tmp_path))}$"):
+        run_example(cfg)
 
 
 def test_isotonic_fit_is_monotone():

@@ -6,7 +6,7 @@ must not change when the lowering is refactored; a changed hash means a
 changed cone program, even where the solved optimum would agree.
 Together the problems cover every GraphContext path: zero, nonneg, soc,
 soc_batch, exp_batch, a psd constraint, a psd-symmetric variable and a
-maximize objective.
+maximize objective, and between them they apply every registered atom.
 """
 import hashlib
 
@@ -15,6 +15,9 @@ import pytest
 
 import conedsl as cd
 from conedsl import canon
+from conedsl.atoms import REGISTRY
+
+from test_atoms import atoms_in
 
 
 def lp_maximize():
@@ -82,6 +85,32 @@ def constant_products():
                        X >= -1.0, X <= 1.0, P >= -2.0, P <= 2.0])
 
 
+def quadratic_forms():
+    # quad_form with a constant P, positive and negative semidefinite; a
+    # diagonal dyadic P has an exact square root, so the export does not
+    # depend on the eigensolver's rounding
+    x = cd.Variable(3, name="x")
+    y = cd.Variable(3, name="y")
+    P = np.diag([4.0, 1.0, 0.25])
+    c = np.array([[1.0], [-0.5], [2.0]])
+    obj = cd.quad_form(x - c, P) - cd.quad_form(y, -P) + cd.sum_entries(x - y)
+    return cd.Problem(cd.Minimize(obj), [x + y >= -1.0, y <= 0.5])
+
+
+def remaining_atoms():
+    # the atoms the problems above do not apply: abs, diff, hstack, vstack,
+    # max_elemwise, max_entries and log_det
+    x = cd.Variable(3, name="x")
+    y = cd.Variable(3, name="y")
+    X = cd.Variable(2, 2, name="X")
+    c = np.array([[0.5], [-1.0], [0.25]])
+    obj = (cd.sum_entries(cd.abs(x - c)) + cd.max_entries(cd.diff(x))
+           + cd.sum_entries(cd.max_elemwise(x, 0.5 * y)) - cd.log_det(X))
+    return cd.Problem(cd.Minimize(obj),
+                      [cd.hstack(x, y) <= 2.0, cd.vstack(x, y) >= -1.0,
+                       X[0, 0] <= 2.0, X[1, 1] <= 1.0, X[0, 1] == X[1, 0]])
+
+
 PINNED = {
     "lp_maximize": (
         lp_maximize,
@@ -98,6 +127,12 @@ PINNED = {
     "constant_products": (
         constant_products,
         "6f70e93e8707eca5703eb30f080b7b4f24c5c55c2464e2c420c7f09365dc688f"),
+    "quadratic_forms": (
+        quadratic_forms,
+        "86ee74bab5e9e26f20f2a8cbfe068160e4110b31699d9f8c1e1bd10fdc5e106c"),
+    "remaining_atoms": (
+        remaining_atoms,
+        "05e74978162ed9e3ae954196329cd87899af2e10d7b10e8238c9723a1bd6ccf5"),
 }
 
 
@@ -119,3 +154,13 @@ def test_pinned_problems_cover_every_cone():
     assert len(spec["second_order"].soc) > 4   # batched blocks and single ones
     assert spec["exponential"].ep
     assert len(spec["semidefinite"].psd) == 3
+
+
+def test_pinned_problems_reach_every_registered_atom():
+    reached = set()
+    for build, _ in PINNED.values():
+        problem = build()
+        for body in ([problem.objective.expr]
+                     + [c.body for c in problem.constraints]):
+            reached |= {atom.name for atom in atoms_in(body)}
+    assert sorted(set(REGISTRY) - reached) == []

@@ -65,15 +65,17 @@ PLAIN_ATOMS = {
 # the atoms with params: each public name is the descriptor, whose bind
 # computes and checks the params
 BOUND_ATOMS = {
-    "huber", "cvxr_norm", "quad_form", "mul_elemwise", "index",
-    "reshape_expr", "diff", "max_elemwise",
+    "huber", "cvxr_norm", "mul_elemwise", "index", "reshape_expr", "diff",
+    "max_elemwise",
 }
 # the names that CVXR defines as compositions: each is a plain function
 # that builds its expression from the atoms above, and no atom has its name
 COMPOSED = {"pos", "neg", "sum_squares", "min_entries", "lambda_min",
-            "min_elemwise", "sum_entries", "cumsum_axis", "matrix_trace"}
+            "min_elemwise", "sum_entries", "cumsum_axis", "matrix_trace",
+            "quad_form"}
 # the compositions that take more than one argument
-COMPOSED_WITH_PARAMS = {"min_elemwise", "sum_entries", "cumsum_axis"}
+COMPOSED_WITH_PARAMS = {"min_elemwise", "sum_entries", "cumsum_axis",
+                        "quad_form"}
 ALIASES = {"abs": "abs_atom", "p_norm": "cvxr_norm",
            "elementwise_product": "mul_elemwise"}
 

@@ -65,6 +65,11 @@ def test_randint_bounds_and_coverage():
     assert set(draws) == set(range(10))
 
 
+def test_randint_refuses_an_empty_range():
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        SplitMix64(0).randint(0)
+
+
 def test_spawn_gives_distinct_streams():
     rng = SplitMix64(9)
     child = rng.spawn()

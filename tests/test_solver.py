@@ -781,6 +781,12 @@ def test_dimension_mismatch_rejected():
                     offset=0.0, flipped=False)
 
 
+def test_solve_cone_program_refuses_another_object():
+    with pytest.raises(InputError,
+                       match="^solve_cone_program expects a ConeProgram$"):
+        solve_cone_program(object())
+
+
 def test_diagnostics_rendering():
     x = cd.Variable(name="x")
     res = cd.solve(cd.Problem(cd.Minimize(x), [x >= 1]))
